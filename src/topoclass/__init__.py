@@ -6,7 +6,6 @@ Urysohn separators and bottleneck kernel witnesses, and project activation
 traces with a from-scratch Isomap.
 """
 
-from ._kernels import BACKEND
 from .data import (
     LabeledPointCloud,
     ShellSpec,
@@ -57,6 +56,9 @@ from .topology import (
 from .training import TrainConfig, TrainHistory, accuracy, cross_entropy, gradients, train
 
 __version__ = "0.1.0"
+
+# one kernel implementation; kept as a name because benchmark records report it
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

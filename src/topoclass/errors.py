@@ -13,10 +13,6 @@ class ShapeError(TopoclassError):
     """A matrix does not have the structure an operation requires."""
 
 
-class ConvergenceError(TopoclassError):
-    """An iterative solver exhausted its sweep budget."""
-
-
 class SpecError(TopoclassError):
     """A generator or graph parameter violates its stated constraints."""
 

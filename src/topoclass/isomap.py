@@ -3,8 +3,8 @@
 The three stages are exposed separately because each has its own oracle
 (complete graphs reduce geodesics to Euclidean distances, exact Euclidean
 matrices make MDS lossless) and because the trace pipeline wants to reuse
-the MDS stage on its own.  All-pairs Dijkstra is the hot path and lives in
-``_kernels``.
+the MDS stage on its own.  Geodesics are a dense Floyd-Warshall min-plus
+recursion in numpy, and the MDS eigensolve is LAPACK ``eigh``.
 """
 
 import csv
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DisconnectedError, DomainError, SpecError
 from .numerics import as_matrix, eigh_symmetric
 
@@ -124,7 +123,11 @@ def geodesic_distances(graph):
     components = graph_components(graph)
     if len(components) > 1:
         raise DisconnectedError(components)
-    dist = _kernels.dijkstra_all_pairs(graph.weights)
+    w = graph.weights
+    dist = np.where(w > 0.0, w, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for k in range(dist.shape[0]):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     # a path and its reverse sum the same weights in opposite order; take the
     # min so the matrix is exactly symmetric
     return np.minimum(dist, dist.T)

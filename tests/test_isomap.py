@@ -1,8 +1,11 @@
+import heapq
+
 import numpy as np
 import pytest
 
 from topoclass.errors import DisconnectedError, DomainError, SpecError
 from topoclass.isomap import (
+    DUPLICATE_POINT_WEIGHT,
     NeighborGraph,
     classical_mds,
     geodesic_distances,
@@ -22,6 +25,27 @@ def floyd_warshall(weights):
     for k in range(n):
         dist = np.minimum(dist, dist[:, k][:, np.newaxis] + dist[k, :][np.newaxis, :])
     return dist
+
+
+def dijkstra(weights):
+    """Binary-heap Dijkstra from every source: an oracle independent of the
+    min-plus recursion that geodesic_distances and floyd_warshall share."""
+    n = weights.shape[0]
+    out = np.full((n, n), np.inf)
+    for src in range(n):
+        dist = out[src]
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v in np.nonzero(weights[u])[0]:
+                cand = d + weights[u, v]
+                if cand < dist[v]:
+                    dist[v] = cand
+                    heapq.heappush(heap, (cand, v))
+    return out
 
 
 def random_connected_graph(rng, n, dyadic=False):
@@ -97,6 +121,16 @@ class TestGeodesics:
             got = geodesic_distances(graph)
             want = floyd_warshall(graph.weights)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_matches_dijkstra(self):
+        rng = make_rng(4)
+        graphs = [random_connected_graph(rng, 30) for _ in range(5)]
+        base = make_rng(15).standard_normal((30, 2))
+        duplicated = knn_graph(np.vstack([base, base[:10]]), 5)
+        assert (duplicated.weights == DUPLICATE_POINT_WEIGHT).any()
+        for graph in graphs + [duplicated]:
+            got = geodesic_distances(graph)
+            np.testing.assert_allclose(got, dijkstra(graph.weights), rtol=0, atol=1e-12)
 
     def test_geodesic_at_least_euclidean(self):
         pts = make_rng(5).standard_normal((40, 2))
