@@ -46,20 +46,32 @@ class NeighborGraph:
         return int((self.weights > 0.0).sum()) // 2
 
 
-def pairwise_distances(points):
-    """Dense Euclidean distance matrix, computed by direct differences.
+def _sq_dist_blocks(xs, pts):
+    """Squared Euclidean distances from xs to pts, one block of xs rows at a time.
 
-    Chunked over rows so memory stays bounded; direct subtraction keeps the
-    small distances accurate (no Gram-matrix cancellation).
+    Yields ``(rows, block)`` with ``block[i, j] = ||xs[rows][i] - pts[j]||^2``.
+    Blocks are sized so each difference array holds about 4e6 entries, and
+    direct subtraction keeps small distances accurate (no Gram-matrix
+    cancellation).
     """
+    chunk = max(1, int(4_000_000 // max(pts.shape[0] * pts.shape[1], 1)))
+    for start in range(0, xs.shape[0], chunk):
+        rows = slice(start, min(start + chunk, xs.shape[0]))
+        diff = xs[rows, np.newaxis, :] - pts[np.newaxis, :, :]
+        np.multiply(diff, diff, out=diff)
+        block = diff.sum(axis=2)
+        # release the difference array before yielding, so it is never alive
+        # alongside the caller's block and the next difference array
+        del diff
+        yield rows, block
+
+
+def pairwise_distances(points):
+    """Dense Euclidean distance matrix, computed by direct differences."""
     pts = as_matrix(points, "points")
-    n, d = pts.shape
-    out = np.empty((n, n))
-    chunk = max(1, int(4_000_000 // max(n * d, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = pts[start:stop, np.newaxis, :] - pts[np.newaxis, :, :]
-        out[start:stop] = np.sqrt((diff * diff).sum(axis=2))
+    out = np.empty((pts.shape[0], pts.shape[0]))
+    for rows, sq in _sq_dist_blocks(pts, pts):
+        out[rows] = np.sqrt(sq)
     return out
 
 

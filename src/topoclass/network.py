@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, SchemaError
+from .errors import DimensionError, NumericalError, ParseError, SchemaError
 from .numerics import as_matrix, as_vector
 
 RELU = "relu"
@@ -120,12 +120,13 @@ def softmax(v):
 
 
 def _apply_layer(layer, acts):
+    """The one place a layer is applied: returns (pre-activation z, activation)."""
     z = acts @ layer.weight.T + layer.bias
     if layer.activation == RELU:
-        return np.maximum(z, 0.0)
+        return z, np.maximum(z, 0.0)
     if layer.activation == SOFTMAX:
-        return _softmax_rows(z)
-    return z
+        return z, _softmax_rows(z)
+    return z, z
 
 
 def forward_batch(net, xs):
@@ -136,7 +137,7 @@ def forward_batch(net, xs):
             f"net expects inputs of dim {net.input_dim}, got {acts.shape[1]}"
         )
     for layer in net.layers:
-        acts = _apply_layer(layer, acts)
+        _, acts = _apply_layer(layer, acts)
     return acts
 
 
@@ -160,15 +161,9 @@ def forward_trace(net, cloud, include_pre=False):
     stages = [("input", cloud.points.copy())]
     acts = cloud.points
     for i, layer in enumerate(net.layers, start=1):
-        z = acts @ layer.weight.T + layer.bias
+        z, acts = _apply_layer(layer, acts)
         if include_pre:
             stages.append((f"layer{i}_pre", z.copy()))
-        if layer.activation == RELU:
-            acts = np.maximum(z, 0.0)
-        elif layer.activation == SOFTMAX:
-            acts = _softmax_rows(z)
-        else:
-            acts = z
         stages.append((f"layer{i}_{layer.activation}", acts.copy()))
     return ActivationTrace(stages=tuple(stages), labels=cloud.labels.copy())
 
@@ -281,7 +276,7 @@ def load_model(path):
                     activation=raw["activation"],
                 )
             )
-        except (DimensionError, ValueError) as exc:
+        except (DimensionError, NumericalError, ValueError) as exc:
             raise SchemaError(f"layer {i} is malformed: {exc}") from exc
     try:
         return Mlp(layers=tuple(layers))

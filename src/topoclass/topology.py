@@ -26,7 +26,7 @@ from .errors import (
     SeparationError,
     SpecError,
 )
-from .isomap import graph_components, knn_graph
+from .isomap import _sq_dist_blocks, graph_components, knn_graph
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
 from .numerics import as_matrix, eigh_symmetric, make_rng, null_space_basis
 
@@ -263,11 +263,8 @@ def full_separability_report(net, cloud):
 def _min_dists(xs, pts):
     """Min Euclidean distance from each row of xs to the finite set pts."""
     out = np.empty(xs.shape[0])
-    chunk = max(1, int(4_000_000 // max(pts.shape[0] * pts.shape[1], 1)))
-    for start in range(0, xs.shape[0], chunk):
-        stop = min(start + chunk, xs.shape[0])
-        diff = xs[start:stop, np.newaxis, :] - pts[np.newaxis, :, :]
-        out[start:stop] = np.sqrt((diff * diff).sum(axis=2).min(axis=1))
+    for rows, sq in _sq_dist_blocks(xs, pts):
+        out[rows] = np.sqrt(sq.min(axis=1))
     return out
 
 

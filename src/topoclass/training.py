@@ -7,12 +7,20 @@ same history bit for bit.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .network import IDENTITY, RELU, SOFTMAX, LayerSpec, Mlp, forward_batch, strict_argmax_batch
+from .network import (
+    IDENTITY,
+    RELU,
+    SOFTMAX,
+    Mlp,
+    _apply_layer,
+    forward_batch,
+    strict_argmax_batch,
+)
 from .numerics import as_vector, make_rng
 
 
@@ -73,41 +81,32 @@ def _require_softmax(net):
         raise ConfigError("training requires a softmax final layer")
 
 
-def _forward_store(params, xs):
-    """Forward pass over raw (weight, bias, activation) triples, keeping z's."""
+def _forward_store(layers, xs):
+    """Forward pass keeping every activation (input first) and every z."""
     acts = [xs]
     zs = []
-    a = xs
-    for weight, bias, activation in params:
-        z = a @ weight.T + bias
+    for layer in layers:
+        z, a = _apply_layer(layer, acts[-1])
         zs.append(z)
-        if activation == RELU:
-            a = np.maximum(z, 0.0)
-        elif activation == SOFTMAX:
-            shifted = z - z.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            a = e / e.sum(axis=1, keepdims=True)
-        else:
-            a = z
         acts.append(a)
     return acts, zs
 
 
-def _batch_backward(params, xs, labels):
+def _batch_backward(layers, xs, labels):
     """Summed gradients over the batch plus the per-sample loss sum."""
-    acts, zs = _forward_store(params, xs)
+    acts, zs = _forward_store(layers, xs)
     probs = acts[-1]
     rows = np.arange(xs.shape[0])
     loss_sum = float(-np.log(probs[rows, labels]).sum())
 
     delta = probs.copy()
     delta[rows, labels] -= 1.0
-    grads = [None] * len(params)
-    for i in range(len(params) - 1, -1, -1):
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
-            delta = delta @ params[i][0]
-            prev_act = params[i - 1][2]
+            delta = delta @ layers[i].weight
+            prev_act = layers[i - 1].activation
             if prev_act == RELU:
                 # subgradient at exactly 0 is 0
                 delta = delta * (zs[i - 1] > 0.0)
@@ -116,8 +115,8 @@ def _batch_backward(params, xs, labels):
     return grads, loss_sum
 
 
-def _params_of(net):
-    return [(layer.weight, layer.bias, layer.activation) for layer in net.layers]
+def _copy_layer(layer):
+    return replace(layer, weight=layer.weight.copy(), bias=layer.bias.copy())
 
 
 def gradients(net, x, label):
@@ -126,7 +125,7 @@ def gradients(net, x, label):
     x = as_vector(x, "x")
     if not 0 <= label < net.output_dim:
         raise IndexError(f"label {label} out of range for {net.output_dim} classes")
-    grads, _ = _batch_backward(_params_of(net), x[np.newaxis, :], np.array([label]))
+    grads, _ = _batch_backward(net.layers, x[np.newaxis, :], np.array([label]))
     return grads
 
 
@@ -157,18 +156,8 @@ def train(net, cloud, cfg):
             f"net has {net.output_dim} outputs but data has {cloud.class_count} classes"
         )
 
-    weights = [layer.weight.copy() for layer in net.layers]
-    biases = [layer.bias.copy() for layer in net.layers]
-    activations = [layer.activation for layer in net.layers]
-    params = list(zip(weights, biases, activations))
-
-    def snapshot():
-        return Mlp(
-            layers=tuple(
-                LayerSpec(weight=w.copy(), bias=b.copy(), activation=act)
-                for w, b, act in zip(weights, biases, activations)
-            )
-        )
+    # private copies, updated in place (LayerSpec is frozen, its arrays are not)
+    layers = [_copy_layer(layer) for layer in net.layers]
 
     rng = make_rng(cfg.seed)
     n = len(cloud)
@@ -179,17 +168,19 @@ def train(net, cloud, cfg):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grads, loss_sum = _batch_backward(params, cloud.points[batch], cloud.labels[batch])
+            grads, loss_sum = _batch_backward(layers, cloud.points[batch], cloud.labels[batch])
             epoch_loss += loss_sum
             step = cfg.learning_rate / batch.size
-            for i, (dw, db) in enumerate(grads):
-                weights[i] -= step * dw
-                biases[i] -= step * db
+            for layer, (dw, db) in zip(layers, grads):
+                np.subtract(layer.weight, step * dw, out=layer.weight)
+                np.subtract(layer.bias, step * db, out=layer.bias)
         losses.append(epoch_loss / n)
-        acts, _ = _forward_store(params, cloud.points)
+        acts, _ = _forward_store(layers, cloud.points)
         preds, _ = strict_argmax_batch(acts[-1])
         acc = float((preds == cloud.labels).mean())
         accuracies.append(acc)
         if cfg.target_accuracy is not None and acc >= cfg.target_accuracy:
             break
-    return snapshot(), TrainHistory(losses=tuple(losses), accuracies=tuple(accuracies))
+    # copying through LayerSpec re-checks that the weights stayed finite
+    trained = Mlp(layers=tuple(_copy_layer(layer) for layer in layers))
+    return trained, TrainHistory(losses=tuple(losses), accuracies=tuple(accuracies))

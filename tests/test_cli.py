@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from topoclass import errors
 from topoclass.cli import main
 from topoclass.data import load_cloud
 from topoclass.network import load_model
@@ -258,3 +259,44 @@ class TestUrysohn:
         data = tmp_path / "d5.json"
         run(["gen", "--shells", "--dim", 5, "--n", 10, "--seed", 0, "-o", data])
         assert run(["urysohn", data, "--out-dir", tmp_path / "u"]) == 2
+
+
+class TestExitCodes:
+    def test_witness_residual_over_bound_exits_1(self, tmp_path):
+        # a kernel direction of this huge first layer leaves a residual far
+        # above the witness's 1e-9 bound: NumericalError, a quality failure
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"layers": [
+            {"activation": "relu", "weight": [[1e12, 3.3e12]], "bias": [0.0]},
+            {"activation": "softmax", "weight": [[1.0], [-1.0]], "bias": [0.0, 0.0]},
+        ]}))
+        assert run(["witness", model]) == 1
+
+    def test_directory_as_data_exits_2(self, workspace, tmp_path):
+        assert run(["check-sep", workspace["model"], tmp_path]) == 2
+
+    def test_non_finite_weight_is_schema_error(self, tmp_path):
+        model = tmp_path / "nan.json"
+        model.write_text(
+            '{"layers": [{"activation": "softmax", "weight": [[NaN, 1]], "bias": [0]}]}'
+        )
+        with pytest.raises(errors.SchemaError):
+            load_model(model)
+        assert run(["witness", model]) == 2
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.TopoclassError)
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_exit_code_follows_error_class(self, error, monkeypatch, tmp_path):
+        def fail(*args):
+            raise error([[0], [1]]) if error is errors.DisconnectedError else error("boom")
+
+        monkeypatch.setattr("topoclass.data.gen_annulus2d", fail)
+        expected = 1 if error in (errors.DisconnectedError, errors.NumericalError) else 2
+        assert run(["gen", "--annulus", "-o", tmp_path / "d.json"]) == expected

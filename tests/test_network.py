@@ -5,6 +5,7 @@ from topoclass.data import gen_annulus2d
 from topoclass.errors import DimensionError, SchemaError
 from topoclass.network import (
     PAPER_NET_DIMS,
+    RELU,
     LayerSpec,
     Mlp,
     build_paper_net,
@@ -143,6 +144,12 @@ class TestTrace:
         trace = forward_trace(net, cloud, include_pre=True)
         assert len(trace.stages) == 2 * len(net.layers) + 1
         assert trace.stages[1][0] == "layer1_pre"
+        stages = dict(trace.stages)
+        relu_layers = [i for i, lay in enumerate(net.layers, start=1) if lay.activation == RELU]
+        assert len(relu_layers) == 5
+        for i in relu_layers:
+            pre, post = stages[f"layer{i}_pre"], stages[f"layer{i}_relu"]
+            assert post.tobytes() == np.maximum(pre, 0.0).tobytes()
 
 
 class TestModelFiles:

@@ -78,13 +78,12 @@ class TestGradients:
                         assert abs(fd - ref) <= 1e-4 * max(1.0, abs(fd))
 
     def test_batch_gradient_is_additive(self):
-        from topoclass.training import _batch_backward, _params_of
+        from topoclass.training import _batch_backward
 
         net = build_relu_net((2, 4, 2), make_rng(3))
         x = np.array([0.4, -0.2])
-        params = _params_of(net)
-        single, _ = _batch_backward(params, x[np.newaxis, :], np.array([1]))
-        double, _ = _batch_backward(params, np.stack([x, x]), np.array([1, 1]))
+        single, _ = _batch_backward(net.layers, x[np.newaxis, :], np.array([1]))
+        double, _ = _batch_backward(net.layers, np.stack([x, x]), np.array([1, 1]))
         for (dw1, db1), (dw2, db2) in zip(single, double):
             np.testing.assert_allclose(dw2, 2.0 * dw1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(db2, 2.0 * db1, rtol=1e-12, atol=1e-15)
