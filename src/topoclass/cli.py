@@ -64,12 +64,11 @@ def _parse_bands(text):
     return bands
 
 
-def _parse_dims(text):
+def _parse_ints(text, flag):
     try:
-        dims = tuple(int(d) for d in text.split(","))
+        return tuple(int(d) for d in text.split(","))
     except ValueError as exc:
-        raise SpecError(f"--dims must be a comma list of integers, got {text!r}") from exc
-    return dims
+        raise SpecError(f"{flag} must be a comma list of integers, got {text!r}") from exc
 
 
 def cmd_gen(args):
@@ -88,7 +87,7 @@ def cmd_gen(args):
 
 def cmd_train(args):
     cloud = data_mod.load_cloud(args.data)
-    dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_dims(args.dims)
+    dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_ints(args.dims, "--dims")
     if dims[0] != cloud.dim or dims[-1] != cloud.class_count:
         raise ConfigError(
             f"--dims {dims} does not match data (dim {cloud.dim}, "
@@ -207,26 +206,30 @@ def cmd_witness(args):
 def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size, target):
     """Train first-layer-width variants; per width, keep the best accuracy.
 
-    Returns one dict per width (ordered by width) with the best accuracy
-    over the seeds and, when the width is an actual bottleneck, a kernel
-    witness from the best net's first layer.
+    The seeds of one width train together in one stack (train_many), with
+    results identical to training them one by one.  Returns one dict per
+    width (ordered by width) with the best accuracy over the seeds and,
+    when the width is an actual bottleneck, a kernel witness from the best
+    net's first layer.
     """
     rows = []
     for width in widths:
         dims = _sweep_dims(cloud.dim, width, cloud.class_count)
-        seed_accs = []
-        best_net = None
-        for s in range(seeds):
-            seed = base_seed + s
-            net = net_mod.build_relu_net(dims, make_rng(seed))
-            cfg = train_mod.TrainConfig(
+        run_seeds = range(base_seed, base_seed + seeds)
+        nets = [net_mod.build_relu_net(dims, make_rng(seed)) for seed in run_seeds]
+        cfgs = [
+            train_mod.TrainConfig(
                 learning_rate=lr,
                 epochs=epochs,
                 batch_size=batch_size,
                 seed=seed,
                 target_accuracy=target,
             )
-            trained, history = train_mod.train(net, cloud, cfg)
+            for seed in run_seeds
+        ]
+        seed_accs = []
+        best_net = None
+        for trained, history in train_mod.train_many(nets, cloud, cfgs):
             acc = max(history.accuracies)
             if best_net is None or acc > max(seed_accs):
                 best_net = trained
@@ -245,9 +248,11 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
 
 def cmd_sweep(args):
     cloud = data_mod.load_cloud(args.data)
-    widths = [int(w) for w in args.widths.split(",")]
+    widths = _parse_ints(args.widths, "--widths")
     if any(w < 1 for w in widths):
         raise SpecError("widths must be positive")
+    if args.seeds < 1:
+        raise SpecError("--seeds must be >= 1")
     rows = run_bottleneck_sweep(
         cloud,
         widths,

@@ -3,9 +3,11 @@
 A cloud is the finite stand-in for a labeled union of manifolds: an
 ``(n, dim)`` coordinate array plus one integer class label per point.  The
 only generators are concentric balls and shells (the geometry every
-experiment here needs); sampling is uniform by rejection from the enclosing
-cube, so the radius bounds are hard constraints rather than statistical
-ones.
+experiment here needs); sampling is uniform, by rejection from the
+enclosing cube or, where the cube would reject nearly every draw, by a
+Gaussian direction and an inverse-CDF radius.  Every kept point's norm is
+checked against its band, so the radius bounds are hard constraints rather
+than statistical ones.
 """
 
 import csv
@@ -92,19 +94,47 @@ class ShellSpec:
 
 def _band_acceptance(dim, lo, hi):
     """Fraction of the cube [-hi, hi]^dim falling inside the band lo<=|x|<=hi."""
-    unit_ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-    band = unit_ball * (hi**dim - lo**dim)
-    return band / (2.0 * hi) ** dim
+    try:
+        unit_ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+        band = unit_ball * (hi**dim - lo**dim)
+        return band / (2.0 * hi) ** dim
+    except OverflowError:
+        # gamma overflows past dim 341 (and hi**dim for large hi), where
+        # the true fraction is far below the sampler's switch point
+        return 0.0
+
+
+def _radial_draw(rng, dim, lo, hi, count):
+    """Uniform points with lo <= ||x|| <= hi, drawn radially.
+
+    A normalised Gaussian direction times the inverse-CDF radius
+    (lo^d + u (hi^d - lo^d))^(1/d), computed as
+    hi ((lo/hi)^d + u (1 - (lo/hi)^d))^(1/d) so that hi^d cannot overflow.
+    """
+    direction = rng.standard_normal((count, dim))
+    direction /= np.sqrt((direction * direction).sum(axis=1))[:, np.newaxis]
+    inner = (lo / hi) ** dim
+    radius = hi * (inner + rng.uniform(size=count) * (1.0 - inner)) ** (1.0 / dim)
+    return direction * radius[:, np.newaxis]
 
 
 def _sample_band(rng, dim, lo, hi, count):
-    """Uniform points with lo <= ||x|| <= hi by cube rejection."""
-    accept = max(_band_acceptance(dim, lo, hi), 1e-6)
+    """Uniform points with lo <= ||x|| <= hi.
+
+    Rejection from the cube [-hi, hi]^dim while it accepts at least 1e-6 of
+    its draws (up to dim 17 for the default bands); below that, radial
+    draws.  Either way a point is kept only if its computed norm lies in
+    the band.
+    """
+    accept = _band_acceptance(dim, lo, hi)
     chunks = []
     need = count
     while need > 0:
-        batch = min(max(int(need / accept * 1.2), 256), 2_000_000)
-        draw = rng.uniform(-hi, hi, size=(batch, dim))
+        if accept < 1e-6:
+            draw = _radial_draw(rng, dim, lo, hi, need)
+        else:
+            batch = min(max(int(need / accept * 1.2), 256), 2_000_000)
+            draw = rng.uniform(-hi, hi, size=(batch, dim))
         norms = np.sqrt((draw * draw).sum(axis=1))
         kept = draw[(norms >= lo) & (norms <= hi)][:need]
         chunks.append(kept)

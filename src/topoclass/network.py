@@ -102,9 +102,9 @@ def relu(v):
 
 
 def _softmax_rows(z):
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(v):
@@ -120,8 +120,12 @@ def softmax(v):
 
 
 def _apply_layer(layer, acts):
-    """The one place a layer is applied: returns (pre-activation z, activation)."""
-    z = acts @ layer.weight.T + layer.bias
+    """The one place a layer is applied: returns (pre-activation z, activation).
+
+    Works on one layer (weight (out, in), bias (out,)) or on a stack of S
+    layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.
+    """
+    z = acts @ layer.weight.swapaxes(-1, -2) + layer.bias
     if layer.activation == RELU:
         return z, np.maximum(z, 0.0)
     if layer.activation == SOFTMAX:

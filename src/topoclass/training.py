@@ -1,21 +1,23 @@
 """Mini-batch SGD on softmax cross-entropy, with hand-written gradients.
 
 Reverse-mode derivatives are exact (the softmax + cross-entropy pair
-collapses to probabilities minus one-hot), and the whole loop is driven by
-one seeded generator, so a (net, cloud, config) triple always reproduces the
-same history bit for bit.
+collapses to probabilities minus one-hot).  One loop trains a stack of nets
+of one shape in lock-step, each shuffled by its own seeded generator, so a
+(net, cloud, config) triple reproduces the same history bit for bit whether
+it trains alone or in a stack.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .network import (
     IDENTITY,
     RELU,
     SOFTMAX,
+    LayerSpec,
     Mlp,
     _apply_layer,
     forward_batch,
@@ -81,29 +83,92 @@ def _require_softmax(net):
         raise ConfigError("training requires a softmax final layer")
 
 
-def _forward_store(layers, xs):
-    """Forward pass keeping every activation (input first) and every z."""
-    acts = [xs]
-    zs = []
+@dataclass
+class _LayerStack:
+    """One layer of S nets: weights (S, out, in), biases (S, 1, out)."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+    activation: str
+
+
+def _layer_views(flat, template):
+    """The layers of ``template``'s shape as views into an (S, P) array."""
+    layers, start = [], 0
+    for layer in template.layers:
+        out_dim, in_dim = layer.weight.shape
+        stop = start + out_dim * in_dim
+        layers.append(
+            _LayerStack(
+                flat[:, start:stop].reshape(-1, out_dim, in_dim),
+                flat[:, stop : stop + out_dim].reshape(-1, 1, out_dim),
+                layer.activation,
+            )
+        )
+        start = stop + out_dim
+    return layers
+
+
+class _NetStack:
+    """S nets of one shape with all their parameters in one (S, P) array.
+
+    ``layers`` views ``params`` layer by layer; ``grads`` views ``grad``, a
+    buffer of the same layout that each SGD step fills and then subtracts.
+    """
+
+    def __init__(self, params, template):
+        self.params = params
+        self.template = template
+        self.layers = _layer_views(params, template)
+        self.grad = np.empty_like(params)
+        self.grads = _layer_views(self.grad, template)
+
+    @classmethod
+    def of(cls, nets):
+        rows = [
+            np.concatenate([a.ravel() for layer in net.layers for a in (layer.weight, layer.bias)])
+            for net in nets
+        ]
+        return cls(np.stack(rows), nets[0])
+
+    def keep(self, rows):
+        return _NetStack(self.params[rows], self.template)
+
+    def net(self, row):
+        """One row as a net with its own arrays."""
+        return Mlp(
+            tuple(
+                LayerSpec(layer.weight[row].copy(), layer.bias[row, 0].copy(), layer.activation)
+                for layer in self.layers
+            )
+        )
+
+
+def _batch_backward(stack, xs, labels):
+    """Fill ``stack.grads`` with each net's gradient summed over the batch.
+
+    ``xs`` is (S, B, in) and ``labels`` (S, B).  Returns each net's loss
+    sum, shape (S,).
+    """
+    layers, grads = stack.layers, stack.grads
+    acts, zs = [xs], []  # every activation (input first) and every z
     for layer in layers:
         z, a = _apply_layer(layer, acts[-1])
         zs.append(z)
         acts.append(a)
-    return acts, zs
-
-
-def _batch_backward(layers, xs, labels):
-    """Summed gradients over the batch plus the per-sample loss sum."""
-    acts, zs = _forward_store(layers, xs)
     probs = acts[-1]
-    rows = np.arange(xs.shape[0])
-    loss_sum = float(-np.log(probs[rows, labels]).sum())
+    nets = np.arange(labels.shape[0])[:, np.newaxis]
+    rows = np.arange(labels.shape[1])
+    picked = probs[nets, rows, labels]
+    # a probability of 0 gives an infinite loss: run under
+    # np.errstate(divide="ignore") and check the result
+    loss_sums = -np.log(picked).sum(axis=1)
 
     delta = probs.copy()
-    delta[rows, labels] -= 1.0
-    grads = [None] * len(layers)
+    delta[nets, rows, labels] = picked - 1.0
     for i in range(len(layers) - 1, -1, -1):
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads[i].weight)
+        delta.sum(axis=1, keepdims=True, out=grads[i].bias)
         if i > 0:
             delta = delta @ layers[i].weight
             prev_act = layers[i - 1].activation
@@ -112,11 +177,7 @@ def _batch_backward(layers, xs, labels):
                 delta = delta * (zs[i - 1] > 0.0)
             elif prev_act != IDENTITY:
                 raise ConfigError("softmax below the final layer is not differentiable here")
-    return grads, loss_sum
-
-
-def _copy_layer(layer):
-    return replace(layer, weight=layer.weight.copy(), bias=layer.bias.copy())
+    return loss_sums
 
 
 def gradients(net, x, label):
@@ -125,8 +186,10 @@ def gradients(net, x, label):
     x = as_vector(x, "x")
     if not 0 <= label < net.output_dim:
         raise IndexError(f"label {label} out of range for {net.output_dim} classes")
-    grads, _ = _batch_backward(net.layers, x[np.newaxis, :], np.array([label]))
-    return grads
+    stack = _NetStack.of([net])
+    with np.errstate(divide="ignore"):
+        _batch_backward(stack, x[np.newaxis, np.newaxis, :], np.array([[label]]))
+    return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
 
 
 def accuracy(net, cloud):
@@ -140,47 +203,107 @@ def accuracy(net, cloud):
     return float((preds == cloud.labels).mean())
 
 
+def _check_stack(nets, cloud, cfgs):
+    if not nets or len(nets) != len(cfgs):
+        raise ConfigError("train_many needs at least one net and one config per net")
+    def shape(net):
+        return [(layer.weight.shape, layer.activation) for layer in net.layers]
+
+    if any(shape(net) != shape(nets[0]) for net in nets):
+        raise ConfigError("nets trained together must have the same layer shapes and activations")
+    if len({(c.learning_rate, c.epochs, c.batch_size) for c in cfgs}) > 1:
+        raise ConfigError("nets trained together must share learning_rate, epochs and batch_size")
+    net = nets[0]
+    _require_softmax(net)
+    if cloud.dim != net.input_dim:
+        raise ConfigError(f"net expects inputs of dim {net.input_dim}, data has dim {cloud.dim}")
+    if net.output_dim != cloud.class_count:
+        raise ConfigError(
+            f"net has {net.output_dim} outputs but data has {cloud.class_count} classes"
+        )
+
+
+def _require_finite(epoch, epoch_loss, stack, live, cfgs):
+    finite = np.isfinite(epoch_loss) & np.isfinite(stack.params).all(axis=1)
+    if not finite.all():
+        k = live[int(np.argmin(finite))]
+        raise NumericalError(
+            f"training diverged in epoch {epoch} of the net with seed {cfgs[k].seed}: "
+            "the loss or a weight is not finite (try a smaller learning rate)"
+        )
+
+
+def _sgd_epoch(stack, points, labels, order, lr, batch_size):
+    """One pass over the (S, n) shuffles, updating the stack in place.
+
+    Returns each net's summed per-sample loss.
+    """
+    epoch_loss = np.zeros(order.shape[0])
+    for start in range(0, order.shape[1], batch_size):
+        batch = order[:, start : start + batch_size]
+        epoch_loss += _batch_backward(stack, points[batch], labels[batch])
+        stack.grad *= lr / batch.shape[1]
+        stack.params -= stack.grad
+    return epoch_loss
+
+
+def train_many(nets, cloud, cfgs):
+    """Mini-batch SGD on several nets of one shape at once; one (net, history) per net.
+
+    Each net shuffles per epoch from its own cfg.seed, updates with the
+    batch-mean gradient, and leaves the stack once its training accuracy
+    reaches its cfg.target_accuracy, so every result is bit-identical to
+    training that net alone.  The configs must share learning_rate, epochs
+    and batch_size.  A loss or weight that stops being finite raises
+    NumericalError at the end of its epoch.
+    """
+    nets, cfgs = list(nets), list(cfgs)
+    _check_stack(nets, cloud, cfgs)
+    lr, epochs, batch_size = cfgs[0].learning_rate, cfgs[0].epochs, cfgs[0].batch_size
+    points, labels = cloud.points, cloud.labels
+    n = len(cloud)
+
+    stack = _NetStack.of(nets)
+    live = list(range(len(nets)))  # the net behind each row of the stack
+    rngs = [make_rng(cfg.seed) for cfg in cfgs]
+    losses = [[] for _ in nets]
+    accuracies = [[] for _ in nets]
+    results = [None] * len(nets)
+    # a diverging net takes log(0) or overflows; _require_finite turns
+    # that into a NumericalError at the end of the epoch
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = np.stack([rngs[k].permutation(n) for k in live])
+            epoch_loss = _sgd_epoch(stack, points, labels, order, lr, batch_size) / n
+            _require_finite(epoch, epoch_loss, stack, live, cfgs)
+            outputs = points  # broadcast against the stack: (S, n, class_count) at the end
+            for layer in stack.layers:
+                _, outputs = _apply_layer(layer, outputs)
+            preds, _ = strict_argmax_batch(outputs.reshape(-1, cloud.class_count))
+            accs = (preds.reshape(len(live), n) == labels).mean(axis=1)
+
+            keep = []
+            for row, k in enumerate(live):
+                losses[k].append(float(epoch_loss[row]))
+                accuracies[k].append(float(accs[row]))
+                target = cfgs[k].target_accuracy
+                if epoch == epochs or (target is not None and accs[row] >= target):
+                    history = TrainHistory(tuple(losses[k]), tuple(accuracies[k]))
+                    results[k] = (stack.net(row), history)
+                else:
+                    keep.append(row)
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live = [live[row] for row in keep]
+                stack = stack.keep(keep)
+    return results
+
+
 def train(net, cloud, cfg):
     """Mini-batch SGD with a fixed learning rate; returns (net, history).
 
     Shuffles per epoch from cfg.seed, updates with the batch-mean gradient,
     and stops early once training accuracy reaches cfg.target_accuracy.
     """
-    _require_softmax(net)
-    if cloud.dim != net.input_dim:
-        raise ConfigError(
-            f"net expects inputs of dim {net.input_dim}, data has dim {cloud.dim}"
-        )
-    if net.output_dim != cloud.class_count:
-        raise ConfigError(
-            f"net has {net.output_dim} outputs but data has {cloud.class_count} classes"
-        )
-
-    # private copies, updated in place (LayerSpec is frozen, its arrays are not)
-    layers = [_copy_layer(layer) for layer in net.layers]
-
-    rng = make_rng(cfg.seed)
-    n = len(cloud)
-    losses = []
-    accuracies = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads, loss_sum = _batch_backward(layers, cloud.points[batch], cloud.labels[batch])
-            epoch_loss += loss_sum
-            step = cfg.learning_rate / batch.size
-            for layer, (dw, db) in zip(layers, grads):
-                np.subtract(layer.weight, step * dw, out=layer.weight)
-                np.subtract(layer.bias, step * db, out=layer.bias)
-        losses.append(epoch_loss / n)
-        acts, _ = _forward_store(layers, cloud.points)
-        preds, _ = strict_argmax_batch(acts[-1])
-        acc = float((preds == cloud.labels).mean())
-        accuracies.append(acc)
-        if cfg.target_accuracy is not None and acc >= cfg.target_accuracy:
-            break
-    # copying through LayerSpec re-checks that the weights stayed finite
-    trained = Mlp(layers=tuple(_copy_layer(layer) for layer in layers))
-    return trained, TrainHistory(losses=tuple(losses), accuracies=tuple(accuracies))
+    return train_many([net], cloud, [cfg])[0]

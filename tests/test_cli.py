@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -51,6 +52,18 @@ class TestGen:
         assert run(["gen", "--annulus", "--n", 10, "--seed", 0, "-o", out, "--csv", csv_out]) == 0
         assert csv_out.read_text().splitlines()[0] == "x0,x1,label"
 
+    def test_shells_dim20_stay_inside_their_bands(self, tmp_path):
+        # the cube accepts about 2.5e-8 of its draws at dim 20, so this
+        # takes the radial sampler
+        out = tmp_path / "d20.json"
+        assert run(["gen", "--shells", "--dim", 20, "--n", 20, "--seed", 0, "-o", out]) == 0
+        cloud = load_cloud(out)
+        norms = np.linalg.norm(cloud.points, axis=1)
+        assert cloud.dim == 20 and len(cloud) == 40
+        assert np.all(norms[cloud.labels == 0] <= 0.9)
+        inner = norms[cloud.labels == 1]
+        assert np.all((inner >= 1.0) & (inner <= 2.0))
+
     def test_bad_bands_exit_2(self, tmp_path):
         code = run(["gen", "--shells", "--bands", "nonsense", "-o", tmp_path / "x.json"])
         assert code == 2
@@ -80,6 +93,14 @@ class TestTrain:
         )
         assert code == 1
         assert (tmp_path / "bn.json").exists()
+
+    def test_diverging_learning_rate_exits_1_without_warnings(self, workspace, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", workspace["data"], "--paper-net", "--lr", 500,
+                        "--epochs", 5, "-o", tmp_path / "m.json"])
+        assert code == 1
+        assert "diverged in epoch 1" in capsys.readouterr().err
 
     def test_dims_mismatch_exit_2(self, workspace, tmp_path):
         code = run(["train", workspace["data"], "--dims", "3,4,2", "-o", tmp_path / "x.json"])
@@ -199,6 +220,10 @@ class TestSweep:
         p1 = [float(x) for x in row1[3].split(";")]
         assert abs(np.linalg.norm(p1) - 0.5) < 1e-9
         assert lines[2].split(",")[2] == ""  # width 2 has no bottleneck
+
+    @pytest.mark.parametrize("flags", [("--seeds", 0), ("--widths", "1,a")])
+    def test_bad_flags_exit_2(self, workspace, tmp_path, flags):
+        assert run(["sweep-bottleneck", workspace["data"], *flags, "-o", tmp_path / "s.csv"]) == 2
 
 
 class TestIsomapCommand:

@@ -47,6 +47,23 @@ class TestGenShells:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_high_dim_radial_draws_are_uniform_in_the_band(self):
+        # at dim 20 the sampler draws radially; uniform in the ball makes
+        # (r / 0.9)^20 uniform on [0, 1], and the shell the same for
+        # (r^20 - 1) / (2^20 - 1)
+        cloud = gen_shells(ShellSpec(dim=20, samples_per_class=2000, seed=4))
+        inner = norms(cloud.class_points(0))
+        outer = norms(cloud.class_points(1))
+        assert inner.max() <= 0.9 and outer.min() >= 1.0 and outer.max() <= 2.0
+        assert abs(((inner / 0.9) ** 20).mean() - 0.5) < 0.03
+        assert abs(((outer**20 - 1.0) / (2.0**20 - 1.0)).mean() - 0.5) < 0.03
+        assert np.abs(cloud.class_points(0).mean(axis=0)).max() < 0.05
+
+    def test_very_high_dim_does_not_overflow(self):
+        cloud = gen_nested_shells(400, [(0.0, 0.9), (1.0, 2.0)], 3, 5)
+        r = norms(cloud.points)
+        assert r[:3].max() <= 0.9 and r[3:].min() >= 1.0 and r[3:].max() <= 2.0
+
     def test_invalid_radii(self):
         with pytest.raises(SpecError):
             ShellSpec(dim=2, inner_max_radius=1.5, outer_min_radius=1.0, outer_max_radius=2.0)

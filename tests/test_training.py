@@ -1,11 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topoclass.data import LabeledPointCloud
-from topoclass.errors import ConfigError
+from topoclass.data import LabeledPointCloud, gen_annulus2d
+from topoclass.errors import ConfigError, NumericalError
 from topoclass.network import LayerSpec, Mlp, build_relu_net, forward
 from topoclass.numerics import make_rng
-from topoclass.training import TrainConfig, TrainHistory, accuracy, cross_entropy, gradients, train
+from topoclass.training import (
+    TrainConfig,
+    TrainHistory,
+    accuracy,
+    cross_entropy,
+    gradients,
+    train,
+    train_many,
+)
 
 
 def blob_cloud(n_per_class, seed, separation=6.0):
@@ -78,12 +90,16 @@ class TestGradients:
                         assert abs(fd - ref) <= 1e-4 * max(1.0, abs(fd))
 
     def test_batch_gradient_is_additive(self):
-        from topoclass.training import _batch_backward
+        from topoclass.training import _batch_backward, _NetStack
 
-        net = build_relu_net((2, 4, 2), make_rng(3))
+        def backward(xs, labels):
+            stack = _NetStack.of([build_relu_net((2, 4, 2), make_rng(3))])
+            _batch_backward(stack, xs[np.newaxis], np.array([labels]))
+            return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
+
         x = np.array([0.4, -0.2])
-        single, _ = _batch_backward(net.layers, x[np.newaxis, :], np.array([1]))
-        double, _ = _batch_backward(net.layers, np.stack([x, x]), np.array([1, 1]))
+        single = backward(x[np.newaxis, :], [1])
+        double = backward(np.stack([x, x]), [1, 1])
         for (dw1, db1), (dw2, db2) in zip(single, double):
             np.testing.assert_allclose(dw2, 2.0 * dw1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(db2, 2.0 * db1, rtol=1e-12, atol=1e-15)
@@ -128,6 +144,120 @@ class TestTrain:
         net = build_relu_net((2, 4, 3), make_rng(3))
         with pytest.raises(ConfigError):
             train(net, cloud, TrainConfig(epochs=1))
+
+
+def assert_same_result(got, want):
+    (net_a, hist_a), (net_b, hist_b) = got, want
+    assert np.array_equal(hist_a.losses, hist_b.losses)
+    assert np.array_equal(hist_a.accuracies, hist_b.accuracies)
+    for layer_a, layer_b in zip(net_a.layers, net_b.layers, strict=True):
+        assert np.array_equal(layer_a.weight, layer_b.weight)
+        assert np.array_equal(layer_a.bias, layer_b.bias)
+
+
+class TestTrainMany:
+    def test_matches_one_net_at_a_time(self):
+        # 46 points in batches of 8 leave a last batch of 6; the net with
+        # seed 2 stops early while the others run every epoch
+        cloud = blob_cloud(23, 11, separation=2.0)
+        nets = [build_relu_net((2, 4, 3, 2), make_rng(seed)) for seed in range(5)]
+        cfgs = [
+            TrainConfig(
+                epochs=30,
+                batch_size=8,
+                seed=seed,
+                target_accuracy=0.8 if seed == 2 else None,
+            )
+            for seed in range(5)
+        ]
+        many = train_many(nets, cloud, cfgs)
+        runs = [h.epochs_run() for _, h in many]
+        assert runs[2] < 30 and runs[:2] + runs[3:] == [30, 30, 30, 30]
+        for net, cfg, got in zip(nets, cfgs, many, strict=True):
+            assert_same_result(got, train(net, cloud, cfg))
+
+    def test_input_nets_are_not_modified(self):
+        cloud = blob_cloud(10, 12)
+        nets = [build_relu_net((2, 3, 2), make_rng(seed)) for seed in range(2)]
+        before = [[layer.weight.copy() for layer in net.layers] for net in nets]
+        train_many(nets, cloud, [TrainConfig(epochs=3, seed=s) for s in range(2)])
+        for net, weights in zip(nets, before):
+            assert all(np.array_equal(l.weight, w) for l, w in zip(net.layers, weights))
+
+    def test_mismatched_layer_shapes_rejected(self):
+        cloud = blob_cloud(10, 13)
+        nets = [build_relu_net((2, 3, 2), make_rng(0)), build_relu_net((2, 4, 2), make_rng(1))]
+        with pytest.raises(ConfigError):
+            train_many(nets, cloud, [TrainConfig(seed=0), TrainConfig(seed=1)])
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"learning_rate": 0.1}, {"epochs": 7}, {"batch_size": 16}],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_differing_shared_settings_rejected(self, other):
+        cloud = blob_cloud(10, 14)
+        nets = [build_relu_net((2, 3, 2), make_rng(seed)) for seed in range(2)]
+        cfgs = [TrainConfig(epochs=5, seed=0), TrainConfig(**{"epochs": 5, "seed": 1, **other})]
+        with pytest.raises(ConfigError):
+            train_many(nets, cloud, cfgs)
+
+    def test_config_count_must_match(self):
+        cloud = blob_cloud(10, 15)
+        net = build_relu_net((2, 3, 2), make_rng(0))
+        with pytest.raises(ConfigError):
+            train_many([net, net], cloud, [TrainConfig()])
+        with pytest.raises(ConfigError):
+            train_many([], cloud, [])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        n_per_class=st.integers(10, 30),
+        batch_size=st.integers(1, 40),
+        data_seed=st.integers(0, 1000),
+        target=st.sampled_from([None, 0.6, 0.9]),
+    )
+    def test_property_matches_one_net_at_a_time(
+        self, hidden, seeds, n_per_class, batch_size, data_seed, target
+    ):
+        cloud = blob_cloud(n_per_class, data_seed, separation=2.0)
+        dims = (2, *hidden, 2)
+        nets = [build_relu_net(dims, make_rng(seed)) for seed in seeds]
+        cfgs = [
+            TrainConfig(epochs=4, batch_size=batch_size, seed=seed, target_accuracy=target)
+            for seed in seeds
+        ]
+        for net, cfg, got in zip(nets, cfgs, train_many(nets, cloud, cfgs), strict=True):
+            assert_same_result(got, train(net, cloud, cfg))
+
+
+class TestDivergence:
+    def test_huge_learning_rate_is_a_numerical_error(self):
+        cloud = gen_annulus2d(100, 0)
+        net = build_relu_net((2, 5, 5, 2, 2, 2, 2), make_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="epoch 1 .*seed 0"):
+                train(net, cloud, TrainConfig(learning_rate=500.0, epochs=5, seed=0))
+
+    def test_names_the_diverging_seed(self):
+        # the second net starts with weights scaled by 1e300, so its first
+        # epoch overflows while the first net trains normally
+        cloud = blob_cloud(20, 16)
+        calm = build_relu_net((2, 4, 2), make_rng(0))
+        wild = Mlp(
+            layers=tuple(
+                LayerSpec(weight=1e300 * l.weight, bias=l.bias, activation=l.activation)
+                for l in build_relu_net((2, 4, 2), make_rng(1)).layers
+            )
+        )
+        cfgs = [TrainConfig(epochs=3, seed=4), TrainConfig(epochs=3, seed=9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="epoch 1 .*seed 9"):
+                train_many([calm, wild], cloud, cfgs)
 
 
 class TestAccuracy:
