@@ -11,6 +11,7 @@ flags; rerunning with the same flags rewrites byte-identical files.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,8 @@ EXIT_OK = 0
 EXIT_QUALITY = 1
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
+# urysohn writes size**2 cells: at 1024, field.csv and field.svg together take about 140 MB
+MAX_GRID_SIZE = 1024
 
 
 def _sweep_dims(in_dim, width, class_count):
@@ -305,6 +308,12 @@ def cmd_isomap(args):
 
 
 def cmd_urysohn(args):
+    extent = args.grid_extent
+    size = args.grid_size
+    if not 1 <= size <= MAX_GRID_SIZE:
+        raise SpecError(f"--grid-size must be in [1, {MAX_GRID_SIZE}], got {size}")
+    if not (math.isfinite(extent) and extent > 0.0):
+        raise SpecError(f"--grid-extent must be finite and positive, got {extent}")
     cloud = data_mod.load_cloud(args.data)
     if cloud.dim != 2:
         raise SpecError("urysohn maps are rendered for 2-D data only")
@@ -314,21 +323,18 @@ def cmd_urysohn(args):
     else:
         field = topo_mod.urysohn_multiclass(classes)
 
-    extent = args.grid_extent
-    size = args.grid_size
-    xs = np.linspace(-extent, extent, size)
-    ys = np.linspace(-extent, extent, size)
-    grid = np.array([[x, y] for y in ys for x in xs])
+    xs = ys = np.linspace(-extent, extent, size)
+    grid = np.column_stack([axis.ravel() for axis in np.meshgrid(xs, ys)])
     values = field(grid).reshape(size, size)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    axis_text = [repr(v) for v in xs.tolist()]
     with open(out_dir / "field.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "value"])
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(values[j, i]))])
+        for y_text, row in zip(axis_text, values.tolist()):
+            writer.writerows([x_text, y_text, repr(v)] for x_text, v in zip(axis_text, row))
     (out_dir / "field.svg").write_text(
         heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)"),
         encoding="utf-8",
@@ -426,8 +432,10 @@ def build_parser():
 
     ury = sub.add_parser("urysohn", help="sample and plot the metric separator field")
     ury.add_argument("data", help="2-D dataset JSON")
-    ury.add_argument("--grid-extent", type=float, default=2.5, help="half-width (default 2.5)")
-    ury.add_argument("--grid-size", type=int, default=101, help="samples per axis (default 101)")
+    ury.add_argument("--grid-extent", type=float, default=2.5, help="half-width > 0 (default 2.5)")
+    ury.add_argument(
+        "--grid-size", type=int, default=101, help=f"per axis, 1 to {MAX_GRID_SIZE} (default 101)"
+    )
     ury.add_argument("--out-dir", required=True)
     ury.set_defaults(func=cmd_urysohn)
 

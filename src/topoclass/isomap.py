@@ -50,19 +50,19 @@ def _sq_dist_blocks(xs, pts):
     """Squared Euclidean distances from xs to pts, one block of xs rows at a time.
 
     Yields ``(rows, block)`` with ``block[i, j] = ||xs[rows][i] - pts[j]||^2``.
-    Blocks are sized so each difference array holds about 4e6 entries, and
-    direct subtraction keeps small distances accurate (no Gram-matrix
-    cancellation).
+    Each block holds about 1e6 entries (``rows * len(pts)``) and is built
+    one coordinate at a time: the squared differences
+    ``(xs[rows, c] - pts[:, c])**2`` are added into it in coordinate order,
+    so no ``(rows, len(pts), dim)`` array exists.  Direct subtraction keeps
+    small distances accurate (no Gram-matrix cancellation).
     """
-    chunk = max(1, int(4_000_000 // max(pts.shape[0] * pts.shape[1], 1)))
+    chunk = max(1, 1_000_000 // max(pts.shape[0], 1))
     for start in range(0, xs.shape[0], chunk):
         rows = slice(start, min(start + chunk, xs.shape[0]))
-        diff = xs[rows, np.newaxis, :] - pts[np.newaxis, :, :]
-        np.multiply(diff, diff, out=diff)
-        block = diff.sum(axis=2)
-        # release the difference array before yielding, so it is never alive
-        # alongside the caller's block and the next difference array
-        del diff
+        block = np.zeros((rows.stop - start, pts.shape[0]))
+        for c in range(xs.shape[1]):
+            diff = np.subtract.outer(xs[rows, c], pts[:, c])
+            block += np.multiply(diff, diff, out=diff)
         yield rows, block
 
 

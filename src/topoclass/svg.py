@@ -23,6 +23,7 @@ PALETTE = (
 _MARGIN = 40.0
 _MIN_RADIUS = 2.0
 _MAX_RADIUS = 6.0
+_HEX = [f"{i:02x}" for i in range(256)]
 
 
 def _spans(lo, hi):
@@ -123,18 +124,8 @@ def scatter_svg(points, labels, title, width=640, height=480):
     return scene.render()
 
 
-def _lerp_color(c0, c1, t):
-    return "#" + "".join(
-        f"{round(a + (b - a) * t):02x}"
-        for a, b in zip(
-            (int(c0[1:3], 16), int(c0[3:5], 16), int(c0[5:7], 16)),
-            (int(c1[1:3], 16), int(c1[3:5], 16), int(c1[5:7], 16)),
-        )
-    )
-
-
 def heatmap_svg(xs, ys, values, title, width=640, height=480):
-    """Grid heatmap of a scalar field sampled on xs (columns) and ys (rows)."""
+    """Grid heatmap of a scalar field on xs (columns) and ys (rows), min to max color."""
     values = np.asarray(values, dtype=np.float64)
     rows, cols = values.shape
     vlo, vspan = _spans(float(values.min()), float(values.max()))
@@ -142,6 +133,11 @@ def heatmap_svg(xs, ys, values, title, width=640, height=480):
     plot_h = height - 2 * _MARGIN
     cell_w = plot_w / cols
     cell_h = plot_h / rows
+    lo, hi = (np.array([int(c[i : i + 2], 16) for i in (1, 3, 5)]) for c in PALETTE[:2])
+    t = np.clip((values - vlo) / vspan, 0.0, 1.0)
+    rgb = np.rint(lo + (hi - lo) * t[..., np.newaxis]).astype(np.intp).tolist()
+    columns = [f"{_MARGIN + c * cell_w:.2f}" for c in range(cols)]
+    size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -150,16 +146,12 @@ def heatmap_svg(xs, ys, values, title, width=640, height=480):
         f'<text x="{width / 2:.1f}" y="{_MARGIN / 2 + 5:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
     ]
-    for r in range(rows):
-        for c in range(cols):
-            t = (values[r, c] - vlo) / vspan
-            color = _lerp_color(PALETTE[0], PALETTE[1], min(max(t, 0.0), 1.0))
-            px = _MARGIN + c * cell_w
-            py = height - _MARGIN - (r + 1) * cell_h
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{color}"/>'
-            )
+    for r, row in enumerate(rgb):
+        py = f"{height - _MARGIN - (r + 1) * cell_h:.2f}"
+        parts.extend(
+            f'<rect x="{px}" y="{py}" {size} fill="#{_HEX[red]}{_HEX[green]}{_HEX[blue]}"/>'
+            for px, (red, green, blue) in zip(columns, row)
+        )
     parts.append(
         f'<text x="{_MARGIN:.1f}" y="{height - _MARGIN / 4:.1f}" '
         f'font-family="sans-serif" font-size="10">x in [{xs[0]:.3g}, {xs[-1]:.3g}], '

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -6,9 +8,10 @@ import numpy as np
 import pytest
 
 from topoclass import errors
-from topoclass.cli import main
+from topoclass.cli import MAX_GRID_SIZE, main
 from topoclass.data import load_cloud
 from topoclass.network import load_model
+from topoclass.topology import urysohn_binary
 
 
 def run(argv):
@@ -285,8 +288,47 @@ class TestUrysohn:
         run(["gen", "--shells", "--dim", 5, "--n", 10, "--seed", 0, "-o", data])
         assert run(["urysohn", data, "--out-dir", tmp_path / "u"]) == 2
 
+    def test_field_csv_matches_row_by_row_writer(self, workspace, tmp_path):
+        out = tmp_path / "ury21"
+        assert run(["urysohn", workspace["data"], "--grid-size", 21, "--out-dir", out]) == 0
+        classes = load_cloud(workspace["data"]).split_by_class()
+        field = urysohn_binary(classes[0], classes[1])
+        xs = np.linspace(-2.5, 2.5, 21)
+        ys = np.linspace(-2.5, 2.5, 21)
+        values = field(np.array([[x, y] for y in ys for x in xs])).reshape(21, 21)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["x", "y", "value"])
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                writer.writerow([repr(float(x)), repr(float(y)), repr(float(values[j, i]))])
+        assert (out / "field.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_single_sample_grid(self, workspace, tmp_path):
+        out = tmp_path / "ury1"
+        assert run(["urysohn", workspace["data"], "--grid-size", 1, "--out-dir", out]) == 0
+        assert (out / "field.csv").read_text().splitlines()[1].startswith("-2.5,-2.5,")
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid-size", 0],
+            ["--grid-size", -3],
+            ["--grid-size", MAX_GRID_SIZE + 1],
+            ["--grid-extent", "nan"],
+            ["--grid-extent", "inf"],
+            ["--grid-extent", -1],
+            ["--grid-extent", 0],
+        ],
+        ids=lambda flags: " ".join(map(str, flags)),
+    )
+    def test_bad_urysohn_grid_is_spec_error(self, flags, workspace, tmp_path, capsys):
+        assert run(["urysohn", workspace["data"], *flags, "--out-dir", tmp_path / "u"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]} must")
+        assert not (tmp_path / "u").exists()
+
     def test_witness_residual_over_bound_exits_1(self, tmp_path):
         # a kernel direction of this huge first layer leaves a residual far
         # above the witness's 1e-9 bound: NumericalError, a quality failure

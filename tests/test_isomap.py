@@ -15,6 +15,7 @@ from topoclass.isomap import (
     pairwise_distances,
 )
 from topoclass.numerics import make_rng
+from topoclass.topology import _min_dists
 
 
 def floyd_warshall(weights):
@@ -68,6 +69,50 @@ def random_connected_graph(rng, n, dyadic=False):
             w = draw()
             weights[a, b] = weights[b, a] = w
     return NeighborGraph(weights=weights)
+
+
+def broadcast_sq_dists(xs, pts):
+    """Squared distances through one (rows, m, d) difference array, summed over d."""
+    return ((xs[:, None] - pts[None]) ** 2).sum(axis=2)
+
+
+class TestSquaredDistanceBlocks:
+    """Blocked per-coordinate distances against the broadcast formula.
+
+    Below 8 coordinates numpy sums the broadcast array's last axis in
+    coordinate order, the order the blocks accumulate in, so the results are
+    bit-identical; from 8 on numpy sums pairwise and only rounding differs.
+    """
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_bit_identical_below_eight_coordinates(self, dim):
+        rng = make_rng(dim)
+        pts = rng.standard_normal((60, dim))
+        assert np.array_equal(pairwise_distances(pts), np.sqrt(broadcast_sq_dists(pts, pts)))
+        # 1200 rows against 900 points is two blocks of about 1e6 entries
+        xs = rng.uniform(-3.0, 3.0, size=(1200, dim))
+        ref = rng.uniform(-3.0, 3.0, size=(900, dim))
+        expected = np.sqrt(broadcast_sq_dists(xs, ref).min(axis=1))
+        assert np.array_equal(_min_dists(xs, ref), expected)
+
+    def test_pairwise_spans_several_blocks(self):
+        pts = make_rng(11).standard_normal((1100, 3))
+        assert np.array_equal(pairwise_distances(pts), np.sqrt(broadcast_sq_dists(pts, pts)))
+
+    def test_empty_rows(self):
+        assert _min_dists(np.empty((0, 2)), np.ones((4, 2))).shape == (0,)
+        assert pairwise_distances(np.empty((0, 3))).shape == (0, 0)
+
+    @pytest.mark.parametrize("dim", [8, 9, 16, 33])
+    def test_agree_to_rounding_from_eight_coordinates(self, dim):
+        rng = make_rng(dim)
+        xs = rng.standard_normal((300, dim))
+        pts = rng.standard_normal((200, dim))
+        expected = np.sqrt(broadcast_sq_dists(xs, pts).min(axis=1))
+        np.testing.assert_allclose(_min_dists(xs, pts), expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(
+            pairwise_distances(xs), np.sqrt(broadcast_sq_dists(xs, xs)), rtol=1e-15, atol=0
+        )
 
 
 class TestKnnGraph:

@@ -1,9 +1,10 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 
 from topoclass.numerics import make_rng
-from topoclass.svg import SvgScene, heatmap_svg, scatter_svg
+from topoclass.svg import _MARGIN, PALETTE, SvgScene, _spans, heatmap_svg, scatter_svg
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -54,3 +55,79 @@ def test_heatmap_is_wellformed():
     root = ET.fromstring(heatmap_svg(xs, ys, values, "field"))
     rects = root.findall(".//svg:rect", NS)
     assert len(rects) == 1 + 4 * 5  # background plus one cell each
+
+
+def lerp_color(c0, c1, t):
+    return "#" + "".join(
+        f"{round(a + (b - a) * t):02x}"
+        for a, b in zip(
+            (int(c0[1:3], 16), int(c0[3:5], 16), int(c0[5:7], 16)),
+            (int(c1[1:3], 16), int(c1[3:5], 16), int(c1[5:7], 16)),
+        )
+    )
+
+
+def heatmap_oracle(xs, ys, values, title, width=640, height=480):
+    """heatmap_svg written one cell at a time, with Python's round per channel."""
+    values = np.asarray(values, dtype=np.float64)
+    rows, cols = values.shape
+    vlo, vspan = _spans(float(values.min()), float(values.max()))
+    plot_w = width - 2 * _MARGIN
+    plot_h = height - 2 * _MARGIN
+    cell_w = plot_w / cols
+    cell_h = plot_h / rows
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="{_MARGIN / 2 + 5:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+    ]
+    for r in range(rows):
+        for c in range(cols):
+            t = (values[r, c] - vlo) / vspan
+            color = lerp_color(PALETTE[0], PALETTE[1], min(max(t, 0.0), 1.0))
+            px = _MARGIN + c * cell_w
+            py = height - _MARGIN - (r + 1) * cell_h
+            parts.append(
+                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w + 0.5:.2f}" '
+                f'height="{cell_h + 0.5:.2f}" fill="{color}"/>'
+            )
+    parts.append(
+        f'<text x="{_MARGIN:.1f}" y="{height - _MARGIN / 4:.1f}" '
+        f'font-family="sans-serif" font-size="10">x in [{xs[0]:.3g}, {xs[-1]:.3g}], '
+        f'y in [{ys[0]:.3g}, {ys[-1]:.3g}]</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_heatmap_matches_per_cell_oracle():
+    xs = np.linspace(-2.5, 2.5, 37)
+    ys = np.linspace(-1.0, 3.0, 23)
+    values = make_rng(5).uniform(-0.3, 2.7, size=(23, 37))
+    assert heatmap_svg(xs, ys, values, "a < b", width=700, height=333) == heatmap_oracle(
+        xs, ys, values, "a < b", width=700, height=333
+    )
+
+
+def test_heatmap_rounds_half_channels_to_even():
+    # the field spans [0, 1], so t is the value itself; on the palette
+    # #5e3a8e -> #f2b90d, t = 1/254 puts green at 58 + 127/254 = 58.5 (to 58),
+    # t = 1/296 puts red at 94.5 (to 94), and t = 0.5 puts green at 121.5 and
+    # blue at 77.5 (to 122 and 78)
+    xs = ys = np.array([0.0, 1.0, 2.0])
+    values = np.array([[0.0, 1 / 254, 1.0], [1 / 296, 0.5, 0.75], [1.0, 0.5, 0.0]])
+    svg = heatmap_svg(xs, ys, values, "halves")
+    assert svg == heatmap_oracle(xs, ys, values, "halves")
+    assert 'fill="#5f3a8d"' in svg and 'fill="#a87a4e"' in svg
+
+
+def test_constant_heatmap_matches_oracle():
+    # a constant field takes _spans' fallback: every cell sits at t = 0.5
+    xs = ys = np.linspace(0.0, 1.0, 4)
+    values = np.full((4, 4), 7.0)
+    svg = heatmap_svg(xs, ys, values, "flat")
+    assert svg == heatmap_oracle(xs, ys, values, "flat")
+    assert svg.count('fill="#a87a4e"') == 16
