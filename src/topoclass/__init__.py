@@ -37,7 +37,7 @@ from .network import (
     save_model,
     softmax,
 )
-from .numerics import eigh_symmetric, make_rng, matmul, null_space_basis
+from .numerics import eigh_symmetric, make_rng, null_space_basis
 from .topology import (
     Disc,
     KernelWitness,
@@ -89,7 +89,6 @@ __all__ = [
     "softmax",
     "eigh_symmetric",
     "make_rng",
-    "matmul",
     "null_space_basis",
     "Disc",
     "KernelWitness",

@@ -23,13 +23,14 @@ from . import topology as topo_mod
 from . import training as train_mod
 from .errors import ConfigError, DisconnectedError, NumericalError, SpecError, TopoclassError
 from .isomap import (
+    NeighborGraph,
+    classical_mds,
     embedding_to_csv,
     embedding_to_json,
+    geodesic_distances,
+    graph_components,
     isomap as isomap_embed,
-    # not called here: pipebench's wrap test checks that tracing reaches
-    # names cli imports directly, and it uses this one
-    knn_graph,  # noqa: F401
-    largest_component_indices,
+    knn_graph,
 )
 from .numerics import make_rng
 from .svg import heatmap_svg, scatter_svg
@@ -288,13 +289,15 @@ def cmd_sweep(args):
 
 def cmd_isomap(args):
     cloud = data_mod.load_cloud(args.data)
-    points = cloud.points
     labels = cloud.labels
+    graph = knn_graph(cloud.points, args.knn)
     if args.largest_component:
-        keep = largest_component_indices(points, args.knn)
-        points = points[keep]
+        # kNN edges never leave a component, so this subgraph is the kNN
+        # graph of the kept points
+        keep = max(graph_components(graph), key=len)
+        graph = NeighborGraph(weights=graph.weights[np.ix_(keep, keep)])
         labels = labels[keep]
-    result = isomap_embed(points, args.knn, args.target_dim)
+    result = classical_mds(geodesic_distances(graph), args.target_dim)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
@@ -303,7 +306,7 @@ def cmd_isomap(args):
         embedding_to_csv(result, out_dir / "embedding.csv", labels=labels)
     svg = scatter_svg(result.coordinates, labels, f"isomap k={args.knn} (stress {result.stress:.3g})")
     (out_dir / "embedding.svg").write_text(svg, encoding="utf-8")
-    print(f"embedded {points.shape[0]} points to R^{args.target_dim}; stress {result.stress:.6g}")
+    print(f"embedded {len(labels)} points to R^{args.target_dim}; stress {result.stress:.6g}")
     return EXIT_OK
 
 
@@ -317,11 +320,7 @@ def cmd_urysohn(args):
     cloud = data_mod.load_cloud(args.data)
     if cloud.dim != 2:
         raise SpecError("urysohn maps are rendered for 2-D data only")
-    classes = cloud.split_by_class()
-    if cloud.class_count == 2:
-        field = topo_mod.urysohn_binary(classes[0], classes[1])
-    else:
-        field = topo_mod.urysohn_multiclass(classes)
+    field = topo_mod.urysohn_multiclass(cloud.split_by_class())
 
     xs = ys = np.linspace(-extent, extent, size)
     grid = np.column_stack([axis.ravel() for axis in np.meshgrid(xs, ys)])

@@ -213,12 +213,6 @@ def isomap(points, k, target_dim=3):
     return classical_mds(geo, target_dim)
 
 
-def largest_component_indices(points, k):
-    """Node indices of the largest kNN-graph component (ties: smallest index)."""
-    comps = graph_components(knn_graph(points, k))
-    return max(comps, key=len)
-
-
 def embedding_to_json(result, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result.to_jsonable(), fh)

@@ -86,9 +86,6 @@ class ActivationTrace:
     stages: tuple  # ((name, (n, dim) array), ...)
     labels: np.ndarray
 
-    def stage_names(self):
-        return [name for name, _ in self.stages]
-
     def stage_dims(self):
         return [pts.shape[1] for _, pts in self.stages]
 

@@ -3,8 +3,12 @@
 Matrices and vectors are plain float64 ``numpy.ndarray`` values; every public
 operation validates shapes and rejects non-finite entries.  The symmetric
 eigensolver is LAPACK ``eigh`` (through ``numpy.linalg``) followed by a stable
-descending sort and a sign convention, so its output is a pure function of
-the input for a given numpy/BLAS build and BLAS thread count.
+descending sort and a sign convention; it serves classical MDS only.  Null
+spaces (here) and the rank of a point cloud (``topology.principal_spectrum``)
+come from ``np.linalg.svd``, which does not square the condition number the
+way an eigendecomposition of a Gram or covariance matrix does.  All outputs
+are pure functions of the input for a given numpy/BLAS build and BLAS
+thread count.
 
 Randomness: ``make_rng(seed)`` returns a ``numpy.random.Generator`` driven by
 the PCG64 bit generator.  Identical seeds give identical streams.
@@ -47,20 +51,6 @@ def as_vector(v, name="vector"):
     return a
 
 
-def matmul(a, b):
-    """Matrix product with explicit shape checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    out = a @ b
-    if out.size and not np.isfinite(out).all():
-        raise NumericalError("matmul overflowed to non-finite entries")
-    return out
-
-
 def eigh_symmetric(s, tol=DEFAULT_EIGH_TOL):
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
@@ -100,64 +90,24 @@ def _fix_signs(columns):
     return out
 
 
-def _orthonormal_rows(w, drop_tol):
-    """Orthonormal basis of the row space via modified Gram-Schmidt."""
-    basis = []
-    for row in w:
-        r = row.astype(np.float64).copy()
-        for _ in range(2):  # re-orthogonalize: twice is enough
-            for q in basis:
-                r -= (q @ r) * q
-        norm = float(np.linalg.norm(r))
-        if norm > drop_tol:
-            basis.append(r / norm)
-    return basis
-
-
 def null_space_basis(w, tol=DEFAULT_KERNEL_TOL):
     """Orthonormal basis of the numerical kernel {v : ||Wv|| <= tol*||W||*||v||}.
 
-    Candidate directions come from the eigendecomposition of the Gram matrix
-    W^T W, selected at the Gram noise floor (sqrt of machine epsilon, or tol
-    if looser); each candidate is then cleaned by projecting out the row
-    space of W, which pushes the residual ||Wv|| from the sqrt(eps) level
-    the Gram matrix delivers down to machine epsilon.  Candidates whose null
-    component collapses under that projection were never kernel vectors and
-    are dropped, as is anything whose cleaned residual still exceeds the
-    contract bound.  Vectors come back most null first; the list is empty
-    when the kernel is trivial at tol.
+    The candidates are the right singular vectors of W from one
+    ``np.linalg.svd`` (singular values padded with zeros to the column
+    count).  A candidate is kept when its singular value and its residual
+    ||Wv|| are both at most tol times the largest singular value, ||W||.
+    Vectors come back most null first (a stable sort by residual), each
+    sign-normalized; the list is empty when the kernel is trivial at tol.
     """
     w = as_matrix(w, "w")
-    rows, cols = w.shape
+    cols = w.shape[1]
     if cols == 0:
         return []
-    gram = w.T @ w
-    evals, evecs = eigh_symmetric(gram)
-    sigma = np.sqrt(np.clip(evals, 0.0, None))  # descending
-    sigma_max = float(sigma[0])
-
-    if sigma_max == 0.0:
-        keep = list(range(cols))
-    else:
-        select = max(tol, 8.0 * np.sqrt(np.finfo(np.float64).eps))
-        keep = [j for j in range(cols) if sigma[j] <= select * sigma_max]
-    if not keep:
-        return []
-
-    row_basis = _orthonormal_rows(w, drop_tol=1e-12 * max(sigma_max, 1.0))
-    residual_bound = tol * sigma_max
-    basis = []
-    for j in sorted(keep, key=lambda j: sigma[j]):
-        v = evecs[:, j].copy()
-        for _ in range(2):
-            for q in row_basis:
-                v -= (q @ v) * q
-            for q in basis:
-                v -= (q @ v) * q
-        norm = float(np.linalg.norm(v))
-        if norm <= 0.5:  # candidate lived in the row space, not the kernel
-            continue
-        v /= norm
-        if float(np.linalg.norm(w @ v)) <= residual_bound:
-            basis.append(v)
-    return [_fix_signs(v.reshape(-1, 1))[:, 0] for v in basis]
+    _, sigma, vt = np.linalg.svd(w)
+    sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
+    residuals = np.linalg.norm(w @ vt.T, axis=0)
+    bound = tol * float(sigma[0])
+    keep = np.nonzero((sigma <= bound) & (residuals <= bound))[0]
+    order = keep[np.argsort(residuals[keep], kind="stable")]
+    return list(_fix_signs(vt[order].T).T)

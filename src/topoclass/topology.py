@@ -28,7 +28,7 @@ from .errors import (
 )
 from .isomap import _sq_dist_blocks, graph_components, knn_graph
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
-from .numerics import as_matrix, eigh_symmetric, make_rng, null_space_basis
+from .numerics import as_matrix, make_rng, null_space_basis
 
 TIE_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
@@ -298,20 +298,12 @@ def urysohn_binary(d1, d2):
 
     Exactly 0 on d1, exactly 1 on d2, in [0, 1] everywhere, and defined on
     all of R^n (the distance formula is its own global extension).  The
-    returned callable accepts one point or an (m, n) batch.
+    returned callable accepts one point or an (m, n) batch.  It is the
+    two-class ``urysohn_multiclass``: the weight on label 1 is
+    dist(x, d1) / (dist(x, d2) + dist(x, d1)) and the weight on label 0 is
+    multiplied by 0, so the value is this quotient bit for bit.
     """
-    a, b = _prepare_classes([d1, d2])
-
-    def field(x):
-        xs = np.asarray(x, dtype=np.float64)
-        single = xs.ndim == 1
-        xs2 = xs[np.newaxis, :] if single else xs
-        da = _min_dists(xs2, a)
-        db = _min_dists(xs2, b)
-        vals = da / (da + db)
-        return float(vals[0]) if single else vals
-
-    return field
+    return urysohn_multiclass([d1, d2])
 
 
 def urysohn_multiclass(classes):
@@ -377,14 +369,13 @@ def kernel_witness(w, inner_r=0.5, outer_r=1.5):
 
 
 def principal_spectrum(points):
-    """Singular values of the centered cloud, descending."""
+    """Singular values of the centered cloud, descending, zero-padded to shape (dim,)."""
     pts = as_matrix(points, "points")
-    if pts.shape[0] == 0:
-        raise EmptyInputError("need at least one point")
+    if 0 in pts.shape:
+        raise EmptyInputError("need at least one point and one coordinate")
     centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered
-    evals, _ = eigh_symmetric(cov)
-    return np.sqrt(np.clip(evals, 0.0, None))
+    sigma = np.linalg.svd(centered, compute_uv=False)
+    return np.concatenate([sigma, np.zeros(pts.shape[1] - sigma.size)])
 
 
 def linear_rank(points, rel_tol=1e-6):

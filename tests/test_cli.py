@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import warnings
@@ -7,11 +8,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from topoclass import cli as cli_mod
 from topoclass import errors
 from topoclass.cli import MAX_GRID_SIZE, main
-from topoclass.data import load_cloud
+from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
+from topoclass.isomap import graph_components, knn_graph
 from topoclass.network import load_model
 from topoclass.topology import urysohn_binary
+
+# the package's ``isomap`` attribute is the function, not the module
+isomap_mod = importlib.import_module("topoclass.isomap")
 
 
 def run(argv):
@@ -255,6 +261,39 @@ class TestIsomapCommand:
                     "--out-dir", out]) == 0
         payload = json.loads((out / "embedding.json").read_text())
         assert len(payload["coordinates"]) < 60
+
+    def test_largest_component_builds_one_graph_and_matches_kept_points(
+        self, tmp_path, monkeypatch
+    ):
+        # bands 0 and 1 are 0.1 apart and band 2 is far: at k=5 the largest
+        # component holds classes 0 and 1
+        data = tmp_path / "three.json"
+        run(["gen", "--shells", "--bands", "0:0.9,1:2,50:51", "--n", 30, "--seed", 1, "-o", data])
+        cloud = load_cloud(data)
+        keep = max(graph_components(knn_graph(cloud.points, 5)), key=len)
+        assert set(cloud.labels[keep].tolist()) == {0, 1}
+        kept = tmp_path / "kept.json"
+        save_cloud(
+            LabeledPointCloud(cloud.dim, cloud.points[keep], cloud.labels[keep], 2), kept
+        )
+        calls = []
+
+        def counting_knn_graph(*args):
+            calls.append(args)
+            return knn_graph(*args)
+
+        monkeypatch.setattr(cli_mod, "knn_graph", counting_knn_graph)
+        monkeypatch.setattr(isomap_mod, "knn_graph", counting_knn_graph)
+        for fmt in ("json", "csv"):
+            calls.clear()
+            assert run(["isomap", data, "--knn", 5, "--largest-component", "--format", fmt,
+                        "--out-dir", tmp_path / "restricted" / fmt]) == 0
+            assert len(calls) == 1
+            assert run(["isomap", kept, "--knn", 5, "--format", fmt,
+                        "--out-dir", tmp_path / "kept" / fmt]) == 0
+        for name in ("json/embedding.json", "json/embedding.svg", "csv/embedding.csv"):
+            restricted = (tmp_path / "restricted" / name).read_bytes()
+            assert restricted == (tmp_path / "kept" / name).read_bytes()
 
 
 class TestUrysohn:

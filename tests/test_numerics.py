@@ -1,47 +1,8 @@
 import numpy as np
 import pytest
 
-from topoclass.errors import DimensionError, NumericalError, ShapeError, SpecError
-from topoclass.numerics import eigh_symmetric, make_rng, matmul, null_space_basis
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_projection(self):
-        p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        v = np.array([[5.0], [7.0]])
-        assert np.array_equal(matmul(p, v), np.array([[5.0], [0.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = make_rng(11)
-        for _ in range(10):
-            a = rng.uniform(-2, 2, size=(3, 2))
-            b = rng.uniform(-2, 2, size=(2, 4))
-            np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-12, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        with pytest.raises(NumericalError):
-            matmul(bad, np.eye(2))
+from topoclass.errors import ShapeError, SpecError
+from topoclass.numerics import eigh_symmetric, make_rng, null_space_basis
 
 
 class TestEighSymmetric:
@@ -109,13 +70,25 @@ class TestEighSymmetric:
 
 class TestNullSpace:
     def test_explicit_kernel(self):
-        basis = null_space_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        assert len(basis) == 1
-        np.testing.assert_allclose(basis[0], [0.0, 0.0, 1.0], atol=1e-12)
+        cases = [
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]),
+            # tall, rank 1
+            ([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [[2.0 / np.sqrt(5.0), -1.0 / np.sqrt(5.0)]]),
+            # a residual of 1e-9 fails tol=1e-10
+            ([[1.0, 0.0, 0.0], [0.0, 1e-9, 0.0]], [[0.0, 0.0, 1.0]]),
+            # residuals 0, 1e-12 and 1e-11 all pass tol=1e-10: most null first
+            (
+                [[1.0, 0.0, 0.0, 0.0], [0.0, 1e-11, 0.0, 0.0], [0.0, 0.0, 1e-12, 0.0]],
+                [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+            ),
+        ]
+        for w, expected in cases:
+            basis = null_space_basis(np.array(w))
+            np.testing.assert_allclose(basis, expected, atol=1e-12)
 
     def test_zero_matrix_full_kernel(self):
-        basis = null_space_basis(np.zeros((2, 3)))
-        assert len(basis) == 3
+        for shape in [(2, 3), (0, 3)]:
+            assert len(null_space_basis(np.zeros(shape))) == 3
 
     def test_full_rank_trivial(self):
         rng = make_rng(6)
@@ -129,6 +102,14 @@ class TestNullSpace:
             assert len(basis) >= 1
             for v in basis:
                 assert np.linalg.norm(w @ v) <= 1e-9
+
+    def test_relative_bound_and_count(self):
+        for scale in (1.0, 1e12):
+            w = scale * make_rng(9).uniform(-1, 1, size=(2, 5))
+            basis = null_space_basis(w)
+            assert len(basis) == 5 - np.linalg.matrix_rank(w)
+            for v in basis:
+                assert np.linalg.norm(w @ v) <= 1e-10 * np.linalg.norm(w, 2)
 
     def test_orthonormal_within_tolerance(self):
         rng = make_rng(8)

@@ -20,6 +20,7 @@ from topoclass.topology import (
     kernel_witness,
     linear_rank,
     min_enclosing_ball,
+    principal_spectrum,
     simplex_class,
     urysohn_binary,
     urysohn_multiclass,
@@ -188,6 +189,21 @@ class TestUrysohnBinary:
         with pytest.raises(SeparationError):
             urysohn_binary(pts, pts[:1])
 
+    def test_matches_closed_form_reference(self):
+        # reference: dist(x, a) / (dist(x, a) + dist(x, b)), written out
+        cloud = gen_annulus2d(100, 3)
+        a, b = cloud.class_points(0), cloud.class_points(1)
+        axis = np.linspace(-2.5, 2.5, 41)
+        grid = np.column_stack([g.ravel() for g in np.meshgrid(axis, axis)])
+        probes = np.concatenate([grid, a, b])
+
+        def dist(pts):
+            sq = ((probes[:, np.newaxis, :] - pts[np.newaxis, :, :]) ** 2).sum(axis=2)
+            return np.sqrt(sq.min(axis=1))
+
+        da, db = dist(a), dist(b)
+        assert np.array_equal(urysohn_binary(a, b)(probes), da / (da + db))
+
 
 class TestUrysohnMulticlass:
     def test_agrees_with_binary(self):
@@ -284,6 +300,16 @@ class TestDiagnostics:
     def test_generic_cloud_full_rank(self):
         pts = make_rng(9).standard_normal((100, 5))
         assert linear_rank(pts) == 5
+
+    def test_spectrum_resolves_tiny_singular_values(self):
+        # (u * s) @ v.T with zero-mean orthonormal columns u has singular values s
+        rng = make_rng(13)
+        a = rng.standard_normal((50, 3))
+        u, _ = np.linalg.qr(a - a.mean(axis=0))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = np.array([1.0, 1e-9, 0.0])
+        np.testing.assert_allclose(principal_spectrum((u * s) @ v.T), s, rtol=0.0, atol=1e-12)
+        assert principal_spectrum(rng.standard_normal((2, 5))).shape == (5,)
 
     def test_two_far_clusters(self):
         # two small rings 100x their diameter apart; rings stay internally
