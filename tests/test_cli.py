@@ -185,6 +185,21 @@ class TestCheckSep:
         entry = report["violating_points"][0]
         assert set(entry) == {"index", "assigned", "true"}
 
+    def test_single_class_gap_is_null(self, tmp_path, capsys):
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data, model, out = tmp_path / "one.json", tmp_path / "m.json", tmp_path / "r.json"
+        run(["gen", "--shells", "--dim", 2, "--bands", "0:1", "--n", 30, "--seed", 0, "-o", data])
+        run(["train", data, "--dims", "2,3,1", "--seed", 0, "-o", model])
+        capsys.readouterr()
+        assert run(["check-sep", model, data, "--out", out]) == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=strict)
+        report = json.loads(out.read_text(), parse_constant=strict)
+        assert report == printed
+        assert report["disc_ok"] is True
+        assert report["min_inter_disc_gap"] is None
+
     def test_csv_format(self, workspace, tmp_path):
         out = tmp_path / "violations.csv"
         run(["check-sep", workspace["model"], workspace["data"], "--out", out,

@@ -1,15 +1,22 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topoclass.data import LabeledPointCloud, gen_annulus2d
+from topoclass import topology
+from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells
 from topoclass.errors import (
+    DimensionError,
     DomainError,
     EmptyInputError,
     NumericalError,
     SeparationError,
     SpecError,
 )
-from topoclass.network import LayerSpec, Mlp, build_relu_net, forward
+from topoclass.network import LayerSpec, Mlp, build_relu_net, forward, forward_batch
 from topoclass.numerics import make_rng
 from topoclass.topology import (
     KernelWitness,
@@ -25,7 +32,7 @@ from topoclass.topology import (
     urysohn_binary,
     urysohn_multiclass,
 )
-from topoclass.training import accuracy
+from topoclass.training import TrainConfig, accuracy, train
 
 
 def nearest_vertex_oracle(y, tol=1e-12):
@@ -136,6 +143,122 @@ class TestMinEnclosingBall:
         with pytest.raises(EmptyInputError):
             min_enclosing_ball(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[1e308, 0.0], [-1e308, 0.0]],  # Welzl path
+            [[1e200, 0.0, 0.0, 0.0], [0.0, 1e200, 0.0, 0.0]],  # core-set path
+        ],
+    )
+    def test_overflowing_distances_raise_without_warning(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                min_enclosing_ball(np.array(points))
+
+
+def farthest_point_oracle(points):
+    """The core-set loop evaluating every point at every step."""
+    center = points[0].copy()
+    for i in range(1, topology._MEB_ITERATIONS + 1):
+        gaps = points - center
+        far = int(np.argmax((gaps * gaps).sum(axis=1)))
+        center += (points[far] - center) / (i + 1.0)
+    return center
+
+
+def assert_matches_oracle(points):
+    disc = min_enclosing_ball(points)
+    center = farthest_point_oracle(points)
+    assert np.array_equal(disc.center, center)
+    gaps = points - center
+    assert disc.radius == float(np.sqrt((gaps * gaps).sum(axis=1).max()))
+
+
+def _hard_cloud(name):
+    rng = make_rng(21)
+    if name == "sphere":
+        pts = rng.standard_normal((300, 6))
+        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    if name == "duplicated":
+        return np.repeat(rng.standard_normal((5, 6)), 20, axis=0)
+    if name == "offset":
+        return 1e6 + rng.uniform(-1e-3, 1e-3, (200, 5))
+    if name == "cross":  # +-2 e_i, then filler: the far points tie exactly
+        filler = rng.uniform(-0.5, 0.5, (200, 5))
+        return np.concatenate([2.0 * np.eye(5), -2.0 * np.eye(5), filler])
+    if name == "grid":
+        return rng.integers(-2, 3, (400, 4)).astype(np.float64)
+    dim = int(name[len("gaussian"):])
+    return rng.standard_normal((150, dim))
+
+
+class TestCoresetBall:
+    """The core-set MEB skips points but keeps the full iteration's bits."""
+
+    @pytest.fixture(scope="class")
+    def softmax_outputs(self):
+        # the tour's 4-class leg: a 2,16,16,4 net trained on 4-band shells
+        bands = ((0.0, 0.5), (1.0, 1.5), (2.0, 2.5), (3.0, 3.5))
+        cloud = gen_nested_shells(2, bands, 100, 0)
+        net, _ = train(build_relu_net((2, 16, 16, 4), make_rng(0)), cloud, TrainConfig(seed=0))
+        outputs = forward_batch(net, cloud.points)
+        return [outputs[cloud.labels == k] for k in range(4)]
+
+    def test_softmax_outputs_match_oracle(self, softmax_outputs):
+        for outputs in softmax_outputs:
+            assert_matches_oracle(outputs)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sphere", "duplicated", "offset", "cross", "grid"]
+        + [f"gaussian{d}" for d in range(4, 10)],
+    )
+    def test_hard_clouds_match_oracle(self, name):
+        assert_matches_oracle(_hard_cloud(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(4, 9),
+        n=st.integers(1, 80),
+        kind=st.sampled_from(["normal", "grid", "duplicated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_clouds_match_oracle(self, dim, n, kind, seed):
+        rng = make_rng(seed)
+        if kind == "normal":
+            pts = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == "grid":  # integer coordinates: many exactly tied distances
+            pts = rng.integers(-2, 3, (n, dim)).astype(np.float64)
+        else:
+            pts = rng.standard_normal((n, dim))[rng.integers(0, max(1, n // 4), n)]
+        # fewer steps keep the example fast; candidate steps start at step 500
+        with mock.patch.object(topology, "_MEB_ITERATIONS", 1500):
+            assert_matches_oracle(pts)
+
+    def test_candidate_steps_stop_when_the_center_leaves_the_budget(self):
+        rows = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+        start = [0.0] * 4
+        # a zero budget allows one step away from the anchor
+        center, i = topology._candidate_steps(rows, start, start, 0.0, 600)
+        assert i == 601
+        # the two rows tie, and the first one wins, as in np.argmax
+        assert center.tolist() == [1.0 / 601.0, 0.0, 0.0, 0.0]
+
+    def test_row_sum_is_left_to_right_up_to_seven_coordinates(self):
+        # the premise of the candidate steps: for rows of at most 7 squares,
+        # numpy's row sum is the sequential sum the Python steps compute
+        rng = make_rng(22)
+        for dim in range(1, topology._SEQUENTIAL_SUM_DIMS + 1):
+            gaps = rng.standard_normal((2000, dim)) * 10.0 ** rng.integers(-8, 9, (2000, dim))
+            sequential = []
+            for row in gaps.tolist():
+                total = 0.0
+                for g in row:
+                    total += g * g
+                sequential.append(total)
+            assert np.array_equal((gaps * gaps).sum(axis=1), np.array(sequential)), dim
+
 
 class TestDiscSeparation:
     def test_far_clusters(self):
@@ -152,6 +275,20 @@ class TestDiscSeparation:
         ok, _, gap = check_disc_separation([pts, pts.copy()])
         assert not ok
         assert gap <= 0.0
+
+    def test_single_class_has_no_gap(self):
+        ok, discs, gap = check_disc_separation([make_rng(6).standard_normal((10, 2))])
+        assert ok
+        assert len(discs) == 1
+        assert gap is None
+
+    def test_class_dimensions_differ(self, monkeypatch):
+        def no_ball(points):
+            raise AssertionError("a ball was computed")
+
+        monkeypatch.setattr(topology, "min_enclosing_ball", no_ball)
+        with pytest.raises(DimensionError):
+            check_disc_separation([np.zeros((3, 2)), np.ones((3, 3))])
 
     def test_one_dimensional_intervals(self):
         a = np.linspace(0.0, 0.4, 9).reshape(-1, 1)
