@@ -49,6 +49,11 @@ class LabeledPointCloud:
             raise SchemaError("point coordinates must be finite")
         if self.class_count < 1:
             raise SchemaError("class_count must be >= 1")
+        if self.class_count > points.shape[0]:
+            raise SchemaError(
+                f"class_count {self.class_count} exceeds the {points.shape[0]} points "
+                "(every class needs a point)"
+            )
         if labels.min() < 0 or labels.max() >= self.class_count:
             raise SchemaError("labels must lie in 0..class_count-1")
         present = np.unique(labels)
@@ -223,8 +228,9 @@ def load_cloud(path):
     class_count = payload["class_count"]
     points = payload["points"]
     labels = payload["labels"]
-    if not isinstance(dim, int) or not isinstance(class_count, int):
-        raise SchemaError("dim and class_count must be integers")
+    for key, value in (("dim", dim), ("class_count", class_count)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(f"{key} must be an integer, got {type(value).__name__}")
     if not isinstance(points, list) or not points:
         raise SchemaError("points must be a non-empty list")
     if not isinstance(labels, list):
@@ -238,12 +244,12 @@ def load_cloud(path):
     for i, lab in enumerate(labels):
         if not isinstance(lab, int) or isinstance(lab, bool):
             raise SchemaError(f"label {i} is not an integer")
-    return LabeledPointCloud(
-        dim=dim,
-        points=np.array(points, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        class_count=class_count,
-    )
+    try:
+        points = np.array(points, dtype=np.float64)
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError as exc:
+        raise SchemaError("a coordinate is past the float64 range or a label past int64") from exc
+    return LabeledPointCloud(dim=dim, points=points, labels=labels, class_count=class_count)
 
 
 def cloud_to_csv(cloud, path):

@@ -131,14 +131,21 @@ def _apply_layer(layer, acts):
 
 
 def forward_batch(net, xs):
-    """Evaluate the net on an (n, input_dim) batch."""
+    """Evaluate the net on an (n, input_dim) batch.
+
+    Outputs that are not finite (an affine map overflowed float64) raise
+    NumericalError; an overflow that a relu maps to 0 is exact and stays.
+    """
     acts = as_matrix(xs, "xs")
     if acts.shape[1] != net.input_dim:
         raise DimensionError(
             f"net expects inputs of dim {net.input_dim}, got {acts.shape[1]}"
         )
-    for layer in net.layers:
-        _, acts = _apply_layer(layer, acts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in net.layers:
+            _, acts = _apply_layer(layer, acts)
+    if not np.isfinite(acts).all():
+        raise NumericalError("net outputs are not finite: activations overflow float64")
     return acts
 
 
@@ -153,7 +160,8 @@ def forward_trace(net, cloud, include_pre=False):
 
     Stage 0 is the input; stage i the post-activation image under layer i.
     With ``include_pre`` the affine pre-activation clouds are interleaved as
-    extra stages (named ``layer{i}_pre``).
+    extra stages (named ``layer{i}_pre``).  A stage that is not finite (an
+    affine map overflowed float64) raises NumericalError.
     """
     if cloud.dim != net.input_dim:
         raise DimensionError(
@@ -161,11 +169,14 @@ def forward_trace(net, cloud, include_pre=False):
         )
     stages = [("input", cloud.points.copy())]
     acts = cloud.points
-    for i, layer in enumerate(net.layers, start=1):
-        z, acts = _apply_layer(layer, acts)
-        if include_pre:
-            stages.append((f"layer{i}_pre", z.copy()))
-        stages.append((f"layer{i}_{layer.activation}", acts.copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(net.layers, start=1):
+            z, acts = _apply_layer(layer, acts)
+            if include_pre:
+                stages.append((f"layer{i}_pre", z.copy()))
+            stages.append((f"layer{i}_{layer.activation}", acts.copy()))
+    if not all(np.isfinite(points).all() for _, points in stages):
+        raise NumericalError("a traced stage is not finite: activations overflow float64")
     return ActivationTrace(stages=tuple(stages), labels=cloud.labels.copy())
 
 
@@ -277,7 +288,7 @@ def load_model(path):
                     activation=raw["activation"],
                 )
             )
-        except (DimensionError, NumericalError, ValueError) as exc:
+        except (DimensionError, NumericalError, ValueError, OverflowError) as exc:
             raise SchemaError(f"layer {i} is malformed: {exc}") from exc
     try:
         return Mlp(layers=tuple(layers))

@@ -28,7 +28,7 @@ from .errors import (
     SeparationError,
     SpecError,
 )
-from .isomap import _sq_dist_blocks, graph_components, knn_graph
+from .isomap import _require_finite_sq_dists, _sq_dist_blocks, graph_components, knn_graph
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
 from .numerics import as_matrix, make_rng, null_space_basis
 
@@ -290,13 +290,9 @@ def min_enclosing_ball(points):
     pts = as_matrix(points, "points")
     if pts.shape[0] == 0:
         raise EmptyInputError("min_enclosing_ball needs at least one point")
-    with np.errstate(over="ignore"):
-        span = pts.max(axis=0) - pts.min(axis=0)
-        extent_sq = float((span * span).sum())
     # twice the squared bounding-box diagonal bounds every squared gap either
     # path forms, Welzl's doubled Gram entries included
-    if not math.isfinite(2.0 * extent_sq):
-        raise NumericalError("points too far apart: squared distances overflow float64")
+    _require_finite_sq_dists(pts, pts)
     if pts.shape[1] <= 3:
         center, radius = _welzl_ball(pts)
     else:
@@ -322,11 +318,14 @@ def check_disc_separation(clouds_by_class):
     if len(dims) > 1:
         raise DimensionError(f"classes differ in dimension: {dims}")
     discs = [min_enclosing_ball(c) for c in clouds]
-    gaps = [
-        float(np.linalg.norm(a.center - b.center)) - a.radius - b.radius
-        for k, a in enumerate(discs)
-        for b in discs[k + 1:]
-    ]
+    with np.errstate(over="ignore"):
+        gaps = [
+            float(np.linalg.norm(a.center - b.center)) - a.radius - b.radius
+            for k, a in enumerate(discs)
+            for b in discs[k + 1:]
+        ]
+    if not all(map(math.isfinite, gaps)):
+        raise NumericalError("class discs too far apart: center distances overflow float64")
     return all(gap > 0.0 for gap in gaps), discs, min(gaps, default=None)
 
 
@@ -408,10 +407,15 @@ def urysohn_multiclass(classes):
         dists = np.stack([_min_dists(xs2, pts) for pts in prepared], axis=1)
         c = dists.shape[1]
         products = np.empty_like(dists)
-        for k in range(c):
-            others = [j for j in range(c) if j != k]
-            products[:, k] = dists[:, others].prod(axis=1)
-        total = products.sum(axis=1)
+        with np.errstate(over="ignore"):
+            for k in range(c):
+                others = [j for j in range(c) if j != k]
+                products[:, k] = dists[:, others].prod(axis=1)
+            total = products.sum(axis=1)
+        # separated classes leave at most one distance 0, so total > 0: a
+        # total of inf or 0 means the products overflowed or underflowed
+        if not (np.isfinite(total).all() and (total > 0.0).all()):
+            raise NumericalError("urysohn field: distance products leave float64 range")
         weights = products / total[:, np.newaxis]
         vals = weights @ np.arange(c, dtype=np.float64)
         return float(vals[0]) if single else vals

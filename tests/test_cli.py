@@ -405,6 +405,15 @@ class TestExitCodes:
             load_model(model)
         assert run(["witness", model]) == 2
 
+    def test_integer_weight_past_float64_is_schema_error(self, tmp_path):
+        model = tmp_path / "huge_int.json"
+        model.write_text(
+            '{"layers": [{"activation": "softmax", "weight": [[1%s, 1]], "bias": [0]}]}' % ("0" * 400)
+        )
+        with pytest.raises(errors.SchemaError):
+            load_model(model)
+        assert run(["witness", model]) == 2
+
     @pytest.mark.parametrize(
         "error",
         [

@@ -1,0 +1,119 @@
+"""Property test: corrupt dataset files end in a documented exit code.
+
+Starting from a small valid two-class cloud, hypothesis rewrites the JSON
+file with finite extremes up to +-1e308, integers too large for int64 or
+float64, booleans in place of integers, values of the wrong type and short
+label lists, then runs ``urysohn`` and ``check-sep`` through ``cli.main``.  Every call must return 0, 1, 2 or 3:
+no exception and no numpy ``RuntimeWarning`` may escape.
+"""
+
+import json
+import sys
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from topoclass.cli import main
+from topoclass.data import gen_annulus2d
+from topoclass.network import build_paper_net, save_model
+from topoclass.numerics import make_rng
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3}
+BASE = gen_annulus2d(4, 0)
+BASE_PAYLOAD = {
+    "dim": BASE.dim,
+    "class_count": BASE.class_count,
+    "points": BASE.points.tolist(),
+    "labels": BASE.labels.tolist(),
+}
+N = len(BASE)
+
+EXTREMES = st.sampled_from(
+    [1e308, -1e308, sys.float_info.max, -sys.float_info.max, 1e200, -1e200, 1e154, 5e-324]
+) | st.floats(allow_nan=False, allow_infinity=False)
+# integers past int64 and past the float64 range
+BIG_INTEGERS = st.sampled_from([2**63, -(2**63) - 1, 2**64, 10**309, -(10**400)])
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    BIG_INTEGERS,
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+FIELDS = ("dim", "class_count", "points", "labels")
+
+
+def _set_coordinate(payload, value, i, j):
+    payload["points"][i][j] = value
+
+
+def _set_label(payload, value, i):
+    payload["labels"][i] = value
+
+
+def _set_row(payload, value, i):
+    payload["points"][i] = value
+
+
+def _cut_labels(payload, keep):
+    payload["labels"] = payload["labels"][:keep]
+
+
+def _set_field(payload, value, key):
+    payload[key] = value
+
+
+INDEX = st.integers(0, N - 1)
+MUTATIONS = st.one_of(
+    st.tuples(st.just(_set_coordinate), EXTREMES, INDEX, st.integers(0, 1)),
+    st.tuples(st.just(_set_field), st.booleans(), st.sampled_from(["dim", "class_count"])),
+    st.tuples(st.just(_set_label), st.booleans(), INDEX),
+    st.tuples(st.just(_set_field), WRONG_TYPES, st.sampled_from(FIELDS)),
+    st.tuples(st.just(_set_label), WRONG_TYPES, INDEX),
+    st.tuples(st.just(_set_row), WRONG_TYPES, INDEX),
+    st.tuples(st.just(_set_coordinate), WRONG_TYPES, INDEX, st.integers(0, 1)),
+    st.tuples(st.just(_cut_labels), st.integers(0, N - 1)),
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corrupt")
+    model = root / "model.json"
+    save_model(build_paper_net(make_rng(0)), model)
+    return {"root": root, "model": model, "data": root / "data.json"}
+
+
+def _corrupt(mutations):
+    payload = json.loads(json.dumps(BASE_PAYLOAD))
+    for apply, *args in mutations:
+        try:
+            apply(payload, *args)
+        except (TypeError, IndexError, KeyError):
+            pass  # an earlier mutation changed the shape this one edits
+    return payload
+
+
+def _exit_code(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main([str(a) for a in argv])
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_corrupt_dataset_ends_in_a_documented_exit_code(files, mutations, capsys):
+    files["data"].write_text(json.dumps(_corrupt(mutations)), encoding="utf-8")
+    urysohn = ["urysohn", files["data"], "--grid-size", 5, "--out-dir", files["root"] / "u"]
+    assert _exit_code(urysohn) in DOCUMENTED_EXIT_CODES
+    assert _exit_code(["check-sep", files["model"], files["data"]]) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()

@@ -143,6 +143,27 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             load_cloud(path)
 
+    @pytest.mark.parametrize("key", ["dim", "class_count"])
+    def test_boolean_count_rejected_by_name(self, tmp_path, key):
+        path = tmp_path / "bool.json"
+        payload = {"dim": 1, "class_count": 1, "points": [[0.0]], "labels": [0]}
+        payload[key] = True
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"^{key} must be an integer, got bool$"):
+            load_cloud(path)
+
+    @pytest.mark.parametrize(
+        "points, labels",
+        [([[10**400], [1.0]], [0, 0]), ([[0.0], [1.0]], [0, 2**64])],
+        ids=["coordinate past float64", "label past int64"],
+    )
+    def test_huge_integers_rejected(self, tmp_path, points, labels):
+        path = tmp_path / "huge.json"
+        payload = {"dim": 1, "class_count": 1, "points": points, "labels": labels}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError):
+            load_cloud(path)
+
     def test_ragged_point_rejected(self, tmp_path):
         path = tmp_path / "ragged.json"
         payload = {"dim": 2, "class_count": 1, "points": [[0.0, 1.0], [2.0]], "labels": [0, 0]}
@@ -156,6 +177,12 @@ class TestCloudInvariants:
         with pytest.raises(SchemaError):
             LabeledPointCloud(
                 dim=1, points=np.array([[0.0], [1.0]]), labels=np.array([0, 0]), class_count=2
+            )
+
+    def test_more_classes_than_points(self):
+        with pytest.raises(SchemaError, match="exceeds the 2 points"):
+            LabeledPointCloud(
+                dim=1, points=np.array([[0.0], [1.0]]), labels=np.array([0, 1]), class_count=10**30
             )
 
     def test_length_mismatch(self):

@@ -1,12 +1,16 @@
 import heapq
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from topoclass.errors import DisconnectedError, DomainError, SpecError
+from topoclass.errors import DisconnectedError, DomainError, NumericalError, SpecError
 from topoclass.isomap import (
     DUPLICATE_POINT_WEIGHT,
+    TILE_ENTRIES,
     NeighborGraph,
+    _sq_dist_blocks,
     classical_mds,
     geodesic_distances,
     graph_components,
@@ -89,7 +93,7 @@ class TestSquaredDistanceBlocks:
         rng = make_rng(dim)
         pts = rng.standard_normal((60, dim))
         assert np.array_equal(pairwise_distances(pts), np.sqrt(broadcast_sq_dists(pts, pts)))
-        # 1200 rows against 900 points is two blocks of about 1e6 entries
+        # 1200 rows against 900 points is 34 tiles of 36 rows, the last one 12
         xs = rng.uniform(-3.0, 3.0, size=(1200, dim))
         ref = rng.uniform(-3.0, 3.0, size=(900, dim))
         expected = np.sqrt(broadcast_sq_dists(xs, ref).min(axis=1))
@@ -98,6 +102,57 @@ class TestSquaredDistanceBlocks:
     def test_pairwise_spans_several_blocks(self):
         pts = make_rng(11).standard_normal((1100, 3))
         assert np.array_equal(pairwise_distances(pts), np.sqrt(broadcast_sq_dists(pts, pts)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_ragged_last_tile(self, dim):
+        rng = make_rng(20 + dim)
+        xs = rng.standard_normal((1001, dim))
+        pts = rng.standard_normal((300, dim))
+        tiles = list(_sq_dist_blocks(xs, pts))
+        chunk = TILE_ENTRIES // 300
+        assert [t.shape[0] for _, t in tiles] == [chunk] * (1001 // chunk) + [1001 % chunk]
+        assert np.array_equal(np.concatenate([t for _, t in tiles]), broadcast_sq_dists(xs, pts))
+
+    def test_one_row_per_tile_past_the_tile_size(self):
+        rng = make_rng(30)
+        xs = rng.standard_normal((3, 2))
+        pts = rng.standard_normal((TILE_ENTRIES + 5, 2))
+        tiles = list(_sq_dist_blocks(xs, pts))
+        assert [rows for rows, _ in tiles] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert np.array_equal(np.concatenate([t for _, t in tiles]), broadcast_sq_dists(xs, pts))
+
+    def test_min_dists_memory_does_not_grow_with_grid_times_points(self):
+        # the default urysohn grid against one 500-point class: blocks of
+        # about 1e6 entries (8 MB) peaked at 32 MB, 256 KB tiles near 1 MB
+        axis = np.linspace(-2.5, 2.5, 101)
+        grid = np.column_stack([g.ravel() for g in np.meshgrid(axis, axis)])
+        pts = make_rng(31).standard_normal((500, 2))
+        tracemalloc.start()
+        try:
+            _min_dists(grid, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_no_coordinates_is_distance_zero(self):
+        assert np.array_equal(pairwise_distances(np.empty((3, 0))), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "xs, pts",
+        [
+            ([[1e308, 1e308]], [[0.0, 0.0]]),
+            ([[1e200, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
+            ([[1e154, 0.0], [-1e154, 0.0]], [[1e154, 0.0], [-1e154, 0.0]]),
+        ],
+    )
+    def test_overflowing_distances_raise_without_warning(self, xs, pts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                _min_dists(np.array(xs), np.array(pts))
+            with pytest.raises(NumericalError):
+                pairwise_distances(np.array(xs + pts))
 
     def test_empty_rows(self):
         assert _min_dists(np.empty((0, 2)), np.ones((4, 2))).shape == (0,)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from topoclass.data import gen_annulus2d
-from topoclass.errors import DimensionError, SchemaError
+from topoclass.data import LabeledPointCloud, gen_annulus2d
+from topoclass.errors import DimensionError, NumericalError, SchemaError
 from topoclass.network import (
     PAPER_NET_DIMS,
     RELU,
@@ -92,6 +94,29 @@ class TestForward:
         out = forward(net, np.array([2.0, -1.0]))
         assert out.shape == (2,)
         assert abs(out.sum() - 1.0) < 1e-12
+
+    def test_overflowing_outputs_raise_without_warning(self):
+        net = build_paper_net(make_rng(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                forward_batch(net, np.array([[1e308, 1e308], [0.0, 0.0]]))
+
+    def test_overflow_that_relu_zeroes_is_exact(self):
+        net = Mlp(layers=(LayerSpec(np.array([[-4.0]]), np.zeros(1), "relu"),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(forward_batch(net, np.array([[1e308], [-1.0]])), [[0.0], [4.0]])
+
+    def test_overflowing_trace_stage_raises_without_warning(self):
+        cloud = LabeledPointCloud(
+            dim=2, points=np.array([[1e308, 1e308], [0.0, 0.0]]), labels=np.array([0, 1]),
+            class_count=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                forward_trace(build_paper_net(make_rng(9)), cloud)
 
     def test_batched_rows_bit_identical_to_single_points(self):
         cloud = gen_annulus2d(50, 8)

@@ -290,6 +290,12 @@ class TestDiscSeparation:
         with pytest.raises(DimensionError):
             check_disc_separation([np.zeros((3, 2)), np.ones((3, 3))])
 
+    def test_far_apart_discs_raise_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                check_disc_separation([[[1e308, 0.0]], [[-1e308, 0.0]]])
+
     def test_one_dimensional_intervals(self):
         a = np.linspace(0.0, 0.4, 9).reshape(-1, 1)
         b = np.linspace(0.6, 1.0, 9).reshape(-1, 1)
@@ -364,6 +370,44 @@ class TestUrysohnMulticlass:
     def test_needs_two_classes(self):
         with pytest.raises(SeparationError):
             urysohn_multiclass([np.array([[0.0]])])
+
+    @pytest.mark.parametrize("far", [[1e308, 1e308], [1e200, 0.0]])
+    def test_far_point_raises_without_warning(self, far):
+        classes = gen_annulus2d(20, 5).split_by_class()
+        classes[0] = np.concatenate([[far], classes[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                urysohn_multiclass(classes)
+
+    def test_far_probe_raises_without_warning(self):
+        f = urysohn_multiclass([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                f(np.array([1e300, 1e300]))
+
+    def test_overflowing_distance_products_raise_without_warning(self):
+        # squared distances stay finite, but the product of three ~1e150
+        # distances does not
+        classes = [np.array([[0.0, 0.0]]), np.array([[1e150, 0.0]]),
+                   np.array([[0.0, 1e150]]), np.array([[-1e150, 0.0]])]
+        f = urysohn_multiclass(classes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                f(np.array([[0.5, 0.5]]))
+
+    def test_underflowing_distance_products_raise_without_warning(self):
+        # squared distances stay normal, but on class 0 every product has a
+        # factor 0 or is three ~1e-120 distances, which underflows to 0
+        classes = [np.array([[0.0]]), np.array([[1e-120]]), np.array([[-1e-120]]),
+                   np.array([[2e-120]])]
+        f = urysohn_multiclass(classes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                f(np.array([0.0]))
 
 
 class TestKernelWitness:
