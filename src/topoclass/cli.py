@@ -49,12 +49,6 @@ def _sweep_dims(in_dim, width, class_count):
     return (in_dim, width, 8, 8, class_count)
 
 
-def _write_json(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
 def _parse_bands(text):
     bands = []
     for part in text.split(","):
@@ -149,12 +143,11 @@ def cmd_trace(args):
             entry["stress"] = result.stress
         svg_name = f"stage_{i:02d}_{name}.svg"
         title = f"stage {i}: {name} (dim {dim})" + (" via isomap" if dim > 3 else "")
-        (out_dir / svg_name).write_text(
-            scatter_svg(plotted, trace.labels, title), encoding="utf-8"
-        )
+        svg = scatter_svg(plotted, trace.labels, title)
+        (out_dir / svg_name).write_text(svg, encoding="utf-8")
         entry["svg"] = svg_name
         index.append(entry)
-    _write_json({"stages": index}, out_dir / "index.json")
+    data_mod.write_json({"stages": index}, out_dir / "index.json")
     print(f"wrote {len(index)} stage SVGs and index.json to {out_dir}")
     return EXIT_OK
 
@@ -165,7 +158,7 @@ def cmd_check_sep(args):
     report = topo_mod.full_separability_report(net, cloud)
     if args.out:
         if args.format == "json":
-            _write_json(report.to_jsonable(), args.out)
+            data_mod.write_json(report.to_jsonable(), args.out)
         else:
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
@@ -202,7 +195,7 @@ def cmd_witness(args):
     payload["net_output_p2"] = out_p2.tolist()
     payload["net_output_diff"] = float(np.abs(out_p1 - out_p2).max())
     if args.out:
-        _write_json(payload, args.out)
+        data_mod.write_json(payload, args.out)
     print(json.dumps(payload))
     return EXIT_OK
 

@@ -198,6 +198,24 @@ def gen_annulus2d(samples_per_class, seed):
     return gen_shells(ShellSpec(dim=2, samples_per_class=samples_per_class, seed=seed))
 
 
+def read_json(path):
+    """Parse a JSON file; ParseError for bad syntax or nesting past the recursion limit."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        except RecursionError as exc:
+            raise ParseError("JSON arrays or objects nested too deep") from exc
+
+
+def write_json(payload, path):
+    """Write payload as one line of JSON and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
 def save_cloud(cloud, path):
     """Write the JSON dataset format; coordinates round-trip bit-exactly."""
     payload = {
@@ -206,19 +224,12 @@ def save_cloud(cloud, path):
         "points": cloud.points.tolist(),
         "labels": cloud.labels.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_cloud(path):
     """Read a JSON dataset, raising ParseError/SchemaError on bad files."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError("dataset file must contain a JSON object")
     for key in ("dim", "class_count", "points", "labels"):

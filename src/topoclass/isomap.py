@@ -8,12 +8,12 @@ recursion in numpy, and the MDS eigensolve is LAPACK ``eigh``.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_json
 from .errors import DisconnectedError, DomainError, NumericalError, SpecError
 from .numerics import as_matrix, eigh_symmetric
 
@@ -109,51 +109,41 @@ def pairwise_distances(points):
 def knn_graph(points, k):
     """Symmetrized k-nearest-neighbor graph with Euclidean edge weights.
 
-    Edge (i, j) exists iff j is among i's k nearest or vice versa.  Exact
-    duplicate points get the tiny positive weight 1e-12 instead of zero so
-    edges stay distinguishable from non-edges.
+    Edge (i, j) exists iff j is among i's k nearest (ties to the lower index)
+    or vice versa.  Exact duplicate points get the tiny positive weight 1e-12
+    instead of zero so edges stay distinguishable from non-edges.
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
     if not 1 <= k < n:
         raise SpecError(f"k must satisfy 1 <= k < {n}, got {k}")
     dists = pairwise_distances(pts)
+    # +inf sorts each point last in its own row, so it is never its own neighbor
+    np.fill_diagonal(dists, np.inf)
+    rows = np.arange(n)[:, np.newaxis]
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    picked = np.maximum(dists[rows, nearest], DUPLICATE_POINT_WEIGHT)
     weights = np.zeros((n, n))
-    for i in range(n):
-        order = np.argsort(dists[i], kind="stable")
-        picked = 0
-        for j in order:
-            if j == i:
-                continue
-            w = max(dists[i, j], DUPLICATE_POINT_WEIGHT)
-            weights[i, j] = w
-            weights[j, i] = w
-            picked += 1
-            if picked == k:
-                break
+    weights[rows, nearest] = picked
+    weights[nearest, rows] = picked
     return NeighborGraph(weights=weights)
 
 
 def graph_components(graph):
-    """Connected components as lists of node indices (each sorted, smallest first)."""
-    n = graph.node_count
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    rows, cols = np.nonzero(graph.weights)
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups = {}
-    for node in range(n):
-        groups.setdefault(find(node), []).append(node)
-    return sorted(groups.values(), key=lambda c: c[0])
+    """Connected components as sorted node lists, smallest first; one breadth-first search each."""
+    adjacent = graph.weights > 0.0
+    unseen = np.ones(graph.node_count, dtype=bool)
+    components = []
+    while unseen.any():
+        frontier = np.zeros_like(unseen)
+        frontier[np.argmax(unseen)] = True
+        reached = frontier.copy()
+        while frontier.any():
+            frontier = adjacent[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        unseen &= ~reached
+        components.append(np.flatnonzero(reached).tolist())
+    return components
 
 
 def geodesic_distances(graph):
@@ -245,9 +235,7 @@ def isomap(points, k, target_dim=3):
 
 
 def embedding_to_json(result, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_jsonable(), fh)
-        fh.write("\n")
+    write_json(result.to_jsonable(), path)
 
 
 def embedding_to_csv(result, path, labels=None):

@@ -6,12 +6,12 @@ a single point delegates to the batched path, so per-point and batched
 results are bit-identical by construction.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParseError, SchemaError
+from .data import read_json, write_json
+from .errors import DimensionError, NumericalError, SchemaError
 from .numerics import as_matrix, as_vector
 
 RELU = "relu"
@@ -182,12 +182,8 @@ def forward_trace(net, cloud, include_pre=False):
 
 def strict_argmax(y, tol=1e-12):
     """Index of the strict maximum coordinate, or None on a tie within tol."""
-    y = np.asarray(y, dtype=np.float64)
-    top = y.max()
-    winners = np.nonzero(y >= top - tol)[0]
-    if winners.size != 1:
-        return None
-    return int(winners[0])
+    preds, ties = strict_argmax_batch(np.asarray(y)[np.newaxis], tol)
+    return None if ties[0] else int(preds[0])
 
 
 def strict_argmax_batch(ys, tol=1e-12):
@@ -255,17 +251,22 @@ def save_model(net, path):
             for layer in net.layers
         ]
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(payload, path)
+
+
+def _require_numbers(value, what):
+    """Raise SchemaError unless value is a number or nested lists of numbers (bools are not)."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif not isinstance(item, (int, float)) or isinstance(item, bool):
+            raise SchemaError(f"{what} has a non-numeric entry of type {type(item).__name__}")
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or "layers" not in payload:
         raise SchemaError("model file must be an object with a 'layers' key")
     raw_layers = payload["layers"]
@@ -280,6 +281,7 @@ def load_model(path):
                 raise SchemaError(f"layer {i} is missing key {key!r}")
         if raw["activation"] not in ACTIVATIONS:
             raise SchemaError(f"layer {i} has unknown activation {raw['activation']!r}")
+        _require_numbers([raw["weight"], raw["bias"]], f"layer {i}")
         try:
             layers.append(
                 LayerSpec(

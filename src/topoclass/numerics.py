@@ -99,11 +99,16 @@ def null_space_basis(w, tol=DEFAULT_KERNEL_TOL):
     ||Wv|| are both at most tol times the largest singular value, ||W||.
     Vectors come back most null first (a stable sort by residual), each
     sign-normalized; the list is empty when the kernel is trivial at tol.
+    A W whose largest entry lies outside [2^-257, 2^256) is first scaled by
+    an exact power of 4, so that ||Wv|| can neither overflow nor underflow.
     """
     w = as_matrix(w, "w")
     cols = w.shape[1]
     if cols == 0:
         return []
+    _, exponent = np.frexp(np.abs(w).max(initial=0.0))
+    if abs(exponent) > 256:
+        w = np.ldexp(w, -2 * (exponent // 2))
     _, sigma, vt = np.linalg.svd(w)
     sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
     residuals = np.linalg.norm(w @ vt.T, axis=0)

@@ -414,6 +414,41 @@ class TestExitCodes:
             load_model(model)
         assert run(["witness", model]) == 2
 
+    def test_json_nested_past_the_recursion_limit_is_parse_error(self, workspace, tmp_path):
+        deep = "[" * 100_000 + "]" * 100_000
+        model, data = tmp_path / "deep_model.json", tmp_path / "deep_data.json"
+        model.write_text('{"layers": %s}' % deep)
+        data.write_text('{"dim": 2, "class_count": 2, "points": %s, "labels": []}' % deep)
+        for path, loader in ((model, load_model), (data, load_cloud)):
+            with pytest.raises(errors.ParseError, match="nested too deep"):
+                loader(path)
+        assert run(["check-sep", model, workspace["data"]]) == 2
+        assert run(["check-sep", workspace["model"], data]) == 2
+
+    def test_boolean_weight_is_schema_error(self, workspace, tmp_path):
+        model = tmp_path / "bool.json"
+        model.write_text(
+            '{"layers": [{"activation": "softmax", "weight": [[true, 1], [0, "1.5"]], '
+            '"bias": [0, 0]}]}'
+        )
+        assert run(["check-sep", model, workspace["data"]]) == 2
+
+    def test_witness_at_the_float64_limit_fails_its_residual_not_its_kernel(
+        self, tmp_path, capsys
+    ):
+        # the kernel [1, -1]/sqrt(2) is found, but 1e308 times its rounding
+        # error is far past the 1e-9 residual bound
+        model = tmp_path / "limit.json"
+        model.write_text(
+            '{"layers": [{"activation": "relu", "weight": [[1e308, 1e308]], "bias": [0]}, '
+            '{"activation": "softmax", "weight": [[1], [-1]], "bias": [0, 0]}]}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["witness", model]) == 1
+        captured = capsys.readouterr()
+        assert "residual exceeds" in captured.out + captured.err
+
     @pytest.mark.parametrize(
         "error",
         [

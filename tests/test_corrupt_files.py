@@ -1,10 +1,15 @@
-"""Property test: corrupt dataset files end in a documented exit code.
+"""Property tests: corrupt dataset and model files end in a documented exit code.
 
 Starting from a small valid two-class cloud, hypothesis rewrites the JSON
 file with finite extremes up to +-1e308, integers too large for int64 or
 float64, booleans in place of integers, values of the wrong type and short
-label lists, then runs ``urysohn`` and ``check-sep`` through ``cli.main``.  Every call must return 0, 1, 2 or 3:
-no exception and no numpy ``RuntimeWarning`` may escape.
+label lists, then runs ``urysohn`` and ``check-sep`` through ``cli.main``.
+Starting from a valid bottleneck net (2 -> 1 relu -> 2 softmax) or the
+six-layer demo net, it rewrites model files with booleans, numeric strings,
+``null``, huge integers and +-1e308 entries, ragged weight rows, wrong
+activations and missing keys, then runs ``check-sep`` and ``witness``.
+Every call must return 0, 1, 2 or 3: no exception and no numpy
+``RuntimeWarning`` may escape.
 """
 
 import json
@@ -17,7 +22,7 @@ from hypothesis import strategies as st
 
 from topoclass.cli import main
 from topoclass.data import gen_annulus2d
-from topoclass.network import build_paper_net, save_model
+from topoclass.network import build_paper_net, build_relu_net, save_model
 from topoclass.numerics import make_rng
 
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3}
@@ -86,7 +91,9 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("corrupt")
     model = root / "model.json"
     save_model(build_paper_net(make_rng(0)), model)
-    return {"root": root, "model": model, "data": root / "data.json"}
+    clean = root / "clean.json"
+    clean.write_text(json.dumps(BASE_PAYLOAD), encoding="utf-8")
+    return {"root": root, "model": model, "data": root / "data.json", "clean": clean}
 
 
 def _corrupt(mutations):
@@ -116,4 +123,103 @@ def test_corrupt_dataset_ends_in_a_documented_exit_code(files, mutations, capsys
     urysohn = ["urysohn", files["data"], "--grid-size", 5, "--out-dir", files["root"] / "u"]
     assert _exit_code(urysohn) in DOCUMENTED_EXIT_CODES
     assert _exit_code(["check-sep", files["model"], files["data"]]) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+def _model_payload(net):
+    return {
+        "layers": [
+            {"activation": lay.activation, "weight": lay.weight.tolist(), "bias": lay.bias.tolist()}
+            for lay in net.layers
+        ]
+    }
+
+
+BASE_MODELS = (
+    _model_payload(build_relu_net((2, 1, 2), make_rng(1))),
+    _model_payload(build_paper_net(make_rng(2))),
+)
+# every entry a model file may hold in place of a finite float
+ENTRIES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["1.5", "0", "NaN", ""]),
+    BIG_INTEGERS,
+    st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max, 5e-324]),
+    EXTREMES,
+)
+LAYER_KEYS = ("activation", "weight", "bias")
+
+
+def _layer(payload, layer):
+    layers = payload["layers"]
+    return layers[layer % len(layers)]
+
+
+def _set_weight(payload, value, layer, i, j):
+    rows = _layer(payload, layer)["weight"]
+    row = rows[i % len(rows)]
+    row[j % len(row)] = value
+
+
+def _set_bias(payload, value, layer, i):
+    bias = _layer(payload, layer)["bias"]
+    bias[i % len(bias)] = value
+
+
+def _set_weight_row(payload, value, layer, i):
+    rows = _layer(payload, layer)["weight"]
+    rows[i % len(rows)] = value
+
+
+def _set_layer_key(payload, value, layer, key):
+    _layer(payload, layer)[key] = value
+
+
+def _drop_layer_key(payload, layer, key):
+    del _layer(payload, layer)[key]
+
+
+LAYER = st.integers(0, 6)
+SLOT = st.integers(0, 5)
+MODEL_MUTATIONS = st.one_of(
+    st.tuples(st.just(_set_weight), ENTRIES, LAYER, SLOT, SLOT),
+    st.tuples(st.just(_set_bias), ENTRIES, LAYER, SLOT),
+    # ragged rows: one row one entry short or long, or not a list at all
+    st.tuples(st.just(_set_weight_row), st.lists(EXTREMES, max_size=6) | WRONG_TYPES, LAYER, SLOT),
+    st.tuples(
+        st.just(_set_layer_key),
+        st.sampled_from(["tanh", "Relu", "", "softmax"]) | WRONG_TYPES,
+        LAYER,
+        st.just("activation"),
+    ),
+    st.tuples(st.just(_set_layer_key), WRONG_TYPES, LAYER, st.sampled_from(LAYER_KEYS)),
+    st.tuples(st.just(_drop_layer_key), LAYER, st.sampled_from(LAYER_KEYS)),
+)
+
+
+def _corrupt_model(base, mutations):
+    payload = json.loads(json.dumps(base))
+    for apply, *args in mutations:
+        try:
+            apply(payload, *args)
+        except (TypeError, IndexError, KeyError, ZeroDivisionError, AttributeError):
+            pass  # an earlier mutation changed the shape this one edits
+    return payload
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    base=st.sampled_from(BASE_MODELS),
+    mutations=st.lists(MODEL_MUTATIONS, min_size=1, max_size=3),
+)
+def test_corrupt_model_ends_in_a_documented_exit_code(files, base, mutations, capsys):
+    model = files["root"] / "corrupt_model.json"
+    model.write_text(json.dumps(_corrupt_model(base, mutations)), encoding="utf-8")
+    assert _exit_code(["check-sep", model, files["clean"]]) in DOCUMENTED_EXIT_CODES
+    assert _exit_code(["witness", model]) in DOCUMENTED_EXIT_CODES
     capsys.readouterr()

@@ -170,7 +170,56 @@ class TestSquaredDistanceBlocks:
         )
 
 
+def union_find_components(weights):
+    """Components by union-find over every edge, grouped by root, sorted by first node."""
+    parent = list(range(weights.shape[0]))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in zip(*np.nonzero(weights)):
+        parent[find(b)] = find(a)
+    groups = {}
+    for node in range(len(parent)):
+        groups.setdefault(find(node), []).append(node)
+    return sorted(groups.values(), key=lambda c: c[0])
+
+
+def knn_oracle(points, k):
+    """knn_graph's weights picked one row at a time, skipping the point itself."""
+    dists = pairwise_distances(points)
+    n = dists.shape[0]
+    weights = np.zeros((n, n))
+    for i in range(n):
+        picked = 0
+        for j in np.argsort(dists[i], kind="stable"):
+            if j == i:
+                continue
+            weights[i, j] = weights[j, i] = max(dists[i, j], DUPLICATE_POINT_WEIGHT)
+            picked += 1
+            if picked == k:
+                break
+    return weights
+
+
 class TestKnnGraph:
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # an integer grid: many exact distance ties, broken by index
+            np.array([[x, y] for x in range(4) for y in range(3)], dtype=np.float64),
+            # duplicated points: zero distances tie with the point itself
+            np.repeat(make_rng(3).standard_normal((4, 3)), [3, 1, 2, 2], axis=0),
+            make_rng(4).standard_normal((9, 5)),
+        ],
+        ids=["grid", "duplicates", "random-5d"],
+    )
+    def test_matches_per_row_oracle_for_every_k(self, pts):
+        for k in range(1, len(pts)):
+            assert np.array_equal(knn_graph(pts, k).weights, knn_oracle(pts, k)), k
+
     def test_collinear_path(self):
         pts = np.array([[0.0], [1.0], [2.0]])
         graph = knn_graph(pts, 1)
@@ -258,6 +307,14 @@ class TestGeodesics:
         weights = np.zeros((3, 3))
         graph = NeighborGraph(weights=weights)
         assert graph_components(graph) == [[0], [1], [2]]
+
+    def test_graph_components_match_union_find(self):
+        rng = make_rng(12)
+        for n in (1, 2, 7, 30):
+            for p in (0.0, 0.05, 0.2, 1.0):
+                upper = np.triu(rng.uniform(size=(n, n)) < p, 1)
+                graph = NeighborGraph(weights=(upper | upper.T).astype(np.float64))
+                assert graph_components(graph) == union_find_components(graph.weights)
 
 
 class TestClassicalMds:

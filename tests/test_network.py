@@ -205,6 +205,27 @@ class TestModelFiles:
             load_model(path)
 
 
+    @pytest.mark.parametrize(
+        "weight, bias",
+        [
+            ("[[true, 1.0]]", "[0.0]"),
+            ("[[1.0, 1.0]]", "[false]"),
+            ('[["1.5", 1.0]]', "[0.0]"),
+            ("[[1.0, 1.0]]", '["0"]'),
+            ("[[null, 1.0]]", "[0.0]"),
+            ('[[1.0, {"a": 1}]]', "[0.0]"),
+            ('"[[1.0, 1.0]]"', "[0.0]"),
+        ],
+    )
+    def test_non_number_entries_rejected(self, tmp_path, weight, bias):
+        path = tmp_path / "typed.json"
+        path.write_text(
+            '{"layers": [{"activation": "softmax", "weight": %s, "bias": %s}]}' % (weight, bias)
+        )
+        with pytest.raises(SchemaError):
+            load_model(path)
+
+
 class TestStructureValidation:
     def test_softmax_must_be_final(self):
         sm = LayerSpec(weight=np.eye(2), bias=np.zeros(2), activation="softmax")

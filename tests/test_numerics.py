@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,15 @@ class TestNullSpace:
             assert len(basis) == 5 - np.linalg.matrix_rank(w)
             for v in basis:
                 assert np.linalg.norm(w @ v) <= 1e-10 * np.linalg.norm(w, 2)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-308, 5e-324])
+    def test_extreme_entries_keep_their_kernel(self, scale):
+        # ||W v|| of 1e308 entries overflows, and of 5e-324 ones underflows,
+        # unless W is rescaled first; the kernel is the same at every scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = null_space_basis(np.array([[scale, scale]]))
+        np.testing.assert_allclose(basis, [[1 / np.sqrt(2.0), -1 / np.sqrt(2.0)]], rtol=1e-15)
 
     def test_orthonormal_within_tolerance(self):
         rng = make_rng(8)

@@ -2,9 +2,18 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
 
 from topoclass.numerics import make_rng
-from topoclass.svg import _MARGIN, PALETTE, SvgScene, _spans, heatmap_svg, scatter_svg
+from topoclass.svg import (
+    _MARGIN,
+    _MAX_RADIUS,
+    _MIN_RADIUS,
+    PALETTE,
+    _spans,
+    heatmap_svg,
+    scatter_svg,
+)
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -42,10 +51,97 @@ def test_one_dimensional_points_padded():
 
 
 def test_title_is_escaped():
-    scene = SvgScene(title="a < b & c")
-    scene.add_point(0.0, 0.0, 3.0, "#000000")
-    root = ET.fromstring(scene.render())  # would raise on unescaped markup
+    svg = scatter_svg(np.zeros((1, 2)), [0], "a < b & c")
+    root = ET.fromstring(svg)  # would raise on unescaped markup
     assert "a < b & c" in [t.text for t in root.findall(".//svg:text", NS)]
+
+
+def scatter_oracle(points, labels, title, width=640, height=480):
+    """scatter_svg as a list of marks rendered one at a time, in Python floats."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape[1] == 1:
+        pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
+    radii = np.full(pts.shape[0], 3.5)
+    if pts.shape[1] >= 3:
+        z = pts[:, 2]
+        lo, span = _spans(float(z.min()), float(z.max()))
+        radii = _MIN_RADIUS + (_MAX_RADIUS - _MIN_RADIUS) * (z - lo) / span
+    marks = []
+    for i in range(pts.shape[0]):
+        color = PALETTE[int(labels[i]) % len(PALETTE)]
+        marks.append((float(pts[i, 0]), float(pts[i, 1]), float(radii[i]), color))
+    xs = [m[0] for m in marks] or [0.0]
+    ys = [m[1] for m in marks] or [0.0]
+    x0, xspan = _spans(min(xs), max(xs))
+    y0, yspan = _spans(min(ys), max(ys))
+    plot_w = width - 2 * _MARGIN
+    plot_h = height - 2 * _MARGIN
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
+        'fill="none" stroke="#999" stroke-width="1"/>',
+        f'<text x="{width / 2:.1f}" y="{_MARGIN / 2 + 5:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+    ]
+    corners = [
+        (x0, _MARGIN, height - _MARGIN / 4, "start"),
+        (x0 + xspan, width - _MARGIN, height - _MARGIN / 4, "end"),
+    ]
+    for value, px, py, anchor in corners:
+        parts.append(
+            f'<text x="{px:.1f}" y="{py:.1f}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="10">{value:.3g}</text>'
+        )
+    parts.append(
+        f'<text x="{_MARGIN / 4:.1f}" y="{height - _MARGIN:.1f}" '
+        f'font-family="sans-serif" font-size="10">{y0:.3g}</text>'
+    )
+    parts.append(
+        f'<text x="{_MARGIN / 4:.1f}" y="{_MARGIN + 10:.1f}" '
+        f'font-family="sans-serif" font-size="10">{y0 + yspan:.3g}</text>'
+    )
+    for x, y, radius, color in marks:
+        px = _MARGIN + (x - x0) / xspan * plot_w
+        py = height - _MARGIN - (y - y0) / yspan * plot_h
+        parts.append(
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius:.2f}" '
+            f'fill="{color}" fill-opacity="0.75"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_scatter_matches_per_mark_oracle(dim):
+    rng = make_rng(dim)
+    pts = rng.normal(size=(80, dim))
+    labels = rng.integers(0, 9, size=80)
+    assert scatter_svg(pts, labels, "a < b") == scatter_oracle(pts, labels, "a < b")
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.zeros((5, 3)),  # all identical: every axis takes _spans' fallback
+        make_rng(2).uniform(-1e6, 1e6, size=(40, 3)),
+        np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0]]),  # signed zeros at the range ends
+        np.empty((0, 2)),
+    ],
+    ids=["identical", "1e6", "signed-zeros", "empty"],
+)
+def test_scatter_oracle_edge_clouds(pts):
+    labels = list(range(len(pts)))
+    assert scatter_svg(pts, labels, "t") == scatter_oracle(pts, labels, "t")
+
+
+def test_scatter_oracle_size():
+    pts = make_rng(4).normal(size=(30, 3))
+    labels = [1, 0, 2] * 10
+    got = scatter_svg(pts, labels, "sized", width=700, height=333)
+    assert got == scatter_oracle(pts, labels, "sized", width=700, height=333)
 
 
 def test_heatmap_is_wellformed():
