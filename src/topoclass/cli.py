@@ -10,6 +10,7 @@ flags; rerunning with the same flags rewrites byte-identical files.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -41,6 +42,8 @@ EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
 # urysohn writes size**2 cells: at 1024, field.csv and field.svg together take about 140 MB
 MAX_GRID_SIZE = 1024
+MAX_WIDTH = 1024  # training holds every net's activations on every point at once
+MAX_SEEDS = 100
 
 
 def _sweep_dims(in_dim, width, class_count):
@@ -62,11 +65,14 @@ def _parse_bands(text):
     return bands
 
 
-def _parse_ints(text, flag):
+def _parse_widths(text, flag):
     try:
-        return tuple(int(d) for d in text.split(","))
+        widths = tuple(int(d) for d in text.split(","))
     except ValueError as exc:
         raise SpecError(f"{flag} must be a comma list of integers, got {text!r}") from exc
+    if not all(1 <= w <= MAX_WIDTH for w in widths):
+        raise SpecError(f"{flag} widths must be in [1, {MAX_WIDTH}], got {text!r}")
+    return widths
 
 
 def cmd_gen(args):
@@ -85,7 +91,7 @@ def cmd_gen(args):
 
 def cmd_train(args):
     cloud = data_mod.load_cloud(args.data)
-    dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_ints(args.dims, "--dims")
+    dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_widths(args.dims, "--dims")
     if dims[0] != cloud.dim or dims[-1] != cloud.class_count:
         raise ConfigError(
             f"--dims {dims} does not match data (dim {cloud.dim}, "
@@ -245,11 +251,9 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
 
 def cmd_sweep(args):
     cloud = data_mod.load_cloud(args.data)
-    widths = _parse_ints(args.widths, "--widths")
-    if any(w < 1 for w in widths):
-        raise SpecError("widths must be positive")
-    if args.seeds < 1:
-        raise SpecError("--seeds must be >= 1")
+    widths = _parse_widths(args.widths, "--widths")
+    if not 1 <= args.seeds <= MAX_SEEDS:
+        raise SpecError(f"--seeds must be in [1, {MAX_SEEDS}], got {args.seeds}")
     rows = run_bottleneck_sweep(
         cloud,
         widths,
@@ -338,6 +342,7 @@ def cmd_urysohn(args):
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args fills a fresh namespace each call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="topoclass",
@@ -435,8 +440,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DisconnectedError, NumericalError) as exc:

@@ -7,6 +7,7 @@ results are bit-identical by construction.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class LayerSpec:
     @property
     def out_dim(self):
         return self.weight.shape[0]
+
+    @property
+    def weight_t(self):  # (in_dim, out_dim): the right factor of a row batch
+        return self.weight.T
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,15 @@ def relu(v):
     return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
+def _columns(a):
+    """The columns of ``a``'s last axis, each kept as a length-1 axis."""
+    return [a[..., j : j + 1] for j in range(a.shape[-1])]
+
+
 def _softmax_rows(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # maximum and sum over the class axis by columns, in class order (see training)
+    e = np.exp(z - reduce(np.maximum, _columns(z)))
+    return e / reduce(np.add, _columns(e))
 
 
 def softmax(v):
@@ -122,7 +132,8 @@ def _apply_layer(layer, acts):
     Works on one layer (weight (out, in), bias (out,)) or on a stack of S
     layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.
     """
-    z = acts @ layer.weight.swapaxes(-1, -2) + layer.bias
+    z = acts @ layer.weight_t
+    z += layer.bias
     if layer.activation == RELU:
         return z, np.maximum(z, 0.0)
     if layer.activation == SOFTMAX:
@@ -187,12 +198,15 @@ def strict_argmax(y, tol=1e-12):
 
 
 def strict_argmax_batch(ys, tol=1e-12):
-    """Batched strict_argmax: (predictions, tie mask); prediction -1 on ties."""
-    ys = np.asarray(ys, dtype=np.float64)
-    top = ys.max(axis=1)
-    ties = (ys >= (top - tol)[:, np.newaxis]).sum(axis=1) != 1
-    preds = ys.argmax(axis=1).astype(np.int64)
-    preds[ties] = -1
+    """Batched strict_argmax: (predictions, tie mask); prediction -1 on ties.
+
+    A row ties unless exactly one entry is within tol of its max (NaN: none).
+    """
+    cols = np.asarray(ys, dtype=np.float64).T
+    floor = reduce(np.maximum, cols) - tol
+    near = [col >= floor for col in cols]
+    ties = sum(near) != 1
+    preds = np.where(ties, -1, sum(j * hit for j, hit in enumerate(near)))
     return preds, ties
 
 

@@ -80,14 +80,10 @@ def eigh_symmetric(s, tol=DEFAULT_EIGH_TOL):
 
 
 def _fix_signs(columns):
-    """Flip each column so its first nonzero entry is positive."""
-    out = columns.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nonzero = np.nonzero(col)[0]
-        if nonzero.size and col[nonzero[0]] < 0.0:
-            out[:, j] = -col
-    return out
+    """Flip each column (an exact product with -1.0) so its first nonzero entry is positive."""
+    first = np.argmax(columns != 0.0, axis=0)  # 0 for an all-zero column
+    leading = columns[first, np.arange(columns.shape[1])]
+    return columns * np.where(leading < 0.0, -1.0, 1.0)
 
 
 def null_space_basis(w, tol=DEFAULT_KERNEL_TOL):

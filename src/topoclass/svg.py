@@ -10,7 +10,6 @@ are drawn on the line y = 0.
 """
 
 from itertools import chain
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -39,6 +38,7 @@ def _spans(lo, hi):
 
 def _document(width, height, title, body, frame=()):
     """SVG text: prolog, white page, the ``frame`` lines, the title, ``body``."""
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as saxutils
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -46,7 +46,7 @@ def _document(width, height, title, body, frame=()):
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         *frame,
         f'<text x="{width / 2:.1f}" y="{_MARGIN / 2 + 5:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{title}</text>',
         *body,
         "</svg>",
     ]

@@ -5,10 +5,16 @@ collapses to probabilities minus one-hot).  One loop trains a stack of nets
 of one shape in lock-step, each shuffled by its own seeded generator, so a
 (net, cloud, config) triple reproduces the same history bit for bit whether
 it trains alone or in a stack.
+
+A numpy reduction over the short class axis runs one inner loop per row, so
+the softmax, the picked probability and the epoch's strict argmax reduce
+over it column by column, in class order: numpy's ``sum(axis=-1)`` order up
+to 7 classes, while from 8 on numpy unrolls and may differ in the last bits.
 """
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -20,6 +26,7 @@ from .network import (
     LayerSpec,
     Mlp,
     _apply_layer,
+    _columns,
     forward_batch,
     strict_argmax_batch,
 )
@@ -91,6 +98,9 @@ class _LayerStack:
     bias: np.ndarray
     activation: str
 
+    def __post_init__(self):
+        self.weight_t = self.weight.swapaxes(-1, -2)  # a view, built once per stack
+
 
 def _layer_views(flat, template):
     """The layers of ``template``'s shape as views into an (S, P) array."""
@@ -144,11 +154,11 @@ class _NetStack:
         )
 
 
-def _batch_backward(stack, xs, labels):
+def _batch_backward(stack, xs, targets):
     """Fill ``stack.grads`` with each net's gradient summed over the batch.
 
-    ``xs`` is (S, B, in) and ``labels`` (S, B).  Returns each net's loss
-    sum, shape (S,).
+    ``xs`` is (S, B, in) and ``targets`` the one-hot labels, (S, B, classes).
+    Returns each net's loss sum, shape (S,).
     """
     layers, grads = stack.layers, stack.grads
     acts, zs = [xs], []  # every activation (input first) and every z
@@ -157,15 +167,13 @@ def _batch_backward(stack, xs, labels):
         zs.append(z)
         acts.append(a)
     probs = acts[-1]
-    nets = np.arange(labels.shape[0])[:, np.newaxis]
-    rows = np.arange(labels.shape[1])
-    picked = probs[nets, rows, labels]
+    # exact: a row of probs is all NaN or >= 0, so all terms but the label's are +0.0
+    picked = reduce(np.add, _columns(probs * targets))[..., 0]
     # a probability of 0 gives an infinite loss: run under
     # np.errstate(divide="ignore") and check the result
     loss_sums = -np.log(picked).sum(axis=1)
 
-    delta = probs.copy()
-    delta[nets, rows, labels] = picked - 1.0
+    delta = probs - targets
     for i in range(len(layers) - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads[i].weight)
         delta.sum(axis=1, keepdims=True, out=grads[i].bias)
@@ -174,7 +182,7 @@ def _batch_backward(stack, xs, labels):
             prev_act = layers[i - 1].activation
             if prev_act == RELU:
                 # subgradient at exactly 0 is 0
-                delta = delta * (zs[i - 1] > 0.0)
+                delta *= zs[i - 1] > 0.0
             elif prev_act != IDENTITY:
                 raise ConfigError("softmax below the final layer is not differentiable here")
     return loss_sums
@@ -188,7 +196,8 @@ def gradients(net, x, label):
         raise IndexError(f"label {label} out of range for {net.output_dim} classes")
     stack = _NetStack.of([net])
     with np.errstate(divide="ignore"):
-        _batch_backward(stack, x[np.newaxis, np.newaxis, :], np.array([[label]]))
+        targets = np.eye(net.output_dim)[np.array([[label]])]
+        _batch_backward(stack, x[np.newaxis, np.newaxis, :], targets)
     return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
 
 
@@ -233,16 +242,16 @@ def _require_finite(epoch, epoch_loss, stack, live, cfgs):
         )
 
 
-def _sgd_epoch(stack, points, labels, order, lr, batch_size):
-    """One pass over the (S, n) shuffles, updating the stack in place.
+def _sgd_epoch(stack, xs, targets, lr, batch_size):
+    """One pass over the (S, n) shuffled points and one-hot targets, in place.
 
     Returns each net's summed per-sample loss.
     """
-    epoch_loss = np.zeros(order.shape[0])
-    for start in range(0, order.shape[1], batch_size):
-        batch = order[:, start : start + batch_size]
-        epoch_loss += _batch_backward(stack, points[batch], labels[batch])
-        stack.grad *= lr / batch.shape[1]
+    epoch_loss = np.zeros(xs.shape[0])
+    for start in range(0, xs.shape[1], batch_size):
+        stop = min(start + batch_size, xs.shape[1])
+        epoch_loss += _batch_backward(stack, xs[:, start:stop], targets[:, start:stop])
+        stack.grad *= lr / (stop - start)
         stack.params -= stack.grad
     return epoch_loss
 
@@ -261,6 +270,7 @@ def train_many(nets, cloud, cfgs):
     _check_stack(nets, cloud, cfgs)
     lr, epochs, batch_size = cfgs[0].learning_rate, cfgs[0].epochs, cfgs[0].batch_size
     points, labels = cloud.points, cloud.labels
+    one_hot = np.eye(cloud.class_count)
     n = len(cloud)
 
     stack = _NetStack.of(nets)
@@ -274,7 +284,8 @@ def train_many(nets, cloud, cfgs):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             order = np.stack([rngs[k].permutation(n) for k in live])
-            epoch_loss = _sgd_epoch(stack, points, labels, order, lr, batch_size) / n
+            xs, targets = points[order], one_hot[labels[order]]
+            epoch_loss = _sgd_epoch(stack, xs, targets, lr, batch_size) / n
             _require_finite(epoch, epoch_loss, stack, live, cfgs)
             outputs = points  # broadcast against the stack: (S, n, class_count) at the end
             for layer in stack.layers:

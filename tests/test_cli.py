@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import importlib
 import io
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import topoclass
 from topoclass import cli as cli_mod
 from topoclass import errors
 from topoclass.cli import MAX_GRID_SIZE, main
@@ -465,3 +470,50 @@ class TestExitCodes:
         monkeypatch.setattr("topoclass.data.gen_annulus2d", fail)
         expected = 1 if error in (errors.DisconnectedError, errors.NumericalError) else 2
         assert run(["gen", "--annulus", "-o", tmp_path / "d.json"]) == expected
+
+
+class TestParserReuse:
+    # gen, a usage error, train and gen --shells: the later calls take their
+    # defaults (seed 0, lr, bands, ...) from the parser, not from the calls before
+    STEPS = (
+        ("gen", "--annulus", "--n", "25", "--seed", "3", "-o", "a.json"),
+        ("gen", "--annulus", "--n", "25"),
+        ("train", "a.json", "--dims", "2,3,2", "--epochs", "4", "-o", "m.json"),
+        ("gen", "--shells", "--n", "10", "-o", "s.json"),
+    )
+
+    @staticmethod
+    def _in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _fresh_process(argv, cwd):
+        src = str(Path(topoclass.__file__).resolve().parent.parent)
+        code = f"import sys; sys.path.insert(0, {src!r}); from topoclass.cli import main; sys.exit(main())"
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True, text=True
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(one)
+        codes = []
+        for argv in self.STEPS:
+            got = self._in_process(argv)
+            assert got == self._fresh_process(argv, fresh), argv
+            codes.append(got[0])
+        assert codes == [0, 2, 1, 0]  # 4 epochs do not reach the target accuracy
+        names = sorted(path.name for path in one.iterdir())
+        assert names == sorted(path.name for path in fresh.iterdir())
+        assert names == ["a.json", "m.json", "m_history.csv", "s.json"]
+        for name in names:
+            assert (one / name).read_bytes() == (fresh / name).read_bytes(), name

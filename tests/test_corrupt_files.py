@@ -10,6 +10,13 @@ six-layer demo net, it rewrites model files with booleans, numeric strings,
 activations and missing keys, then runs ``check-sep`` and ``witness``.
 Every call must return 0, 1, 2 or 3: no exception and no numpy
 ``RuntimeWarning`` may escape.
+
+The flags of ``train`` and ``sweep-bottleneck`` get the same treatment on
+the valid cloud: learning rates of 0, below 0, inf, nan and 1e308; 1 to 3
+epochs and epochs <= 0; batch sizes of 0 and past the point count; target
+accuracies of 0, nan, above 1 and subnormal; empty, zero, non-integer,
+oversized and mismatched ``--dims`` and ``--widths``; and seeds below 0 or
+at 2^64 and past.  Each call must return 0, 1 or 2.
 """
 
 import json
@@ -109,7 +116,10 @@ def _corrupt(mutations):
 def _exit_code(argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return main([str(a) for a in argv])
+        try:
+            return main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's usage error
+            return exc.code
 
 
 @settings(
@@ -222,4 +232,64 @@ def test_corrupt_model_ends_in_a_documented_exit_code(files, base, mutations, ca
     model.write_text(json.dumps(_corrupt_model(base, mutations)), encoding="utf-8")
     assert _exit_code(["check-sep", model, files["clean"]]) in DOCUMENTED_EXIT_CODES
     assert _exit_code(["witness", model]) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+TRAINING_FLAGS = {
+    "--lr": ["0", "-0.5", "-inf", "inf", "nan", "1e308", "0.05"],
+    "--batch-size": ["0", "-1", "3", str(N + 1), "1000"],
+    "--target-accuracy": ["0", "nan", "-1", "1.5", "inf", "5e-324", "0.5", "1"],
+    "--seed": ["-1", str(2**64), str(2**64 - 1), str(2**63), "0"],
+}
+EPOCHS = st.sampled_from(["1", "2", "3", "0", "-4"])  # always set: 500 is slow
+DIMS = st.sampled_from(
+    ["", "0", "2", "2,0,2", "x", "2,x,2", "2,2.5,2", "2,,2", "2,-1,2", "3,2", "2,3", "2,1,3"]
+    + ["2,1025,2", "2,9999999999999999999999999,2", "2,1,2", "2,3,3,2"]
+)
+WIDTHS = st.sampled_from(
+    ["", "0", "x", "1,,2", "-1", "1.5", "1025", "9999999999999999999999999", "1", "1,2,3"]
+)
+SEEDS = st.sampled_from(["-1", "0", "1", "2", "101", str(2**64), str(2**64 + 1)])
+
+
+def _flags(table):
+    """Some of the table's flags, each with one of its values, as ``--flag=value``."""
+    optional = {flag: st.none() | st.sampled_from(values) for flag, values in table.items()}
+    return st.fixed_dictionaries(optional).map(
+        lambda chosen: [f"{flag}={value}" for flag, value in chosen.items() if value is not None]
+    )
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(flags=_flags(TRAINING_FLAGS), epochs=EPOCHS, dims=st.none() | DIMS)
+def test_train_flags_end_in_a_documented_exit_code(files, flags, epochs, dims, capsys):
+    arch = ["--paper-net"] if dims is None else [f"--dims={dims}"]
+    out = files["root"] / "flags_model.json"
+    argv = ["train", files["clean"], *arch, f"--epochs={epochs}", *flags, "-o", out]
+    assert _exit_code(argv) in {0, 1, 2}
+    capsys.readouterr()
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    flags=_flags(TRAINING_FLAGS),
+    epochs=EPOCHS,
+    widths=st.none() | WIDTHS,
+    seeds=st.none() | SEEDS,
+)
+def test_sweep_flags_end_in_a_documented_exit_code(files, flags, epochs, widths, seeds, capsys):
+    optional = [f"--widths={widths}"] * (widths is not None) + [f"--seeds={seeds}"] * (
+        seeds is not None
+    )
+    out = files["root"] / "flags_sweep.csv"
+    argv = ["sweep-bottleneck", files["clean"], f"--epochs={epochs}", *optional, *flags, "-o", out]
+    assert _exit_code(argv) in {0, 1, 2}
     capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoclass.errors import ShapeError, SpecError
-from topoclass.numerics import eigh_symmetric, make_rng, null_space_basis
+from topoclass.numerics import _fix_signs, eigh_symmetric, make_rng, null_space_basis
 
 
 class TestEighSymmetric:
@@ -60,6 +60,29 @@ class TestEighSymmetric:
         e2, v2 = eigh_symmetric(s.copy())
         assert np.array_equal(evals, e2)
         assert np.array_equal(evecs, v2)
+        # an all-zero column stays as it is, signed zeros included
+        zero = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0])
+        fixed = _fix_signs(np.column_stack([-evecs[:, 0], zero, evecs[:, 1]]))
+        assert np.array_equal(fixed, np.column_stack([evecs[:, 0], zero, evecs[:, 1]]))
+        assert np.array_equal(np.signbit(fixed[:, 1]), np.signbit(zero))
+
+    def test_fix_signs_matches_column_loop(self):
+        def oracle(columns):
+            out = columns.copy()
+            for j in range(out.shape[1]):
+                col = out[:, j]
+                nonzero = np.nonzero(col)[0]
+                if nonzero.size and col[nonzero[0]] < 0.0:
+                    out[:, j] = -col
+            return out
+
+        rng = make_rng(5)
+        for shape in ((1, 1), (4, 7), (9, 3), (6, 0)):
+            # zeros of both signs, leading runs of zeros and zero columns
+            columns = rng.standard_normal(shape) * rng.integers(-1, 2, size=shape)
+            got, want = _fix_signs(columns), oracle(columns)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ShapeError):

@@ -1,8 +1,13 @@
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+
+import topoclass
 
 from topoclass.numerics import make_rng
 from topoclass.svg import (
@@ -54,6 +59,32 @@ def test_title_is_escaped():
     svg = scatter_svg(np.zeros((1, 2)), [0], "a < b & c")
     root = ET.fromstring(svg)  # would raise on unescaped markup
     assert "a < b & c" in [t.text for t in root.findall(".//svg:text", NS)]
+
+
+@pytest.mark.parametrize(
+    "title",
+    ["a < b & c", "&amp; stays &amp;amp;", "<<>>&&", "quotes \" and ' stay", "stufe ä → ∞ ≤ 1", ""],
+)
+def test_title_escape_matches_saxutils(title):
+    for svg in (
+        scatter_svg(np.zeros((1, 2)), [0], title),
+        heatmap_svg(np.zeros(1), np.zeros(1), np.zeros((1, 1)), title),
+    ):
+        assert f'font-size="14">{escape(title)}</text>' in svg
+        assert title in [t.text or "" for t in ET.fromstring(svg).findall(".//svg:text", NS)]
+
+
+def test_cli_import_leaves_the_web_stack_out():
+    # a fresh interpreter that finds this checkout's package first
+    src = str(Path(topoclass.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import topoclass.cli; "
+        "print(sorted({'ssl', 'http.client', 'urllib.request'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def scatter_oracle(points, labels, title, width=640, height=480):

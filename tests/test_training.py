@@ -94,7 +94,7 @@ class TestGradients:
 
         def backward(xs, labels):
             stack = _NetStack.of([build_relu_net((2, 4, 2), make_rng(3))])
-            _batch_backward(stack, xs[np.newaxis], np.array([labels]))
+            _batch_backward(stack, xs[np.newaxis], np.eye(2)[np.array([labels])])
             return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
 
         x = np.array([0.4, -0.2])
