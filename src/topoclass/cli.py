@@ -312,8 +312,8 @@ def cmd_urysohn(args):
     size = args.grid_size
     if not 1 <= size <= MAX_GRID_SIZE:
         raise SpecError(f"--grid-size must be in [1, {MAX_GRID_SIZE}], got {size}")
-    if not (math.isfinite(extent) and extent > 0.0):
-        raise SpecError(f"--grid-extent must be finite and positive, got {extent}")
+    if not (math.isfinite(2.0 * extent) and extent > 0.0):
+        raise SpecError(f"--grid-extent must be positive with 2 * extent finite, got {extent}")
     cloud = data_mod.load_cloud(args.data)
     if cloud.dim != 2:
         raise SpecError("urysohn maps are rendered for 2-D data only")

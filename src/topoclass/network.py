@@ -108,10 +108,10 @@ def _columns(a):
     return [a[..., j : j + 1] for j in range(a.shape[-1])]
 
 
-def _softmax_rows(z):
+def _softmax_rows(z, out=None):
     # maximum and sum over the class axis by columns, in class order (see training)
     e = np.exp(z - reduce(np.maximum, _columns(z)))
-    return e / reduce(np.add, _columns(e))
+    return np.divide(e, reduce(np.add, _columns(e)), out=out)
 
 
 def softmax(v):
@@ -126,18 +126,20 @@ def softmax(v):
     return _softmax_rows(v[np.newaxis, :])[0]
 
 
-def _apply_layer(layer, acts):
+def _apply_layer(layer, acts, out=None):
     """The one place a layer is applied: returns (pre-activation z, activation).
 
     Works on one layer (weight (out, in), bias (out,)) or on a stack of S
-    layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.
+    layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.  A
+    softmax layer writes its probabilities into ``out`` when one is given;
+    the other activations ignore it.
     """
     z = acts @ layer.weight_t
     z += layer.bias
     if layer.activation == RELU:
         return z, np.maximum(z, 0.0)
     if layer.activation == SOFTMAX:
-        return z, _softmax_rows(z)
+        return z, _softmax_rows(z, out)
     return z, z
 
 

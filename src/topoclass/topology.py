@@ -5,7 +5,8 @@ Three ways of asking "did the net pull the classes apart?":
 * the Voronoi criterion: every softmax output has a strict maximum at its
   true label (interior Voronoi membership for simplex vertices);
 * the disc certificate: per-class minimum enclosing balls of the output
-  cloud are pairwise disjoint (sufficient, not complete);
+  cloud, exact in every dimension, are pairwise disjoint (sufficient, not
+  complete);
 * explicit separators: metric Urysohn fields that are exactly 0/1 (or k)
   on the classes, defined on all of R^n.
 
@@ -16,7 +17,6 @@ that direction are mapped identically by the whole net.
 
 import math
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
@@ -30,32 +30,17 @@ from .errors import (
 )
 from .isomap import _require_finite_sq_dists, _sq_dist_blocks, graph_components, knn_graph
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
-from .numerics import as_matrix, make_rng, null_space_basis
+from .numerics import as_matrix, null_space_basis
 
 TIE_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
 
-# core-set iterations for the high-dimensional MEB fallback; after k steps
-# the center is within r_opt/sqrt(k) of optimal, so 10^4 bounds the radius
-# slack at 1%.  All 10^4 steps run, but most of them evaluate only the few
-# points that can still be farthest (see _coreset_ball).
-_MEB_ITERATIONS = 10_000
-# how far, as a fraction of the anchor's farthest distance, the center may
-# move from an anchor before every point is evaluated again (0.001 to 0.005
-# measured close on 4-D softmax outputs; 0.002 was best)
-_ANCHOR_BUDGET = 0.002
-# relative slack on both bounds of that test, far above the rounding of a
-# squared distance of at most 7 coordinates
-_ROUNDING_MARGIN = 1e-9
-# a step in Python floats costs about as much per candidate as a numpy step
-# costs per 16 points (4-D, measured), so when more than one point in 16 is
-# a candidate (points on a sphere, duplicated points) numpy steps run, and
-# the next anchor pass waits _ANCHOR_RETRY steps
-_POINTS_PER_CANDIDATE = 16
-_ANCHOR_RETRY = 32
-# numpy adds a row of up to 7 squares left to right, as the candidate steps
-# do; from 8 coordinates on it adds pairwise, so only numpy steps run there
-_SEQUENTIAL_SUM_DIMS = 7
+# within this fraction of the radius (its square, for the sphere) a point is
+# on the sphere or in the support's affine hull, and a center at its target
+_MEB_TOL = 1e-12
+# tested clouds (1-40 dimensions, up to 600 points) took at most 141 pivots;
+# a pivot that stalls in a degenerate position raises instead of looping
+_MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -167,139 +152,96 @@ def check_thm3(net, cloud):
     return SeparabilityReport(voronoi_ok=len(violations) == 0, violating_points=violations)
 
 
-def _circumball(boundary):
-    """Smallest ball with all boundary points on its surface."""
-    base = boundary[0]
-    if len(boundary) == 1:
-        return base.copy(), 0.0
-    rel = np.array([p - base for p in boundary[1:]])
-    a = 2.0 * (rel @ rel.T)
-    b = (rel * rel).sum(axis=1)
-    try:
-        alpha = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        alpha = np.linalg.lstsq(a, b, rcond=None)[0]
-    center = base + alpha @ rel
-    return center, float(np.linalg.norm(center - base))
+def _circumball(support):
+    """Circumcenter of affinely independent points, with its affine weights.
 
-
-def _welzl_ball(points):
-    """Exact Welzl move-to-front recursion (boundary sets stay <= dim+1)."""
-    dim = points.shape[1]
-    rng = make_rng(0x5EB1)  # fixed shuffle keeps the whole pipeline deterministic
-    pts = points[rng.permutation(points.shape[0])]
-
-    def outside(p, center, radius):
-        gap = p - center
-        return float(gap @ gap) > radius * radius * (1.0 + 1e-12) + 1e-30
-
-    def with_boundary(limit, boundary):
-        center, radius = _circumball(boundary)
-        if len(boundary) == dim + 1:
-            return center, radius
-        for i in range(limit):
-            if outside(pts[i], center, radius):
-                center, radius = with_boundary(i, boundary + [pts[i]])
-        return center, radius
-
-    center, radius = pts[0].copy(), 0.0
-    for i in range(1, pts.shape[0]):
-        if outside(pts[i], center, radius):
-            center, radius = with_boundary(i, [pts[i]])
-    return center, radius
-
-
-def _coreset_ball(points):
-    """Badoiu-Clarkson farthest-point iteration: containing, <= 1% radius slack.
-
-    Step i moves the center c to c + (p - c)/(i + 1), p the farthest point
-    (the first one on ties).  A step that evaluates every point is also an
-    anchor: with top the anchor's farthest distance and budget a small
-    fraction of it, the points nearer than top - 2*budget are dropped.
-    While c stays within budget of the anchor, each dropped point is, by the
-    triangle inequality, strictly nearer to c than the anchor's farthest
-    point, so the steps in between evaluate the remaining candidates only.
-    They repeat numpy's arithmetic in Python floats, so the argmax, its tie
-    and every bit of the center are those of evaluating every point.
+    Also returns an orthonormal basis of the directions of their affine
+    hull.  The center is the point of the hull equidistant from them all.
     """
-    n, dim = points.shape
-    center = points[0].astype(np.float64).copy()
-    # until step 1/_ANCHOR_BUDGET the anchor's own step leaves the budget
-    next_anchor = 1.0 / _ANCHOR_BUDGET if dim <= _SEQUENTIAL_SUM_DIMS else math.inf
-    i = 1
-    while i <= _MEB_ITERATIONS:
+    base = support[0]
+    rel = support[1:] - base
+    basis, tri = np.linalg.qr(rel.T)
+    # base + basis @ y is as far from each point base + rel[i] as from base
+    # exactly when 2 tri.T @ y = |rel[i]|^2
+    y = np.linalg.solve(2.0 * tri.T, (rel * rel).sum(axis=1))
+    alpha = np.linalg.solve(tri, y)
+    return base + basis @ y, np.concatenate([[1.0 - alpha.sum()], alpha]), basis
+
+
+def _pivot_ball(points):
+    """Minimum enclosing ball by the pivot of Fischer, Gaertner & Kutz (ESA 2003).
+
+    The ball around the center always contains every point and has the
+    support T, affinely independent points, on its sphere.  A pivot walks
+    the center toward T's circumcenter, which keeps T on the shrinking
+    sphere, until the first point reaches it and joins T.  At the
+    circumcenter the support point with the smallest affine weight leaves
+    T, until every weight is positive: the center is then a convex
+    combination of equidistant support points, which makes the ball the
+    minimum.  Points that reach the sphere at the same moment (on a sphere
+    that already holds them, say) are taken in order of how fast the walk
+    approaches them, then by index: the first index alone stalls on such
+    clouds.  Returns (center, support indices, pivots).
+    """
+    center = points[0]
+    gaps = points - center
+    support = [int(np.argmax((gaps * gaps).sum(axis=1)))]
+    for pivots in range(_MAX_PIVOTS):
+        target, weights, basis = _circumball(points[support])
+        walk = target - center
         gaps = points - center
         sq = (gaps * gaps).sum(axis=1)
-        far = int(np.argmax(sq))
-        anchor = center  # the step below makes a new array
-        center = center + (points[far] - center) / (i + 1.0)
-        i += 1
-        if i < next_anchor:
+        r2 = float(sq[support].max())
+        step, radius = math.sqrt(walk @ walk), math.sqrt(r2)
+        if step <= _MEB_TOL * radius:
+            center = target
+            if weights.min() > 0.0:
+                return center, support, pivots
+            del support[int(np.argmin(weights))]
             continue
-        top = math.sqrt(sq[far])
-        budget = _ANCHOR_BUDGET * top
-        low = (top - 2.0 * budget) * (1.0 - _ROUNDING_MARGIN)
-        candidates = np.flatnonzero(sq >= low * low)
-        if len(candidates) * _POINTS_PER_CANDIDATE > n:
-            next_anchor = i + _ANCHOR_RETRY
-            continue
-        max_drift = budget * (1.0 - _ROUNDING_MARGIN)
-        rows = points[candidates].tolist()
-        center, i = _candidate_steps(
-            rows, center.tolist(), anchor.tolist(), max_drift * max_drift, i
-        )
-    return center
-
-
-def _candidate_steps(rows, center, anchor, max_drift_sq, i):
-    """Farthest-point steps over rows while |center - anchor|^2 <= max_drift_sq.
-
-    Returns (center as an array, next step).  Squares are written g * g
-    (``**`` raises OverflowError) and summed left to right: numpy's row sum
-    for up to 7 coordinates.
-    """
-    while i <= _MEB_ITERATIONS:
-        drift = 0.0
-        for g in map(sub, center, anchor):
-            drift += g * g
-        if drift > max_drift_sq:
-            break
-        best = -1.0
-        for row in rows:
-            dist = 0.0
-            for g in map(sub, row, center):
-                dist += g * g
-            if dist > best:
-                best, far_row = dist, row
-        step = i + 1.0
-        center = [c + (p - c) / step for p, c in zip(far_row, center)]
-        i += 1
-    return np.array(center), i
+        # along center + t * walk the sphere stays on T and reaches point p
+        # at t = slack / (2 * ahead), ahead = walk . (q - p) for q in T
+        dots = points @ walk
+        ahead = dots[support].max() - dots
+        slack = r2 - sq
+        slack[slack <= _MEB_TOL * r2] = 0.0
+        reach = np.full(len(points), np.inf)
+        blocks = ahead > _MEB_TOL * step * radius
+        reach[blocks] = 0.5 * slack[blocks] / ahead[blocks]
+        while True:
+            ties = np.flatnonzero(reach == reach.min())
+            stopper = int(ties[np.argmax(ahead[ties])])
+            if reach[stopper] >= 1.0:
+                center = target
+                break
+            off = points[stopper] - points[support[0]]
+            off -= basis @ (basis.T @ off)
+            if math.sqrt(off @ off) > _MEB_TOL * radius:
+                center = center + reach[stopper] * walk
+                support.append(stopper)
+                break
+            reach[stopper] = np.inf  # affinely dependent on T: never enters
+    raise NumericalError(f"minimum enclosing ball: no optimum after {_MAX_PIVOTS} pivots")
 
 
 def min_enclosing_ball(points):
-    """Smallest ball containing the points.
+    """Smallest ball containing the points, exact in every dimension.
 
-    Exact (Welzl) for dim <= 3; for higher dimensions the Badoiu-Clarkson
-    core-set iteration (10^4 farthest-point steps, most of them over the few
-    points that can still be farthest), whose radius is within 1% of
-    optimal.  Containment is guaranteed in both paths: the radius is the max
-    distance from the returned center.  Points whose squared distances
-    overflow float64 raise ``NumericalError``.
+    The pivot runs on the points less the first one, so the center keeps
+    the digits of the points' spread, not of their offset.  Containment is
+    guaranteed: the radius is the max distance from the returned center.
+    Points whose squared distances overflow float64 raise
+    ``NumericalError``.
     """
     pts = as_matrix(points, "points")
     if pts.shape[0] == 0:
         raise EmptyInputError("min_enclosing_ball needs at least one point")
-    # twice the squared bounding-box diagonal bounds every squared gap either
-    # path forms, Welzl's doubled Gram entries included
+    # twice the squared bounding-box diagonal bounds every squared gap, Gram
+    # entry and walk product the pivot forms
     _require_finite_sq_dists(pts, pts)
-    if pts.shape[1] <= 3:
-        center, radius = _welzl_ball(pts)
-    else:
-        center = _coreset_ball(pts)
-        radius = 0.0
+    center = _pivot_ball(pts - pts[0])[0] + pts[0]
     gaps = pts - center
-    radius = max(radius, float(np.sqrt((gaps * gaps).sum(axis=1).max())))
+    radius = float(np.sqrt((gaps * gaps).sum(axis=1).max()))
     return Disc(center=center, radius=radius)
 
 

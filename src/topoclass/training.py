@@ -10,6 +10,8 @@ A numpy reduction over the short class axis runs one inner loop per row, so
 the softmax, the picked probability and the epoch's strict argmax reduce
 over it column by column, in class order: numpy's ``sum(axis=-1)`` order up
 to 7 classes, while from 8 on numpy unrolls and may differ in the last bits.
+The loss is computed once per epoch, from the probabilities every batch
+left in one buffer, with the same sums in the same order as per batch.
 """
 
 import csv
@@ -154,29 +156,23 @@ class _NetStack:
         )
 
 
-def _batch_backward(stack, xs, targets):
+def _batch_backward(stack, xs, targets, probs=None):
     """Fill ``stack.grads`` with each net's gradient summed over the batch.
 
     ``xs`` is (S, B, in) and ``targets`` the one-hot labels, (S, B, classes).
-    Returns each net's loss sum, shape (S,).
+    The softmax probabilities are written into ``probs`` when it is given.
     """
     layers, grads = stack.layers, stack.grads
     acts, zs = [xs], []  # every activation (input first) and every z
     for layer in layers:
-        z, a = _apply_layer(layer, acts[-1])
+        z, a = _apply_layer(layer, acts[-1], out=probs)
         zs.append(z)
         acts.append(a)
-    probs = acts[-1]
-    # exact: a row of probs is all NaN or >= 0, so all terms but the label's are +0.0
-    picked = reduce(np.add, _columns(probs * targets))[..., 0]
-    # a probability of 0 gives an infinite loss: run under
-    # np.errstate(divide="ignore") and check the result
-    loss_sums = -np.log(picked).sum(axis=1)
 
-    delta = probs - targets
+    delta = acts[-1] - targets
     for i in range(len(layers) - 1, -1, -1):
         np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads[i].weight)
-        delta.sum(axis=1, keepdims=True, out=grads[i].bias)
+        np.add.reduce(delta, axis=1, keepdims=True, out=grads[i].bias)
         if i > 0:
             delta = delta @ layers[i].weight
             prev_act = layers[i - 1].activation
@@ -185,7 +181,6 @@ def _batch_backward(stack, xs, targets):
                 delta *= zs[i - 1] > 0.0
             elif prev_act != IDENTITY:
                 raise ConfigError("softmax below the final layer is not differentiable here")
-    return loss_sums
 
 
 def gradients(net, x, label):
@@ -195,9 +190,8 @@ def gradients(net, x, label):
     if not 0 <= label < net.output_dim:
         raise IndexError(f"label {label} out of range for {net.output_dim} classes")
     stack = _NetStack.of([net])
-    with np.errstate(divide="ignore"):
-        targets = np.eye(net.output_dim)[np.array([[label]])]
-        _batch_backward(stack, x[np.newaxis, np.newaxis, :], targets)
+    targets = np.eye(net.output_dim)[np.array([[label]])]
+    _batch_backward(stack, x[np.newaxis, np.newaxis, :], targets)
     return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
 
 
@@ -245,14 +239,31 @@ def _require_finite(epoch, epoch_loss, stack, live, cfgs):
 def _sgd_epoch(stack, xs, targets, lr, batch_size):
     """One pass over the (S, n) shuffled points and one-hot targets, in place.
 
-    Returns each net's summed per-sample loss.
+    Returns each net's summed per-sample loss.  The batches write their
+    probabilities into one (S, n, classes) buffer, and the loss is taken
+    from it once: each batch's log-probabilities are summed as one
+    contiguous row (numpy's pairwise sum), and the sums are subtracted in
+    batch order, which adds their negations bit for bit, as when each batch
+    returned its own loss.
     """
-    epoch_loss = np.zeros(xs.shape[0])
-    for start in range(0, xs.shape[1], batch_size):
-        stop = min(start + batch_size, xs.shape[1])
-        epoch_loss += _batch_backward(stack, xs[:, start:stop], targets[:, start:stop])
+    nets, n = xs.shape[:2]
+    probs = np.empty(targets.shape)
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        _batch_backward(stack, xs[:, start:stop], targets[:, start:stop], probs[:, start:stop])
         stack.grad *= lr / (stop - start)
         stack.params -= stack.grad
+    # exact: a row of probs is all NaN or >= 0, so all terms but the label's
+    # are +0.0; a probability of 0 gives an infinite loss: run under
+    # np.errstate(divide="ignore") and check the result
+    logs = np.log(reduce(np.add, _columns(probs * targets))[..., 0])
+    full = n - n % batch_size
+    batch_sums = list(logs[:, :full].reshape(nets, -1, batch_size).sum(axis=2).T)
+    if full < n:
+        batch_sums.append(logs[:, full:].sum(axis=1))
+    epoch_loss = np.zeros(nets)
+    for batch_sum in batch_sums:
+        epoch_loss -= batch_sum
     return epoch_loss
 
 

@@ -6,14 +6,16 @@ below, verbatim, as the oracle: ``_softmax_rows``, ``strict_argmax_batch``,
 ``_apply_layer``, ``_batch_backward`` (integer labels, fancy indexing),
 ``_sgd_epoch`` and the ``train_many`` loop.  Training must match it bit
 for bit for up to 7 classes; numpy sums 8 or more columns in an unrolled
-order, so there softmax is only checked to within 4 ulp.
+order, so there softmax is only checked to within 4 ulp.  The oracle's
+``_batch_backward`` returns each batch's loss, where training takes the
+loss of every batch once per epoch; the histories still match bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from topoclass.data import LabeledPointCloud
-from topoclass.errors import ConfigError
+from topoclass.errors import ConfigError, NumericalError
 from topoclass.network import (
     IDENTITY,
     RELU,
@@ -21,6 +23,7 @@ from topoclass.network import (
     LayerSpec,
     Mlp,
     build_relu_net,
+    forward_batch,
 )
 from topoclass.network import _softmax_rows as new_softmax_rows
 from topoclass.network import strict_argmax_batch as new_strict_argmax_batch
@@ -181,6 +184,13 @@ def blobs(class_count, n_per_class, seed, dim=2):
     return LabeledPointCloud(dim=dim, points=points, labels=labels, class_count=class_count)
 
 
+def saturated_net(seed):
+    """A head large enough that softmax rounds to exactly 1.0 on some points."""
+    relu, head = build_relu_net((2, 6, 2), make_rng(seed)).layers
+    weight = make_rng(seed + 100).uniform(-1, 1, (2, 6)) * 40.0
+    return Mlp((relu, LayerSpec(weight, head.bias, SOFTMAX)))
+
+
 def identity_net(seed):
     relu, _, head = build_relu_net((2, 4, 3, 3), make_rng(seed)).layers
     rng = make_rng(seed + 100)
@@ -190,7 +200,8 @@ def identity_net(seed):
 
 # (nets, cloud, configs): class counts 1-4 and 7, an identity hidden
 # layer, stacks of 1 and 5 with nets that leave early, batch sizes 1, 7,
-# 32 and past n
+# 32 and past n (7 and 32 both dividing n and not), and probabilities of
+# exactly 1.0, whose loss terms are -0.0
 CASES = {
     "1-class": lambda: (
         [build_relu_net((2, 3, 1), make_rng(s)) for s in range(2)],
@@ -225,6 +236,24 @@ CASES = {
         blobs(3, 15, 6),
         [TrainConfig(epochs=8, batch_size=7, seed=s, target_accuracy=None) for s in range(2)],
     ),
+    "3-class-batch-7-divides-n": lambda: (
+        [build_relu_net((2, 5, 3), make_rng(s)) for s in range(2)],
+        blobs(3, 14, 9),
+        [TrainConfig(epochs=5, batch_size=7, seed=s, target_accuracy=None) for s in range(2)],
+    ),
+    "2-class-batch-32-divides-n": lambda: (
+        [build_relu_net((2, 4, 2), make_rng(s)) for s in range(3)],
+        blobs(2, 32, 10),
+        [TrainConfig(epochs=5, batch_size=32, seed=s, target_accuracy=None) for s in range(3)],
+    ),
+    "saturated-softmax": lambda: (
+        [saturated_net(s) for s in range(3)],
+        blobs(2, 20, 12),
+        [
+            TrainConfig(epochs=6, batch_size=8, learning_rate=0.01, seed=s, target_accuracy=None)
+            for s in range(3)
+        ],
+    ),
     "paper-net-1-net": lambda: (
         [build_relu_net((2, 5, 5, 2, 2, 2, 2), make_rng(7))],
         blobs(2, 50, 7),
@@ -250,6 +279,28 @@ def test_cases_exercise_early_exits():
     nets, cloud, cfgs = CASES["2-class-5-nets-leave-early"]()
     runs = [history.epochs_run() for _, history in train_many(nets, cloud, cfgs)]
     assert min(runs) < 25 and max(runs) == 25
+
+
+def test_saturated_case_has_zero_loss_terms():
+    nets, cloud, _ = CASES["saturated-softmax"]()
+    for net in nets:
+        picked = forward_batch(net, cloud.points)[np.arange(len(cloud)), cloud.labels]
+        assert (picked == 1.0).any()
+
+
+def test_divergence_names_the_oracle_epoch_and_seed():
+    nets = [build_relu_net((2, 3, 2), make_rng(s)) for s in range(4)]
+    cloud = blobs(2, 10, 13)
+    cfgs = [
+        TrainConfig(epochs=60, batch_size=5, learning_rate=8.0, seed=s, target_accuracy=None)
+        for s in range(4)
+    ]
+    with pytest.raises(NumericalError) as got:
+        train_many(nets, cloud, cfgs)
+    with pytest.raises(NumericalError) as want:
+        oracle_train_many(nets, cloud, cfgs)
+    assert str(got.value) == str(want.value)
+    assert "epoch 2 of the net with seed 2" in str(got.value)
 
 
 def _softmax_inputs(class_count):

@@ -378,6 +378,7 @@ class TestExitCodes:
             ["--grid-size", MAX_GRID_SIZE + 1],
             ["--grid-extent", "nan"],
             ["--grid-extent", "inf"],
+            ["--grid-extent", "1e308"],
             ["--grid-extent", -1],
             ["--grid-extent", 0],
         ],

@@ -17,6 +17,12 @@ epochs and epochs <= 0; batch sizes of 0 and past the point count; target
 accuracies of 0, nan, above 1 and subnormal; empty, zero, non-integer,
 oversized and mismatched ``--dims`` and ``--widths``; and seeds below 0 or
 at 2^64 and past.  Each call must return 0, 1 or 2.
+
+So do the numeric flags of ``urysohn`` (``--grid-size``, ``--grid-extent``)
+and ``witness`` (``--inner-r``, ``--outer-r``) at 0, negative, subnormal,
+1e154, 1e308, inf and nan, and ``check-sep --format`` and ``--out`` with
+unknown formats and paths that cannot be written: each call must return
+0, 1, 2 or 3.
 """
 
 import json
@@ -24,7 +30,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from topoclass.cli import main
@@ -98,9 +104,17 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("corrupt")
     model = root / "model.json"
     save_model(build_paper_net(make_rng(0)), model)
+    bottleneck = root / "bottleneck.json"
+    save_model(build_relu_net((2, 1, 2), make_rng(1)), bottleneck)
     clean = root / "clean.json"
     clean.write_text(json.dumps(BASE_PAYLOAD), encoding="utf-8")
-    return {"root": root, "model": model, "data": root / "data.json", "clean": clean}
+    return {
+        "root": root,
+        "model": model,
+        "bottleneck": bottleneck,
+        "data": root / "data.json",
+        "clean": clean,
+    }
 
 
 def _corrupt(mutations):
@@ -292,4 +306,50 @@ def test_sweep_flags_end_in_a_documented_exit_code(files, flags, epochs, widths,
     out = files["root"] / "flags_sweep.csv"
     argv = ["sweep-bottleneck", files["clean"], f"--epochs={epochs}", *optional, *flags, "-o", out]
     assert _exit_code(argv) in {0, 1, 2}
+    capsys.readouterr()
+
+
+# 0, negative, subnormal, huge, infinite and nan values of a numeric flag
+NUMBERS = ["0", "-2.5", "-1e308", "5e-324", "1e154", "1e308", "inf", "nan"]
+FLAG_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@FLAG_SETTINGS
+@given(size=st.sampled_from(NUMBERS + ["1", "5"]), extent=st.sampled_from(NUMBERS + ["2.5"]))
+@example(size="5", extent="1e308")  # 2 * extent overflows linspace's span
+def test_urysohn_grid_flags_end_in_a_documented_exit_code(files, size, extent, capsys):
+    out = files["root"] / "grid"
+    argv = ["urysohn", files["clean"], f"--grid-size={size}", f"--grid-extent={extent}"]
+    assert _exit_code([*argv, "--out-dir", out]) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+@FLAG_SETTINGS
+@given(
+    inner=st.none() | st.sampled_from(NUMBERS + ["0.5"]),
+    outer=st.none() | st.sampled_from(NUMBERS + ["1.5"]),
+)
+def test_witness_radius_flags_end_in_a_documented_exit_code(files, inner, outer, capsys):
+    flags = [f"--inner-r={inner}"] * (inner is not None) + [f"--outer-r={outer}"] * (
+        outer is not None
+    )
+    assert _exit_code(["witness", files["bottleneck"], *flags]) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+@FLAG_SETTINGS
+@given(
+    fmt=st.none() | st.sampled_from(["json", "csv", "xml", ""]),
+    out=st.none() | st.sampled_from(["", "report.out", ".", "missing/report.out"]),
+)
+def test_check_sep_output_flags_end_in_a_documented_exit_code(files, fmt, out, capsys):
+    flags = [f"--format={fmt}"] * (fmt is not None)
+    if out is not None:
+        flags.append(f"--out={files['root'] / out if out else ''}")
+    argv = ["check-sep", files["model"], files["clean"], *flags]
+    assert _exit_code(argv) in DOCUMENTED_EXIT_CODES
     capsys.readouterr()

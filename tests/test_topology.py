@@ -1,5 +1,4 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,12 +131,13 @@ class TestMinEnclosingBall:
             assert disc.radius >= gaps.max() / 2.0
 
     def test_high_dim_fallback_slack(self):
-        # +-2 e_i in R^5: optimal ball is radius 2 at the origin
+        # +-2 e_i in R^5: optimal ball is radius 2 at the origin, with no slack
         cross = np.concatenate([2.0 * np.eye(5), -2.0 * np.eye(5)])
         disc = min_enclosing_ball(cross)
         gaps = np.linalg.norm(cross - disc.center, axis=1)
-        assert (gaps <= disc.radius + 1e-9).all()
-        assert disc.radius <= 2.0 * 1.01
+        assert (gaps <= disc.radius).all()
+        assert abs(disc.radius - 2.0) <= 2.0 * 1e-12
+        assert np.abs(disc.center).max() <= 1e-12
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -146,8 +146,8 @@ class TestMinEnclosingBall:
     @pytest.mark.parametrize(
         "points",
         [
-            [[1e308, 0.0], [-1e308, 0.0]],  # Welzl path
-            [[1e200, 0.0, 0.0, 0.0], [0.0, 1e200, 0.0, 0.0]],  # core-set path
+            [[1e308, 0.0], [-1e308, 0.0]],  # 2-D
+            [[1e200, 0.0, 0.0, 0.0], [0.0, 1e200, 0.0, 0.0]],  # 4-D
         ],
     )
     def test_overflowing_distances_raise_without_warning(self, points):
@@ -156,23 +156,99 @@ class TestMinEnclosingBall:
             with pytest.raises(NumericalError):
                 min_enclosing_ball(np.array(points))
 
+    def test_stalled_pivot_raises(self, monkeypatch):
+        monkeypatch.setattr(topology, "_MAX_PIVOTS", 1)
+        with pytest.raises(NumericalError):
+            min_enclosing_ball(_hard_cloud("sphere"))
+
 
 def farthest_point_oracle(points):
-    """The core-set loop evaluating every point at every step."""
+    """1000 Badoiu-Clarkson steps toward the farthest point: an upper bound on the radius."""
     center = points[0].copy()
-    for i in range(1, topology._MEB_ITERATIONS + 1):
+    for i in range(1, 1001):
         gaps = points - center
         far = int(np.argmax((gaps * gaps).sum(axis=1)))
         center += (points[far] - center) / (i + 1.0)
-    return center
-
-
-def assert_matches_oracle(points):
-    disc = min_enclosing_ball(points)
-    center = farthest_point_oracle(points)
-    assert np.array_equal(disc.center, center)
     gaps = points - center
-    assert disc.radius == float(np.sqrt((gaps * gaps).sum(axis=1).max()))
+    return float(np.sqrt((gaps * gaps).sum(axis=1).max()))
+
+
+def _circumball(boundary):
+    """Smallest ball with all boundary points on its surface."""
+    base = boundary[0]
+    if len(boundary) == 1:
+        return base.copy(), 0.0
+    rel = np.array([p - base for p in boundary[1:]])
+    a = 2.0 * (rel @ rel.T)
+    b = (rel * rel).sum(axis=1)
+    try:
+        alpha = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        alpha = np.linalg.lstsq(a, b, rcond=None)[0]
+    center = base + alpha @ rel
+    return center, float(np.linalg.norm(center - base))
+
+
+def _welzl_ball(points):
+    """Exact Welzl move-to-front recursion (boundary sets stay <= dim+1)."""
+    dim = points.shape[1]
+    rng = make_rng(0x5EB1)  # fixed shuffle keeps the whole pipeline deterministic
+    pts = points[rng.permutation(points.shape[0])]
+
+    def outside(p, center, radius):
+        gap = p - center
+        return float(gap @ gap) > radius * radius * (1.0 + 1e-12) + 1e-30
+
+    def with_boundary(limit, boundary):
+        center, radius = _circumball(boundary)
+        if len(boundary) == dim + 1:
+            return center, radius
+        for i in range(limit):
+            if outside(pts[i], center, radius):
+                center, radius = with_boundary(i, boundary + [pts[i]])
+        return center, radius
+
+    center, radius = pts[0].copy(), 0.0
+    for i in range(1, pts.shape[0]):
+        if outside(pts[i], center, radius):
+            center, radius = with_boundary(i, [pts[i]])
+    return center, radius
+
+
+def assert_exact_ball(points):
+    """Containment, the optimality certificate and both oracles; returns the pivots.
+
+    The certificate is checked where the pivot computes it, on the points
+    less the first one: the support points are equidistant from the center
+    within a relative 1e-12, no point is farther, and the center is a
+    convex combination of them (weights >= -1e-12).
+    """
+    n, dim = points.shape
+    disc = min_enclosing_ball(points)
+    gaps = points - disc.center
+    assert np.sqrt((gaps * gaps).sum(axis=1)).max() == disc.radius
+
+    rel = points - points[0]
+    center, support, pivots = topology._pivot_ball(rel)
+    assert np.array_equal(disc.center, center + points[0])
+    assert len(set(support)) == len(support) <= dim + 1
+    dists = np.sqrt(((rel - center) ** 2).sum(axis=1))
+    radius = dists[support].max()
+    assert dists[support].min() >= radius * (1.0 - 1e-12)
+    assert dists.max() <= radius * (1.0 + 1e-12)
+    base = rel[support[0]]
+    spans = rel[support[1:]] - base
+    tail = np.linalg.lstsq(spans.T, center - base, rcond=None)[0]
+    assert np.linalg.norm(base + tail @ spans - center) <= 1e-12 * radius
+    assert np.append(1.0 - tail.sum(), tail).min() >= -1e-12
+
+    assert disc.radius <= farthest_point_oracle(points) * (1.0 + 1e-12)
+    if dim <= 5:
+        welzl_center, _ = _welzl_ball(points)
+        gaps = points - welzl_center
+        welzl_radius = float(np.sqrt((gaps * gaps).sum(axis=1).max()))
+        assert abs(disc.radius - welzl_radius) <= 1e-9 * welzl_radius
+    return pivots
 
 
 def _hard_cloud(name):
@@ -180,6 +256,9 @@ def _hard_cloud(name):
     if name == "sphere":
         pts = rng.standard_normal((300, 6))
         return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    if name == "cospherical":  # 58 points on a sphere around a point off the origin
+        pts = rng.standard_normal((58, 30))
+        return 3.0 * pts / np.linalg.norm(pts, axis=1, keepdims=True) + 5.0
     if name == "duplicated":
         return np.repeat(rng.standard_normal((5, 6)), 20, axis=0)
     if name == "offset":
@@ -194,11 +273,13 @@ def _hard_cloud(name):
 
 
 class TestCoresetBall:
-    """The core-set MEB skips points but keeps the full iteration's bits."""
+    """The exact ball and its core set, the support: the ball of the support
+    alone is the ball of every point."""
 
     @pytest.fixture(scope="class")
     def softmax_outputs(self):
-        # the tour's 4-class leg: a 2,16,16,4 net trained on 4-band shells
+        # the tour's 4-class leg: a 2,16,16,4 net trained on 4-band shells;
+        # outputs sum to 1, so each 4-D class is affinely 3-D
         bands = ((0.0, 0.5), (1.0, 1.5), (2.0, 2.5), (3.0, 3.5))
         cloud = gen_nested_shells(2, bands, 100, 0)
         net, _ = train(build_relu_net((2, 16, 16, 4), make_rng(0)), cloud, TrainConfig(seed=0))
@@ -207,21 +288,33 @@ class TestCoresetBall:
 
     def test_softmax_outputs_match_oracle(self, softmax_outputs):
         for outputs in softmax_outputs:
-            assert_matches_oracle(outputs)
+            assert assert_exact_ball(outputs) <= 10 * (outputs.shape[1] + 1)
 
     @pytest.mark.parametrize(
         "name",
-        ["sphere", "duplicated", "offset", "cross", "grid"]
+        ["sphere", "cospherical", "duplicated", "offset", "cross", "grid"]
         + [f"gaussian{d}" for d in range(4, 10)],
     )
     def test_hard_clouds_match_oracle(self, name):
-        assert_matches_oracle(_hard_cloud(name))
+        points = _hard_cloud(name)
+        assert assert_exact_ball(points) <= 10 * (points.shape[1] + 1)
 
-    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("dim", [5, 8, 16, 40])
+    def test_points_on_a_sphere(self, dim):
+        # every point is on the sphere, and the origin is inside their hull,
+        # so the unit sphere is the minimum and every point ties for the support
+        points = make_rng(dim).standard_normal((300, dim))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        assert assert_exact_ball(points) <= 10 * (dim + 1)
+        disc = min_enclosing_ball(points)
+        assert abs(disc.radius - 1.0) <= 1e-12
+        assert np.linalg.norm(disc.center) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
     @given(
-        dim=st.integers(4, 9),
+        dim=st.integers(1, 40),
         n=st.integers(1, 80),
-        kind=st.sampled_from(["normal", "grid", "duplicated"]),
+        kind=st.sampled_from(["normal", "grid", "duplicated", "cospherical", "cube", "flat"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_clouds_match_oracle(self, dim, n, kind, seed):
@@ -230,34 +323,18 @@ class TestCoresetBall:
             pts = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3)
         elif kind == "grid":  # integer coordinates: many exactly tied distances
             pts = rng.integers(-2, 3, (n, dim)).astype(np.float64)
-        else:
+        elif kind == "duplicated":
             pts = rng.standard_normal((n, dim))[rng.integers(0, max(1, n // 4), n)]
-        # fewer steps keep the example fast; candidate steps start at step 500
-        with mock.patch.object(topology, "_MEB_ITERATIONS", 1500):
-            assert_matches_oracle(pts)
-
-    def test_candidate_steps_stop_when_the_center_leaves_the_budget(self):
-        rows = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
-        start = [0.0] * 4
-        # a zero budget allows one step away from the anchor
-        center, i = topology._candidate_steps(rows, start, start, 0.0, 600)
-        assert i == 601
-        # the two rows tie, and the first one wins, as in np.argmax
-        assert center.tolist() == [1.0 / 601.0, 0.0, 0.0, 0.0]
-
-    def test_row_sum_is_left_to_right_up_to_seven_coordinates(self):
-        # the premise of the candidate steps: for rows of at most 7 squares,
-        # numpy's row sum is the sequential sum the Python steps compute
-        rng = make_rng(22)
-        for dim in range(1, topology._SEQUENTIAL_SUM_DIMS + 1):
-            gaps = rng.standard_normal((2000, dim)) * 10.0 ** rng.integers(-8, 9, (2000, dim))
-            sequential = []
-            for row in gaps.tolist():
-                total = 0.0
-                for g in row:
-                    total += g * g
-                sequential.append(total)
-            assert np.array_equal((gaps * gaps).sum(axis=1), np.array(sequential)), dim
+        elif kind == "cospherical":  # on one sphere around a point off the origin
+            pts = rng.standard_normal((n, dim))
+            pts = 3.0 * pts / np.linalg.norm(pts, axis=1, keepdims=True) + 5.0
+        elif kind == "cube":  # hypercube vertices: on one sphere and on a grid
+            pts = rng.choice([-1.0, 1.0], (n, dim))
+        else:  # affinely degenerate: a random flat of lower dimension
+            k = int(rng.integers(0, dim))
+            flat = rng.standard_normal((n, k)) @ rng.standard_normal((k, dim))
+            pts = flat + rng.standard_normal(dim)
+        assert assert_exact_ball(pts) <= 10 * (dim + 1)
 
 
 class TestDiscSeparation:
