@@ -44,6 +44,8 @@ EXIT_NOT_APPLICABLE = 3
 MAX_GRID_SIZE = 1024
 MAX_WIDTH = 1024  # training holds every net's activations on every point at once
 MAX_SEEDS = 100
+# gen holds every coordinate and its JSON text in memory: about 0.5 GB at 10^7
+MAX_COORDINATES = 10**7
 
 
 def _sweep_dims(in_dim, width, class_count):
@@ -76,10 +78,17 @@ def _parse_widths(text, flag):
 
 
 def cmd_gen(args):
+    bands = None if args.annulus else _parse_bands(args.bands)
+    dim, classes = (2, 2) if args.annulus else (args.dim, len(bands))
+    if args.n * classes * dim > MAX_COORDINATES:
+        raise SpecError(
+            f"--n {args.n} points per class, {classes} classes in R^{dim}: more than "
+            f"{MAX_COORDINATES} coordinates"
+        )
     if args.annulus:
         cloud = data_mod.gen_annulus2d(args.n, args.seed)
     else:
-        cloud = data_mod.gen_nested_shells(args.dim, _parse_bands(args.bands), args.n, args.seed)
+        cloud = data_mod.gen_nested_shells(dim, bands, args.n, args.seed)
     data_mod.save_cloud(cloud, args.out)
     if args.csv:
         data_mod.cloud_to_csv(cloud, args.csv)
@@ -131,6 +140,8 @@ def _project_stage(points, k_start):
 
 
 def cmd_trace(args):
+    if args.knn < 1:
+        raise SpecError(f"--knn must be >= 1, got {args.knn}")
     net = net_mod.load_model(args.model)
     cloud = data_mod.load_cloud(args.data)
     trace = net_mod.forward_trace(net, cloud, include_pre=args.include_pre)

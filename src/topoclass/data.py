@@ -25,6 +25,10 @@ from .numerics import make_rng
 ANNULUS_INNER_RADIUS = 0.9
 ANNULUS_OUTER_MIN_RADIUS = 1.0
 ANNULUS_OUTER_MAX_RADIUS = 2.0
+# a band's outer radius lies in this range, so that squared norms neither
+# underflow (a band of radius 1e-320 never accepts a point) nor overflow
+MIN_OUTER_RADIUS = 1e-150
+MAX_OUTER_RADIUS = 1e150
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,10 @@ def _band_acceptance(dim, lo, hi):
         unit_ball = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
         band = unit_ball * (hi**dim - lo**dim)
         return band / (2.0 * hi) ** dim
-    except OverflowError:
-        # gamma overflows past dim 341 (and hi**dim for large hi), where
-        # the true fraction is far below the sampler's switch point
+    except (OverflowError, ZeroDivisionError):
+        # gamma overflows past dim 341, where the true fraction is far below
+        # the sampler's switch point; hi**dim overflows, or (2 hi)**dim
+        # underflows, for far or tiny bands: there radial draws take over
         return 0.0
 
 
@@ -164,6 +169,11 @@ def gen_nested_shells(dim, bands, samples_per_class, seed):
     for lo, hi in bands:
         if not (0.0 <= lo <= hi) or hi <= 0.0:
             raise SpecError(f"band ({lo}, {hi}) is not a valid radius range")
+        if not MIN_OUTER_RADIUS <= hi <= MAX_OUTER_RADIUS:
+            raise SpecError(
+                f"band ({lo}, {hi}) needs an outer radius in "
+                f"[{MIN_OUTER_RADIUS:g}, {MAX_OUTER_RADIUS:g}]"
+            )
         if prev_hi is not None and lo <= prev_hi:
             raise SpecError("bands must be increasing and separated by gaps")
         prev_hi = hi

@@ -108,10 +108,65 @@ def _columns(a):
     return [a[..., j : j + 1] for j in range(a.shape[-1])]
 
 
-def _softmax_rows(z, out=None):
+def _maximum(a, b, out):
+    # np.maximum takes ``out`` only by keyword (a third positional is deprecated)
+    return np.maximum(a, b, out=out)
+
+
+def _fold_columns(ufunc, a, out):
+    """Calls that fold ``a``'s class columns into ``out`` in class order.
+
+    Returns (calls, folded): ``folded`` is ``out``, or ``a``'s one column.
+    """
+    cols = _columns(a)
+    if len(cols) == 1:
+        return [], cols[0]
+    return [(ufunc, (cols[0], cols[1], out))] + [(ufunc, (out, col, out)) for col in cols[2:]], out
+
+
+def _softmax_buffers(shape):
+    """Scratch for a softmax over rows of ``shape``: their max, exps and sum."""
+    column = shape[:-1] + (1,)
+    return np.empty(column), np.empty(shape), np.empty(column)
+
+
+def _softmax_calls(z, buffers, probs):
     # maximum and sum over the class axis by columns, in class order (see training)
-    e = np.exp(z - reduce(np.maximum, _columns(z)))
-    return np.divide(e, reduce(np.add, _columns(e)), out=out)
+    top, exps, total = buffers
+    fold, top = _fold_columns(_maximum, z, top)
+    calls = fold + [(np.subtract, (z, top, exps)), (np.exp, (exps, exps))]
+    fold, total = _fold_columns(np.add, exps, total)
+    return calls + fold + [(np.divide, (exps, total, probs))]
+
+
+def _layer_calls(layer, below, z, act, softmax=None):
+    """A layer applied to ``below`` as a list of (ufunc, args) calls.
+
+    The one place a layer's arithmetic is written: evaluation runs the
+    calls at once (``_apply_layer``), training builds them into its epoch.
+    They write the pre-activation into ``z`` and the activation into
+    ``act``, which may be ``z`` itself and is ``z`` for identity; a
+    softmax layer also needs ``softmax``, from ``_softmax_buffers(z.shape)``.
+    Works on one layer (weight (out, in), bias (out,)) or on a stack of S
+    layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.
+    """
+    calls = [(np.matmul, (below, layer.weight_t, z)), (np.add, (z, layer.bias, z))]
+    if layer.activation == RELU:
+        calls.append((_maximum, (z, 0.0, act)))
+    elif layer.activation == SOFTMAX:
+        calls += _softmax_calls(z, softmax, act)
+    return calls
+
+
+def _run(calls):
+    for f, args in calls:
+        f(*args)
+
+
+def _softmax_rows(z):
+    probs = np.empty(z.shape)
+    _run(_softmax_calls(z, _softmax_buffers(z.shape), probs))
+    return probs
 
 
 def softmax(v):
@@ -126,21 +181,15 @@ def softmax(v):
     return _softmax_rows(v[np.newaxis, :])[0]
 
 
-def _apply_layer(layer, acts, out=None):
-    """The one place a layer is applied: returns (pre-activation z, activation).
-
-    Works on one layer (weight (out, in), bias (out,)) or on a stack of S
-    layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.  A
-    softmax layer writes its probabilities into ``out`` when one is given;
-    the other activations ignore it.
-    """
-    z = acts @ layer.weight_t
-    z += layer.bias
-    if layer.activation == RELU:
-        return z, np.maximum(z, 0.0)
-    if layer.activation == SOFTMAX:
-        return z, _softmax_rows(z, out)
-    return z, z
+def _apply_layer(layer, acts):
+    """Apply a layer's calls to new arrays: returns (pre-activation z, activation)."""
+    weight_t = layer.weight_t
+    rows = np.broadcast_shapes(acts.shape[:-2], weight_t.shape[:-2]) + acts.shape[-2:-1]
+    z = np.empty(rows + weight_t.shape[-1:])
+    act = z if layer.activation == IDENTITY else np.empty(z.shape)
+    softmax = _softmax_buffers(z.shape) if layer.activation == SOFTMAX else None
+    _run(_layer_calls(layer, acts, z, act, softmax))
+    return z, act
 
 
 def forward_batch(net, xs):

@@ -38,6 +38,9 @@ SIMPLEX_TOL = 1e-9
 # within this fraction of the radius (its square, for the sphere) a point is
 # on the sphere or in the support's affine hull, and a center at its target
 _MEB_TOL = 1e-12
+# below this spread the squared gaps, and the 1e-12 fractions of them the
+# pivot compares, near float64's underflow (squares of 1e-170 round to 0)
+_TINY_SPREAD = 2.0**-256
 # tested clouds (1-40 dimensions, up to 600 points) took at most 141 pivots;
 # a pivot that stalls in a degenerate position raises instead of looping
 _MAX_PIVOTS = 10_000
@@ -228,10 +231,11 @@ def min_enclosing_ball(points):
     """Smallest ball containing the points, exact in every dimension.
 
     The pivot runs on the points less the first one, so the center keeps
-    the digits of the points' spread, not of their offset.  Containment is
-    guaranteed: the radius is the max distance from the returned center.
-    Points whose squared distances overflow float64 raise
-    ``NumericalError``.
+    the digits of the points' spread, not of their offset; a spread below
+    ``_TINY_SPREAD`` is scaled by a power of two (exactly) for the pivot and
+    the radius.  Containment is guaranteed: the radius is the max distance
+    from the returned center.  Points whose squared distances overflow
+    float64 raise ``NumericalError``.
     """
     pts = as_matrix(points, "points")
     if pts.shape[0] == 0:
@@ -239,9 +243,12 @@ def min_enclosing_ball(points):
     # twice the squared bounding-box diagonal bounds every squared gap, Gram
     # entry and walk product the pivot forms
     _require_finite_sq_dists(pts, pts)
-    center = _pivot_ball(pts - pts[0])[0] + pts[0]
-    gaps = pts - center
-    radius = float(np.sqrt((gaps * gaps).sum(axis=1).max()))
+    rel = pts - pts[0]
+    spread = float(np.abs(rel).max())
+    shift = -math.frexp(spread)[1] if 0.0 < spread < _TINY_SPREAD else 0
+    center = np.ldexp(_pivot_ball(np.ldexp(rel, shift))[0], -shift) + pts[0]
+    gaps = np.ldexp(pts - center, shift)
+    radius = math.ldexp(float(np.sqrt((gaps * gaps).sum(axis=1).max())), -shift)
     return Disc(center=center, radius=radius)
 
 

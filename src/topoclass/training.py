@@ -12,11 +12,31 @@ over it column by column, in class order: numpy's ``sum(axis=-1)`` order up
 to 7 classes, while from 8 on numpy unrolls and may differ in the last bits.
 The loss is computed once per epoch, from the probabilities every batch
 left in one buffer, with the same sums in the same order as per batch.
+
+A step's cost is numpy call overhead, not arithmetic: a ``2,1,2`` step is
+20 ufunc calls on arrays of 32-64 floats, a paper-net step 52.  So each
+stack builds its epoch once (``_Epoch``, rebuilt when nets leave) as a flat
+list of ``(ufunc, args)`` calls on buffers allocated once: the shuffled
+points, one-hot targets and probabilities of ``CHUNK_BATCHES`` batches,
+which ``np.take`` refills, and one set of step buffers per batch size,
+shared by all batches of that size.  Every view is made when the list is
+built, and a chunk is ``for f, args in calls: f(*args)``; a longer epoch
+runs one list for all its full chunks and one for the last, so the lists
+do not grow with the number of batches.  The forward calls come from
+``network._layer_calls``, which evaluation runs too.  ``gradients`` runs
+the same step calls on one point, without the update.
+
+Two choices keep the bits.  The relu mask is ``sign`` of the relu output,
+a float array that ``delta`` multiplies on numpy's same-type fast path (a
+bool mask casts).  It equals ``z > 0`` except where ``z`` is NaN, and then
+that net's loss for the epoch is NaN too, so training stops in the same
+epoch with the same error.  The per-batch loss sums are added in batch
+order by ``np.add.accumulate``: ``np.add.reduce`` would sum each net's
+contiguous row of batch sums pairwise, which differs in the last bits.
 """
 
 import csv
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -28,7 +48,10 @@ from .network import (
     LayerSpec,
     Mlp,
     _apply_layer,
-    _columns,
+    _fold_columns,
+    _layer_calls,
+    _run,
+    _softmax_buffers,
     forward_batch,
     strict_argmax_batch,
 )
@@ -156,31 +179,149 @@ class _NetStack:
         )
 
 
-def _batch_backward(stack, xs, targets, probs=None):
-    """Fill ``stack.grads`` with each net's gradient summed over the batch.
+def _step_buffers(stack, size):
+    """Per layer an activation and a delta of ``size`` rows; the softmax's scratch."""
+    nets, classes = len(stack.params), stack.template.output_dim
+    acts = [np.empty((nets, size, layer.weight.shape[1])) for layer in stack.layers]
+    deltas = [np.empty_like(a) for a in acts]
+    return acts, deltas, _softmax_buffers((nets, size, classes))
 
-    ``xs`` is (S, B, in) and ``targets`` the one-hot labels, (S, B, classes).
-    The softmax probabilities are written into ``probs`` when it is given.
+
+def _step_calls(stack, xs, targets, probs, buffers):
+    """One batch's forward and backward pass as a list of (ufunc, args) calls.
+
+    ``xs`` is (S, B, in), and ``targets`` (one-hot) and ``probs`` are
+    (S, B, classes); ``buffers`` come from ``_step_buffers(stack, B)``.  The
+    calls write the softmax probabilities into ``probs`` and each net's
+    gradient summed over the batch into ``stack.grads``.
     """
     layers, grads = stack.layers, stack.grads
-    acts, zs = [xs], []  # every activation (input first) and every z
-    for layer in layers:
-        z, a = _apply_layer(layer, acts[-1], out=probs)
-        zs.append(z)
-        acts.append(a)
+    acts, deltas, softmax = buffers
+    calls, below = [], xs
+    for layer, z in zip(layers, acts):
+        # a relu writes its output over z: the backward pass needs only that
+        act = probs if layer.activation == SOFTMAX else z
+        calls += _layer_calls(layer, below, z, act, softmax)
+        below = z
 
-    delta = acts[-1] - targets
+    delta = deltas[-1]
+    calls.append((np.subtract, (probs, targets, delta)))
     for i in range(len(layers) - 1, -1, -1):
-        np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads[i].weight)
-        np.add.reduce(delta, axis=1, keepdims=True, out=grads[i].bias)
+        below = acts[i - 1] if i > 0 else xs
+        calls += [
+            (np.matmul, (delta.swapaxes(-1, -2), below, grads[i].weight)),
+            (np.add.reduce, (delta, 1, None, grads[i].bias, True)),
+        ]
         if i > 0:
-            delta = delta @ layers[i].weight
+            calls.append((np.matmul, (delta, layers[i].weight, deltas[i - 1])))
+            delta = deltas[i - 1]
             prev_act = layers[i - 1].activation
             if prev_act == RELU:
-                # subgradient at exactly 0 is 0
-                delta *= zs[i - 1] > 0.0
+                # the relu's output, no longer needed, becomes its mask:
+                # sign(max(z, 0)) is 1.0 where z > 0, else 0.0 (NaN for NaN)
+                calls += [(np.sign, (below, below)), (np.multiply, (delta, below, delta))]
             elif prev_act != IDENTITY:
                 raise ConfigError("softmax below the final layer is not differentiable here")
+    return calls
+
+
+# An epoch of more batches than this runs one call list per chunk of this
+# many, so the lists' size stays bounded whatever the points per batch.
+CHUNK_BATCHES = 32
+
+
+class _Chunk:
+    """SGD steps over ``rows`` points of a stack, as a flat list of calls.
+
+    Batches of ``batch_size`` points, the last one shorter if it must.
+    The shuffled points ``xs`` (S, rows, in) and their one-hot ``targets``
+    are filled before each run, and ``probs`` keeps every batch's
+    probabilities (S, rows, classes); all batches of one size share the
+    step buffers in ``steps``.  Every view (batch slices, transposed
+    deltas, class columns) is made here, once, so a run allocates no
+    arrays.  The last calls leave each batch's summed log-probability of
+    the labels in ``sums`` (S, batches).
+    """
+
+    def __init__(self, stack, rows, batch_size, lr, steps):
+        nets, template = len(stack.params), stack.template
+        self.xs = np.empty((nets, rows, template.input_dim))
+        self.targets = np.empty((nets, rows, template.output_dim))
+        self.probs = np.empty_like(self.targets)
+        self.calls = []
+        for start in range(0, rows, batch_size):
+            stop = min(start + batch_size, rows)
+            size = stop - start
+            if size not in steps:
+                steps[size] = _step_buffers(stack, size)
+            batch = slice(start, stop)
+            self.calls += _step_calls(
+                stack, self.xs[:, batch], self.targets[:, batch], self.probs[:, batch], steps[size]
+            )
+            self.calls += [
+                (np.multiply, (stack.grad, lr / size, stack.grad)),
+                (np.subtract, (stack.params, stack.grad, stack.params)),
+            ]
+        self._loss_calls(rows, batch_size)
+
+    def _loss_calls(self, rows, batch_size):
+        # exact: a row of probs is all NaN or >= 0, so all terms but the
+        # label's are +0.0; a probability of 0 gives an infinite loss: run
+        # under np.errstate(divide="ignore") and check the result
+        nets, full = self.xs.shape[0], rows - rows % batch_size
+        batches = full // batch_size
+        logs = np.empty((nets, rows, 1))
+        fold, picked = _fold_columns(np.add, self.targets, logs)
+        self.calls += [(np.multiply, (self.probs, self.targets, self.targets))] + fold
+        self.calls.append((np.log, (picked, logs)))
+        # each batch's log-probabilities summed as one contiguous row
+        # (numpy's pairwise sum)
+        logs = logs[..., 0]
+        self.sums = np.empty((nets, batches + (full < rows)))
+        if batches:
+            by_batch = logs[:, :full].reshape(nets, batches, batch_size)
+            self.calls.append((np.add.reduce, (by_batch, 2, None, self.sums[:, :batches])))
+        if full < rows:
+            self.calls.append((np.add.reduce, (logs[:, full:], 1, None, self.sums[:, batches])))
+
+
+class _Epoch:
+    """One SGD epoch of a stack over n points, in chunks of ``CHUNK_BATCHES`` batches.
+
+    Every chunk but the last runs the same ``full`` list of calls, so two
+    lists at most serve any n; ``run`` fills a chunk's points before its
+    calls and gathers its batch sums.
+    """
+
+    def __init__(self, stack, n, batch_size, lr):
+        self.span = batch_size * CHUNK_BATCHES  # points per chunk
+        steps = {}
+        self.full = _Chunk(stack, self.span, batch_size, lr, steps) if n > self.span else None
+        self.last = _Chunk(stack, n - (n - 1) // self.span * self.span, batch_size, lr, steps)
+        self.batch_size = batch_size
+        nets = len(stack.params)
+        self.sums = np.empty((nets, -(-n // batch_size)))
+        self.running = np.empty_like(self.sums)
+        self.loss = np.empty(nets)
+
+    def run(self, points, one_hot, order):
+        """Train one epoch on ``points[order]``; returns each net's summed loss."""
+        n = order.shape[1]
+        for start in range(0, n, self.span):
+            chunk = self.last if start + self.span >= n else self.full
+            rows = order[:, start : start + self.span]
+            # rows index in range, so "clip" clips nothing ("raise" copies via a temporary)
+            np.take(points, rows, axis=0, out=chunk.xs, mode="clip")
+            np.take(one_hot, rows, axis=0, out=chunk.targets, mode="clip")
+            for f, args in chunk.calls:
+                f(*args)
+            first = start // self.batch_size
+            self.sums[:, first : first + chunk.sums.shape[1]] = chunk.sums
+        # the batch sums added in batch order; 0.0 - (s1 + s2 + ...) is
+        # 0.0 - s1 - s2 - ... bit for bit, with a zero loss +0.0 either way
+        # (-(...) would make it -0.0)
+        np.add.accumulate(self.sums, axis=1, out=self.running)
+        return np.subtract(0.0, self.running[:, -1], out=self.loss)
 
 
 def gradients(net, x, label):
@@ -191,7 +332,9 @@ def gradients(net, x, label):
         raise IndexError(f"label {label} out of range for {net.output_dim} classes")
     stack = _NetStack.of([net])
     targets = np.eye(net.output_dim)[np.array([[label]])]
-    _batch_backward(stack, x[np.newaxis, np.newaxis, :], targets)
+    probs = np.empty_like(targets)
+    xs = x[np.newaxis, np.newaxis, :]
+    _run(_step_calls(stack, xs, targets, probs, _step_buffers(stack, 1)))
     return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
 
 
@@ -236,37 +379,6 @@ def _require_finite(epoch, epoch_loss, stack, live, cfgs):
         )
 
 
-def _sgd_epoch(stack, xs, targets, lr, batch_size):
-    """One pass over the (S, n) shuffled points and one-hot targets, in place.
-
-    Returns each net's summed per-sample loss.  The batches write their
-    probabilities into one (S, n, classes) buffer, and the loss is taken
-    from it once: each batch's log-probabilities are summed as one
-    contiguous row (numpy's pairwise sum), and the sums are subtracted in
-    batch order, which adds their negations bit for bit, as when each batch
-    returned its own loss.
-    """
-    nets, n = xs.shape[:2]
-    probs = np.empty(targets.shape)
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        _batch_backward(stack, xs[:, start:stop], targets[:, start:stop], probs[:, start:stop])
-        stack.grad *= lr / (stop - start)
-        stack.params -= stack.grad
-    # exact: a row of probs is all NaN or >= 0, so all terms but the label's
-    # are +0.0; a probability of 0 gives an infinite loss: run under
-    # np.errstate(divide="ignore") and check the result
-    logs = np.log(reduce(np.add, _columns(probs * targets))[..., 0])
-    full = n - n % batch_size
-    batch_sums = list(logs[:, :full].reshape(nets, -1, batch_size).sum(axis=2).T)
-    if full < n:
-        batch_sums.append(logs[:, full:].sum(axis=1))
-    epoch_loss = np.zeros(nets)
-    for batch_sum in batch_sums:
-        epoch_loss -= batch_sum
-    return epoch_loss
-
-
 def train_many(nets, cloud, cfgs):
     """Mini-batch SGD on several nets of one shape at once; one (net, history) per net.
 
@@ -279,12 +391,14 @@ def train_many(nets, cloud, cfgs):
     """
     nets, cfgs = list(nets), list(cfgs)
     _check_stack(nets, cloud, cfgs)
-    lr, epochs, batch_size = cfgs[0].learning_rate, cfgs[0].epochs, cfgs[0].batch_size
     points, labels = cloud.points, cloud.labels
-    one_hot = np.eye(cloud.class_count)
+    one_hot = np.eye(cloud.class_count)[labels]
     n = len(cloud)
+    # one batch of all n points has the bits of any larger batch size
+    lr, epochs, batch_size = cfgs[0].learning_rate, cfgs[0].epochs, min(cfgs[0].batch_size, n)
 
     stack = _NetStack.of(nets)
+    sgd = _Epoch(stack, n, batch_size, lr)
     live = list(range(len(nets)))  # the net behind each row of the stack
     rngs = [make_rng(cfg.seed) for cfg in cfgs]
     losses = [[] for _ in nets]
@@ -295,8 +409,7 @@ def train_many(nets, cloud, cfgs):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             order = np.stack([rngs[k].permutation(n) for k in live])
-            xs, targets = points[order], one_hot[labels[order]]
-            epoch_loss = _sgd_epoch(stack, xs, targets, lr, batch_size) / n
+            epoch_loss = sgd.run(points, one_hot, order) / n
             _require_finite(epoch, epoch_loss, stack, live, cfgs)
             outputs = points  # broadcast against the stack: (S, n, class_count) at the end
             for layer in stack.layers:
@@ -319,6 +432,7 @@ def train_many(nets, cloud, cfgs):
             if len(keep) < len(live):
                 live = [live[row] for row in keep]
                 stack = stack.keep(keep)
+                sgd = _Epoch(stack, n, batch_size, lr)
     return results
 
 

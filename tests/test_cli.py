@@ -82,6 +82,31 @@ class TestGen:
         code = run(["gen", "--shells", "--bands", "nonsense", "-o", tmp_path / "x.json"])
         assert code == 2
 
+    # outer radii of inf and 1e308 overflowed the sampler (a traceback), and
+    # of 1e-320 underflowed it (ZeroDivisionError); 2^64 points never ended
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--bands", "0:inf"],
+            ["--bands", "0:1e308"],
+            ["--bands", "1e-320:2e-320"],
+            ["--n", 2**64],
+            ["--dim", 10**6, "--n", 6],
+        ],
+    )
+    def test_out_of_range_sizes_and_radii_exit_2(self, tmp_path, flags):
+        code = run(["gen", "--shells", *flags, "-o", tmp_path / "x.json"])
+        assert code == 2
+
+    def test_tiny_and_far_bands_stay_inside_them(self, tmp_path):
+        out = tmp_path / "far.json"
+        bands = "0:1e-150,1e149:1e150"
+        assert run(["gen", "--shells", "--dim", 3, "--bands", bands, "--n", 20, "-o", out]) == 0
+        cloud = load_cloud(out)
+        norms = np.linalg.norm(cloud.points, axis=1)
+        assert np.all(norms[cloud.labels == 0] <= 1e-150)
+        assert np.all((norms[cloud.labels == 1] >= 1e149) & (norms[cloud.labels == 1] <= 1e150))
+
 
 class TestTrain:
     def test_paper_net_model_file(self, workspace):
@@ -156,6 +181,14 @@ class TestTrace:
         other = tmp_path / "d3.json"
         run(["gen", "--shells", "--dim", 3, "--n", 10, "--seed", 0, "-o", other])
         assert run(["trace", workspace["model"], other, "--out-dir", tmp_path / "t"]) == 2
+
+    @pytest.mark.parametrize("knn", [0, -1])
+    def test_knn_below_1_exit_2_without_projected_stages(self, tmp_path, knn):
+        # the 2,1,2 net has no stage above 3-D, so --knn went unused
+        data, model = tmp_path / "d.json", tmp_path / "narrow.json"
+        run(["gen", "--annulus", "--n", 10, "-o", data])
+        run(["train", data, "--dims", "2,1,2", "--epochs", 1, "-o", model])
+        assert run(["trace", model, data, "--knn", knn, "--out-dir", tmp_path / "t"]) == 2
 
     def test_include_pre_doubles_stages(self, workspace, tmp_path):
         out = tmp_path / "tracepre"

@@ -16,13 +16,21 @@ the valid cloud: learning rates of 0, below 0, inf, nan and 1e308; 1 to 3
 epochs and epochs <= 0; batch sizes of 0 and past the point count; target
 accuracies of 0, nan, above 1 and subnormal; empty, zero, non-integer,
 oversized and mismatched ``--dims`` and ``--widths``; and seeds below 0 or
-at 2^64 and past.  Each call must return 0, 1 or 2.
+at 2^64 and past.  Each call must return 0, 1 or 2.  Batch sizes past
+int64 train as one batch of every point.
 
 So do the numeric flags of ``urysohn`` (``--grid-size``, ``--grid-extent``)
 and ``witness`` (``--inner-r``, ``--outer-r``) at 0, negative, subnormal,
 1e154, 1e308, inf and nan, and ``check-sep --format`` and ``--out`` with
 unknown formats and paths that cannot be written: each call must return
 0, 1, 2 or 3.
+
+So do the flags of ``gen`` (point counts and dimensions from below 1 to
+past int64, radius bands that are empty, reversed, touching, infinite,
+NaN, subnormal or past 1e150), ``trace`` (``--knn`` from below 1 to 2^64,
+with and without ``--include-pre``, on a net with Isomap-projected stages
+and one without, into a directory or onto a file) and ``isomap``
+(``--knn``, ``--target-dim``, ``--format`` and ``--largest-component``).
 """
 
 import json
@@ -251,7 +259,7 @@ def test_corrupt_model_ends_in_a_documented_exit_code(files, base, mutations, ca
 
 TRAINING_FLAGS = {
     "--lr": ["0", "-0.5", "-inf", "inf", "nan", "1e308", "0.05"],
-    "--batch-size": ["0", "-1", "3", str(N + 1), "1000"],
+    "--batch-size": ["0", "-1", "3", str(N + 1), "1000", str(2**64), "9999999999999999999999999"],
     "--target-accuracy": ["0", "nan", "-1", "1.5", "inf", "5e-324", "0.5", "1"],
     "--seed": ["-1", str(2**64), str(2**64 - 1), str(2**63), "0"],
 }
@@ -351,5 +359,70 @@ def test_check_sep_output_flags_end_in_a_documented_exit_code(files, fmt, out, c
     if out is not None:
         flags.append(f"--out={files['root'] / out if out else ''}")
     argv = ["check-sep", files["model"], files["clean"], *flags]
+    assert _exit_code(argv) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+# point counts and dimensions below 1, small, and past int64; 40-D shells
+# draw radially (between about 10 and 17 dimensions the rejection sampler
+# draws up to 2 million rows a batch)
+COUNTS = ["0", "-1", "1", "3", str(2**64), "9999999999999999999999999", "x"]
+GEN_FLAGS = {
+    "--n": COUNTS,
+    "--dim": ["0", "-3", "1", "3", "40", str(2**64), "2.5"],
+    "--bands": [
+        "", "0:1", "0:0.9,1:2", "0:1,1:2", "2:1", "1:1", "-1:1", "0:nan", "0:inf", "x:1", "0:1:2",
+        "0:1e308", "1e-320:2e-320", "0:5e-324", "0:1e150", "0:1e-150", "0:1,2:3,4:5",
+    ],
+    "--seed": ["-1", "0", str(2**64)],
+}
+
+
+@FLAG_SETTINGS
+@given(
+    geometry=st.sampled_from([["--annulus"], ["--shells"], [], ["--annulus", "--shells"]]),
+    flags=_flags(GEN_FLAGS),
+    csv=st.booleans(),
+)
+def test_gen_flags_end_in_a_documented_exit_code(files, geometry, flags, csv, capsys):
+    root = files["root"]
+    extra = [f"--csv={root / 'gen.csv'}"] if csv else []
+    argv = ["gen", *geometry, *flags, *extra, "-o", root / "gen.json"]
+    assert _exit_code(argv) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+KNN = ["0", "-1", "1", "2", "7", "8", str(2**64), "x"]
+
+
+@FLAG_SETTINGS
+@given(
+    model=st.sampled_from(["model", "bottleneck"]),
+    knn=st.none() | st.sampled_from(KNN),
+    include_pre=st.booleans(),
+    onto_file=st.booleans(),
+)
+def test_trace_flags_end_in_a_documented_exit_code(
+    files, model, knn, include_pre, onto_file, capsys
+):
+    flags = [f"--knn={knn}"] * (knn is not None) + ["--include-pre"] * include_pre
+    out = files["clean"] if onto_file else files["root"] / "trace"
+    argv = ["trace", files[model], files["clean"], *flags, "--out-dir", out]
+    assert _exit_code(argv) in DOCUMENTED_EXIT_CODES
+    capsys.readouterr()
+
+
+@FLAG_SETTINGS
+@given(
+    knn=st.none() | st.sampled_from(KNN),
+    target_dim=st.none() | st.sampled_from(["0", "-1", "1", "3", "8", "9", str(2**64)]),
+    fmt=st.none() | st.sampled_from(["json", "csv", "xml"]),
+    largest=st.booleans(),
+)
+def test_isomap_flags_end_in_a_documented_exit_code(files, knn, target_dim, fmt, largest, capsys):
+    flags = [f"--knn={knn}"] * (knn is not None)
+    flags += [f"--target-dim={target_dim}"] * (target_dim is not None)
+    flags += [f"--format={fmt}"] * (fmt is not None) + ["--largest-component"] * largest
+    argv = ["isomap", files["clean"], *flags, "--out-dir", files["root"] / "embed"]
     assert _exit_code(argv) in DOCUMENTED_EXIT_CODES
     capsys.readouterr()

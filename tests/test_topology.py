@@ -156,6 +156,24 @@ class TestMinEnclosingBall:
             with pytest.raises(NumericalError):
                 min_enclosing_ball(np.array(points))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([[0.0, 0.0], [1e-170, 0.0], [0.0, 3e-170]]),  # squares underflow to 0
+            1e-200 * make_rng(8).standard_normal((30, 4)) + [1e-200, -2e-200, 0.0, 3e-300],
+        ],
+        ids=["2-D", "4-D"],
+    )
+    def test_tiny_spread_keeps_its_ball(self, points):
+        # scaling by a power of two is exact, so the ball of the scaled-up
+        # gaps, scaled back, is this cloud's ball
+        disc = min_enclosing_ball(points)
+        gaps = np.ldexp(points - disc.center, 600)
+        assert np.sqrt((gaps * gaps).sum(axis=1)).max() <= np.ldexp(disc.radius, 600)
+        big = min_enclosing_ball(np.ldexp(points - points[0], 600))
+        assert disc.radius > 0.0
+        assert abs(np.ldexp(disc.radius, 600) - big.radius) <= 1e-12 * big.radius
+
     def test_stalled_pivot_raises(self, monkeypatch):
         monkeypatch.setattr(topology, "_MAX_PIVOTS", 1)
         with pytest.raises(NumericalError):

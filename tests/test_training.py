@@ -90,16 +90,17 @@ class TestGradients:
                         assert abs(fd - ref) <= 1e-4 * max(1.0, abs(fd))
 
     def test_batch_gradient_is_additive(self):
-        from topoclass.training import _batch_backward, _NetStack
+        from topoclass.training import _NetStack, _step_buffers, _step_calls
 
-        def backward(xs, labels):
-            stack = _NetStack.of([build_relu_net((2, 4, 2), make_rng(3))])
-            _batch_backward(stack, xs[np.newaxis], np.eye(2)[np.array([labels])])
-            return [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
-
+        net = build_relu_net((2, 4, 2), make_rng(3))
         x = np.array([0.4, -0.2])
-        single = backward(x[np.newaxis, :], [1])
-        double = backward(np.stack([x, x]), [1, 1])
+        single = gradients(net, x, 1)
+        stack = _NetStack.of([net])
+        xs, targets = np.stack([x, x])[np.newaxis], np.eye(2)[np.array([[1, 1]])]
+        probs = np.empty_like(targets)
+        for f, args in _step_calls(stack, xs, targets, probs, _step_buffers(stack, 2)):
+            f(*args)
+        double = [(g.weight[0], g.bias[0, 0]) for g in stack.grads]
         for (dw1, db1), (dw2, db2) in zip(single, double):
             np.testing.assert_allclose(dw2, 2.0 * dw1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(db2, 2.0 * db1, rtol=1e-12, atol=1e-15)
