@@ -328,20 +328,21 @@ def cmd_urysohn(args):
     cloud = data_mod.load_cloud(args.data)
     if cloud.dim != 2:
         raise SpecError("urysohn maps are rendered for 2-D data only")
-    field = topo_mod.urysohn_multiclass(cloud.split_by_class())
+    classes = cloud.split_by_class()
+    field = topo_mod.urysohn_multiclass(classes)
 
     xs = ys = np.linspace(-extent, extent, size)
-    grid = np.column_stack([axis.ravel() for axis in np.meshgrid(xs, ys)])
-    values = field(grid).reshape(size, size)
+    values = topo_mod.urysohn_grid(classes, xs, ys)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     axis_text = [repr(v) for v in xs.tolist()]
+    # csv.writer's lines: no float repr needs quoting
     with open(out_dir / "field.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value"])
+        fh.write("x,y,value\r\n")
         for y_text, row in zip(axis_text, values.tolist()):
-            writer.writerows([x_text, y_text, repr(v)] for x_text, v in zip(axis_text, row))
+            middle = f",{y_text},"
+            fh.write("".join([x + middle + repr(v) + "\r\n" for x, v in zip(axis_text, row)]))
     (out_dir / "field.svg").write_text(
         heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)"),
         encoding="utf-8",

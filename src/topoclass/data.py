@@ -29,6 +29,9 @@ ANNULUS_OUTER_MAX_RADIUS = 2.0
 # underflow (a band of radius 1e-320 never accepts a point) nor overflow
 MIN_OUTER_RADIUS = 1e-150
 MAX_OUTER_RADIUS = 1e150
+# coordinates in one rejection batch: 4e6 float64 (32 MB), so a batch holds
+# 2,000,000 rows up to dim 2 and fewer above, however rarely the cube accepts
+MAX_DRAW_COORDINATES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -134,16 +137,18 @@ def _sample_band(rng, dim, lo, hi, count):
     Rejection from the cube [-hi, hi]^dim while it accepts at least 1e-6 of
     its draws (up to dim 17 for the default bands); below that, radial
     draws.  Either way a point is kept only if its computed norm lies in
-    the band.
+    the band.  A rejection batch holds at most ``MAX_DRAW_COORDINATES``
+    coordinates.
     """
     accept = _band_acceptance(dim, lo, hi)
+    cap = min(2_000_000, MAX_DRAW_COORDINATES // dim)
     chunks = []
     need = count
     while need > 0:
         if accept < 1e-6:
             draw = _radial_draw(rng, dim, lo, hi, need)
         else:
-            batch = min(max(int(need / accept * 1.2), 256), 2_000_000)
+            batch = min(max(int(need / accept * 1.2), 256), cap)
             draw = rng.uniform(-hi, hi, size=(batch, dim))
         norms = np.sqrt((draw * draw).sum(axis=1))
         kept = draw[(norms >= lo) & (norms <= hi)][:need]

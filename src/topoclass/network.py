@@ -20,6 +20,9 @@ SOFTMAX = "softmax"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, SOFTMAX, IDENTITY)
 
+# outputs within this of a row's maximum tie with it (strict_argmax)
+TIE_TOL = 1e-12
+
 # Layer widths of the six-layer demonstration net: five relu layers
 # 2->5->5->2->2->2 capped by a 2->2 softmax.
 PAPER_NET_DIMS = (2, 5, 5, 2, 2, 2, 2)
@@ -113,6 +116,10 @@ def _maximum(a, b, out):
     return np.maximum(a, b, out=out)
 
 
+# relu's operand as a 0-d array: numpy converts a Python 0.0 on every call
+_ZERO = np.zeros(())
+
+
 def _fold_columns(ufunc, a, out):
     """Calls that fold ``a``'s class columns into ``out`` in class order.
 
@@ -152,7 +159,7 @@ def _layer_calls(layer, below, z, act, softmax=None):
     """
     calls = [(np.matmul, (below, layer.weight_t, z)), (np.add, (z, layer.bias, z))]
     if layer.activation == RELU:
-        calls.append((_maximum, (z, 0.0, act)))
+        calls.append((_maximum, (z, _ZERO, act)))
     elif layer.activation == SOFTMAX:
         calls += _softmax_calls(z, softmax, act)
     return calls
@@ -242,13 +249,13 @@ def forward_trace(net, cloud, include_pre=False):
     return ActivationTrace(stages=tuple(stages), labels=cloud.labels.copy())
 
 
-def strict_argmax(y, tol=1e-12):
+def strict_argmax(y, tol=TIE_TOL):
     """Index of the strict maximum coordinate, or None on a tie within tol."""
     preds, ties = strict_argmax_batch(np.asarray(y)[np.newaxis], tol)
     return None if ties[0] else int(preds[0])
 
 
-def strict_argmax_batch(ys, tol=1e-12):
+def strict_argmax_batch(ys, tol=TIE_TOL):
     """Batched strict_argmax: (predictions, tie mask); prediction -1 on ties.
 
     A row ties unless exactly one entry is within tol of its max (NaN: none).

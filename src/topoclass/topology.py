@@ -13,6 +13,14 @@ Three ways of asking "did the net pull the classes apart?":
 Plus the bottleneck impossibility construction: a weight matrix with fewer
 rows than columns kills a direction, and two differently labeled points on
 that direction are mapped identically by the whole net.
+
+A Urysohn field on a 2-D grid (``urysohn_grid``) takes its squared gaps to
+each point from one table per axis, (x_i - p0)^2 and (y_j - p1)^2, added
+one grid column at a time: a third of the arithmetic of forming them node
+by node.  The values keep the field's bits: each squared gap is the same
+two rounded squares added (in the other order, and float addition
+commutes), a minimum over points is exact in any order, and one helper
+does the weights' arithmetic for both.
 """
 
 import math
@@ -28,11 +36,16 @@ from .errors import (
     SeparationError,
     SpecError,
 )
-from .isomap import _require_finite_sq_dists, _sq_dist_blocks, graph_components, knn_graph
-from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
+from .isomap import (
+    TILE_ENTRIES,
+    _require_finite_sq_dists,
+    _sq_dist_blocks,
+    graph_components,
+    knn_graph,
+)
+from .network import SOFTMAX, TIE_TOL, forward_batch, strict_argmax, strict_argmax_batch
 from .numerics import as_matrix, null_space_basis
 
-TIE_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
 
 # within this fraction of the radius (its square, for the sphere) a point is
@@ -302,6 +315,7 @@ def _min_dists(xs, pts):
 
 
 def _prepare_classes(classes):
+    """The classes as float arrays, checked to be two or more, nonempty and disjoint."""
     prepared = []
     for i, pts in enumerate(classes):
         arr = as_matrix(pts, f"class {i}")
@@ -313,6 +327,8 @@ def _prepare_classes(classes):
             gap = float(_min_dists(prepared[i], prepared[j]).min())
             if gap <= 0.0:
                 raise SeparationError(f"classes {i} and {j} overlap (min distance 0)")
+    if len(prepared) < 2:
+        raise SeparationError("need at least 2 classes")
     return prepared
 
 
@@ -339,6 +355,27 @@ def urysohn_binary(d1, d2):
     return urysohn_multiclass([d1, d2])
 
 
+def _partition_of_unity(dists):
+    """Values sum_k k * w_k(x) from the (m, c) distances of m points to c classes.
+
+    w_k is the product of the distances to every class but k, over the sum
+    of these products.  Separated classes leave at most one distance 0, so
+    the sum is positive: a sum of inf or 0 means the products overflowed or
+    underflowed, and raises ``NumericalError``.
+    """
+    c = dists.shape[1]
+    products = np.empty_like(dists)
+    with np.errstate(over="ignore"):
+        for k in range(c):
+            others = [j for j in range(c) if j != k]
+            products[:, k] = dists[:, others].prod(axis=1)
+        total = products.sum(axis=1)
+    if not (np.isfinite(total).all() and (total > 0.0).all()):
+        raise NumericalError("urysohn field: distance products leave float64 range")
+    weights = products / total[:, np.newaxis]
+    return weights @ np.arange(c, dtype=np.float64)
+
+
 def urysohn_multiclass(classes):
     """Partition-of-unity separator: exactly k on class k, continuous on R^n.
 
@@ -346,30 +383,56 @@ def urysohn_multiclass(classes):
     distances to every other class, so membership in class k forces w_k = 1.
     """
     prepared = _prepare_classes(classes)
-    if len(prepared) < 2:
-        raise SeparationError("need at least 2 classes")
 
     def field(x):
         xs = np.asarray(x, dtype=np.float64)
         single = xs.ndim == 1
         xs2 = xs[np.newaxis, :] if single else xs
         dists = np.stack([_min_dists(xs2, pts) for pts in prepared], axis=1)
-        c = dists.shape[1]
-        products = np.empty_like(dists)
-        with np.errstate(over="ignore"):
-            for k in range(c):
-                others = [j for j in range(c) if j != k]
-                products[:, k] = dists[:, others].prod(axis=1)
-            total = products.sum(axis=1)
-        # separated classes leave at most one distance 0, so total > 0: a
-        # total of inf or 0 means the products overflowed or underflowed
-        if not (np.isfinite(total).all() and (total > 0.0).all()):
-            raise NumericalError("urysohn field: distance products leave float64 range")
-        weights = products / total[:, np.newaxis]
-        vals = weights @ np.arange(c, dtype=np.float64)
+        vals = _partition_of_unity(dists)
         return float(vals[0]) if single else vals
 
     return field
+
+
+def _grid_min_dists(xs, ys, pts):
+    """``_min_dists`` of the grid nodes (xs[i], ys[j]) to 2-D pts, as (len(ys), len(xs)).
+
+    The points go in chunks that keep each per-axis table near
+    ``TILE_ENTRIES`` entries; a running minimum over the chunks is exact.
+    """
+    # the bound on squared gaps reads only the per-axis extremes of the nodes
+    _require_finite_sq_dists(np.array([[xs.min(), ys.min()], [xs.max(), ys.max()]]), pts)
+    by_column = np.full((len(xs), len(ys)), np.inf)
+    nearest = np.empty(len(ys))
+    chunk = min(len(pts), max(1, TILE_ENTRIES // max(len(xs), len(ys))))
+    tables = np.empty((len(xs), chunk)), np.empty((len(ys), chunk)), np.empty((len(ys), chunk))
+    for start in range(0, len(pts), chunk):
+        part = pts[start : start + chunk]
+        dx, dy, sq = (table[:, : len(part)] for table in tables)
+        np.subtract.outer(xs, part[:, 0], out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract.outer(ys, part[:, 1], out=dy)
+        np.multiply(dy, dy, out=dy)
+        for column, row in zip(by_column, dx):
+            np.add(dy, row, out=sq)
+            np.minimum(column, sq.min(axis=1, out=nearest), out=column)
+    return np.sqrt(by_column.T)
+
+
+def urysohn_grid(classes, xs, ys):
+    """``urysohn_multiclass(classes)`` on the nodes (xs[i], ys[j]) of a 2-D grid, bit for bit.
+
+    Returns a (len(ys), len(xs)) array: row j, column i holds the field at
+    (xs[i], ys[j]).
+    """
+    prepared = _prepare_classes(classes)
+    if any(pts.shape[1] != 2 for pts in prepared):
+        raise DimensionError("a urysohn grid needs 2-D classes")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    dists = np.stack([_grid_min_dists(xs, ys, pts).ravel() for pts in prepared], axis=1)
+    return _partition_of_unity(dists).reshape(len(ys), len(xs))
 
 
 def kernel_witness(w, inner_r=0.5, outer_r=1.5):

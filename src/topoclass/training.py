@@ -26,6 +26,15 @@ do not grow with the number of batches.  The forward calls come from
 ``network._layer_calls``, which evaluation runs too.  ``gradients`` runs
 the same step calls on one point, without the update.
 
+The rest of an epoch runs on buffers allocated once per stack too.  Each
+net shuffles an ``arange(n)`` copied into its row of an (S, n) order
+buffer, which is what ``Generator.permutation(n)`` does.  The accuracy
+after the updates (``_Accuracy``) is the forward calls of
+``network._layer_calls`` on (S, n, width) buffers and a count of the rows
+whose strict argmax is the label, folded column by column.  Constant
+operands, such as the update's ``lr / B``, are 0-d arrays, which numpy
+does not convert on every call.
+
 Two choices keep the bits.  The relu mask is ``sign`` of the relu output,
 a float array that ``delta`` multiplies on numpy's same-type fast path (a
 bool mask casts).  It equals ``z > 0`` except where ``z`` is NaN, and then
@@ -45,11 +54,12 @@ from .network import (
     IDENTITY,
     RELU,
     SOFTMAX,
+    TIE_TOL,
     LayerSpec,
     Mlp,
-    _apply_layer,
     _fold_columns,
     _layer_calls,
+    _maximum,
     _run,
     _softmax_buffers,
     forward_batch,
@@ -259,7 +269,7 @@ class _Chunk:
                 stack, self.xs[:, batch], self.targets[:, batch], self.probs[:, batch], steps[size]
             )
             self.calls += [
-                (np.multiply, (stack.grad, lr / size, stack.grad)),
+                (np.multiply, (stack.grad, np.array(lr / size), stack.grad)),
                 (np.subtract, (stack.params, stack.grad, stack.params)),
             ]
         self._loss_calls(rows, batch_size)
@@ -322,6 +332,61 @@ class _Epoch:
         # (-(...) would make it -0.0)
         np.add.accumulate(self.sums, axis=1, out=self.running)
         return np.subtract(0.0, self.running[:, -1], out=self.loss)
+
+
+def _label_win_calls(probs, labels, counts):
+    """Calls that count, per net, the rows of ``probs`` whose strict argmax is the label.
+
+    ``probs`` is (S, n, classes) and ``counts`` (S,) integers.  A row's
+    strict argmax (``strict_argmax_batch``) is its label exactly when every
+    other entry is below the label's entry less ``TIE_TOL``: the label's
+    entry is then the maximum, so the tie floor is the same, and no other
+    entry reaches it.  A NaN fails that comparison, as it ties there.  The
+    other entries' maximum is folded column by column over a copy with the
+    label's entry set to -inf; with one class there is no other entry, and
+    a row counts when its entry reaches its own floor.
+    """
+    nets, n, classes = probs.shape
+    label_prob, floor = np.empty((nets, n)), np.empty((nets, n))
+    hits = np.empty((nets, n), dtype=bool)
+    picks = np.arange(n) * classes + labels  # each row's label entry in a net's flat row
+    calls = [
+        (np.take, (probs.reshape(nets, -1), picks, 1, label_prob, "clip")),
+        (np.subtract, (label_prob, np.array(TIE_TOL), floor)),
+    ]
+    if classes == 1:
+        calls.append((np.greater_equal, (label_prob, floor, hits)))
+    else:
+        others = np.empty_like(probs)
+        fold, top = _fold_columns(_maximum, others, np.empty((nets, n, 1)))
+        calls += [
+            (np.copyto, (others, probs)),
+            (np.copyto, (others, -np.inf, "same_kind", np.eye(classes, dtype=bool)[labels])),
+            *fold,
+            (np.less, (top[..., 0], floor, hits)),
+        ]
+    return calls + [(np.add.reduce, (hits, 1, np.intp, counts))]
+
+
+class _Accuracy:
+    """Each net's training accuracy, ``strict_argmax_batch`` hits averaged, as a call list."""
+
+    def __init__(self, stack, points, labels):
+        nets, n = len(stack.params), len(points)
+        self.calls, below = [], points  # broadcast against the stack's weights
+        for layer in stack.layers:
+            z = np.empty((nets, n, layer.weight.shape[1]))
+            softmax = _softmax_buffers(z.shape) if layer.activation == SOFTMAX else None
+            self.calls += _layer_calls(layer, below, z, z, softmax)
+            below = z
+        counts = np.empty(nets, dtype=np.intp)
+        self.accs = np.empty(nets)
+        self.calls += _label_win_calls(below, labels, counts)
+        self.calls.append((np.divide, (counts, np.array(n), self.accs)))
+
+    def run(self):
+        _run(self.calls)
+        return self.accs
 
 
 def gradients(net, x, label):
@@ -397,8 +462,15 @@ def train_many(nets, cloud, cfgs):
     # one batch of all n points has the bits of any larger batch size
     lr, epochs, batch_size = cfgs[0].learning_rate, cfgs[0].epochs, min(cfgs[0].batch_size, n)
 
+    identity = np.arange(n)  # Generator.permutation(n) shuffles this arange
+
+    def buffers(stack):
+        # one SGD epoch, one accuracy pass and one (S, n) shuffle per stack
+        order = np.empty((len(stack.params), n), dtype=identity.dtype)
+        return _Epoch(stack, n, batch_size, lr), _Accuracy(stack, points, labels), order
+
     stack = _NetStack.of(nets)
-    sgd = _Epoch(stack, n, batch_size, lr)
+    sgd, evaluate, order = buffers(stack)
     live = list(range(len(nets)))  # the net behind each row of the stack
     rngs = [make_rng(cfg.seed) for cfg in cfgs]
     losses = [[] for _ in nets]
@@ -408,21 +480,19 @@ def train_many(nets, cloud, cfgs):
     # that into a NumericalError at the end of the epoch
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
-            order = np.stack([rngs[k].permutation(n) for k in live])
+            for row, k in zip(order, live):
+                np.copyto(row, identity)
+                rngs[k].shuffle(row)
             epoch_loss = sgd.run(points, one_hot, order) / n
             _require_finite(epoch, epoch_loss, stack, live, cfgs)
-            outputs = points  # broadcast against the stack: (S, n, class_count) at the end
-            for layer in stack.layers:
-                _, outputs = _apply_layer(layer, outputs)
-            preds, _ = strict_argmax_batch(outputs.reshape(-1, cloud.class_count))
-            accs = (preds.reshape(len(live), n) == labels).mean(axis=1)
+            accs = evaluate.run().tolist()
 
             keep = []
-            for row, k in enumerate(live):
-                losses[k].append(float(epoch_loss[row]))
-                accuracies[k].append(float(accs[row]))
+            for row, (k, loss, acc) in enumerate(zip(live, epoch_loss.tolist(), accs)):
+                losses[k].append(loss)
+                accuracies[k].append(acc)
                 target = cfgs[k].target_accuracy
-                if epoch == epochs or (target is not None and accs[row] >= target):
+                if epoch == epochs or (target is not None and acc >= target):
                     history = TrainHistory(tuple(losses[k]), tuple(accuracies[k]))
                     results[k] = (stack.net(row), history)
                 else:
@@ -432,7 +502,7 @@ def train_many(nets, cloud, cfgs):
             if len(keep) < len(live):
                 live = [live[row] for row in keep]
                 stack = stack.keep(keep)
-                sgd = _Epoch(stack, n, batch_size, lr)
+                sgd, evaluate, order = buffers(stack)
     return results
 
 

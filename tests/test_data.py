@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from topoclass.data import (
     LabeledPointCloud,
     ShellSpec,
+    MAX_DRAW_COORDINATES,
     cloud_to_csv,
     gen_annulus2d,
     gen_nested_shells,
@@ -58,6 +60,19 @@ class TestGenShells:
         assert abs(((inner / 0.9) ** 20).mean() - 0.5) < 0.03
         assert abs(((outer**20 - 1.0) / (2.0**20 - 1.0)).mean() - 0.5) < 0.03
         assert np.abs(cloud.class_points(0).mean(axis=0)).max() < 0.05
+
+    def test_rejection_batches_hold_a_bounded_number_of_coordinates(self):
+        # dim 17 keeps about 1e-6 of the cube's draws: batches of 2,000,000
+        # rows of 17 coordinates peaked at 322 MB, for one point per class
+        tracemalloc.start()
+        try:
+            cloud = gen_shells(ShellSpec(dim=17, samples_per_class=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cloud) == 2
+        # a batch and its squares (8 bytes a coordinate), with room for one more
+        assert peak < 3 * MAX_DRAW_COORDINATES * 8
 
     def test_very_high_dim_does_not_overflow(self):
         cloud = gen_nested_shells(400, [(0.0, 0.9), (1.0, 2.0)], 3, 5)

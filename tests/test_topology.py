@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from topoclass.topology import (
     principal_spectrum,
     simplex_class,
     urysohn_binary,
+    urysohn_grid,
     urysohn_multiclass,
 )
 from topoclass.training import TrainConfig, accuracy, train
@@ -503,6 +505,118 @@ class TestUrysohnMulticlass:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
                 f(np.array([0.0]))
+
+
+def grid_points(xs, ys):
+    """The grid's nodes as rows, in the order ``urysohn_grid`` lays out its values."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(xs, ys)])
+
+
+def field_on_grid(classes, xs, ys):
+    return urysohn_multiclass(classes)(grid_points(xs, ys)).reshape(len(ys), len(xs))
+
+
+class TestUrysohnGrid:
+    """``urysohn_grid`` against the field evaluated node by node, bit for bit."""
+
+    def check(self, classes, xs, ys):
+        got = urysohn_grid(classes, xs, ys)
+        assert got.shape == (len(ys), len(xs))
+        assert got.tobytes() == field_on_grid(classes, xs, ys).tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed, count", [(0, 2), (1, 3), (2, 4), (3, 5)])
+    def test_random_classes(self, seed, count):
+        rng = make_rng(seed)
+        classes = [rng.uniform(-2.0, 2.0, size=(rng.integers(1, 40), 2)) for _ in range(count)]
+        axis = np.linspace(-2.5, 2.5, 31)
+        self.check(classes, axis, axis)
+        # a grid wider than tall, off-centre: rows follow ys, columns xs
+        self.check(classes, np.linspace(-3.0, 1.0, 13), np.linspace(0.5, 2.0, 4))
+
+    def test_classes_of_several_point_chunks(self):
+        # 1200 points against a 101-node axis take four chunks of 324
+        rng = make_rng(7)
+        classes = [rng.normal(0.0, 0.5, (1200, 2)), rng.normal(3.0, 0.5, (700, 2))]
+        axis = np.linspace(-2.5, 2.5, 101)
+        self.check(classes, axis, axis)
+
+    def test_duplicated_points(self):
+        rng = make_rng(8)
+        base = [rng.uniform(-1.0, 1.0, (6, 2)), rng.uniform(1.5, 2.0, (5, 2))]
+        classes = [np.concatenate([pts, pts, pts[:2]]) for pts in base]
+        axis = np.linspace(-2.5, 2.5, 17)
+        self.check(classes, axis, axis)
+
+    def test_points_on_grid_nodes(self):
+        xs, ys = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 9)
+        classes = [
+            np.array([[xs[1], ys[2]], [xs[3], ys[3]]]),
+            np.array([[xs[8], ys[1]], [xs[9], ys[7]]]),
+            np.array([[xs[5], ys[8]]]),
+        ]
+        got = self.check(classes, xs, ys)
+        for k, (i, j) in enumerate([(1, 2), (8, 1), (5, 8)]):
+            assert got[j, i] == float(k)
+
+    def test_one_node(self):
+        classes = gen_annulus2d(40, 9).split_by_class()
+        axis = np.linspace(-2.5, 2.5, 1)
+        self.check(classes, axis, axis)
+
+    def test_four_band_shells(self):
+        bands = [(0.0, 0.5), (1.0, 1.5), (2.0, 2.5), (3.0, 3.5)]
+        classes = gen_nested_shells(2, bands, 150, 10).split_by_class()
+        axis = np.linspace(-2.5, 2.5, 101)
+        self.check(classes, axis, axis)
+
+    @pytest.mark.parametrize(
+        "classes, axis",
+        [
+            # squared gaps from the grid's corners overflow
+            ([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])], np.linspace(-1e300, 1e300, 3)),
+            # squared gaps stay finite, products of three ~1e150 distances do not
+            (
+                [np.array([[0.0, 0.0]]), np.array([[1e150, 0.0]]),
+                 np.array([[0.0, 1e150]]), np.array([[-1e150, 0.0]])],
+                np.linspace(-1.0, 1.0, 5),
+            ),
+        ],
+    )
+    def test_far_apart_raise_the_fields_error_without_warning(self, classes, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as want:
+                field_on_grid(classes, axis, axis)
+            with pytest.raises(NumericalError) as got:
+                urysohn_grid(classes, axis, axis)
+        assert str(got.value) == str(want.value)
+
+    def test_overlap_and_single_class_rejected(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        axis = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(SeparationError):
+            urysohn_grid([pts, pts[1:]], axis, axis)
+        with pytest.raises(SeparationError):
+            urysohn_grid([pts], axis, axis)
+
+    def test_classes_must_be_planar(self):
+        axis = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(DimensionError):
+            urysohn_grid([np.zeros((1, 3)), np.ones((1, 3))], axis, axis)
+
+    def test_distance_tables_do_not_grow_with_grid_times_points(self):
+        # per-axis tables of all 5000 points on a 101-node axis would take
+        # 4 MB each; chunks of 324 points keep each near 256 KB
+        axis = np.linspace(-2.5, 2.5, 101)
+        pts = make_rng(31).standard_normal((5000, 2))
+        tracemalloc.start()
+        try:
+            topology._grid_min_dists(axis, axis, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
 
 class TestKernelWitness:
