@@ -197,12 +197,10 @@ def cmd_witness(args):
         )
         return EXIT_NOT_APPLICABLE
     witness = topo_mod.kernel_witness(first.weight, args.inner_r, args.outer_r)
-    f1_p1 = net_mod.forward_batch(
-        net_mod.Mlp(layers=(first,)), witness.p1[np.newaxis, :]
-    )[0]
-    f1_p2 = net_mod.forward_batch(
-        net_mod.Mlp(layers=(first,)), witness.p2[np.newaxis, :]
-    )[0]
+    # one point per call: a two-row batch may round differently in BLAS
+    first_net = net_mod.Mlp(layers=(first,))
+    f1_p1 = net_mod.forward(first_net, witness.p1)
+    f1_p2 = net_mod.forward(first_net, witness.p2)
     out_p1 = net_mod.forward(net, witness.p1)
     out_p2 = net_mod.forward(net, witness.p2)
     payload = witness.to_jsonable()

@@ -146,14 +146,14 @@ def _softmax_calls(z, buffers, probs):
     return calls + fold + [(np.divide, (exps, total, probs))]
 
 
-def _layer_calls(layer, below, z, act, softmax=None):
+def _layer_calls(layer, below, z, act, softmax):
     """A layer applied to ``below`` as a list of (ufunc, args) calls.
 
-    The one place a layer's arithmetic is written: evaluation runs the
-    calls at once (``_apply_layer``), training builds them into its epoch.
-    They write the pre-activation into ``z`` and the activation into
-    ``act``, which may be ``z`` itself and is ``z`` for identity; a
-    softmax layer also needs ``softmax``, from ``_softmax_buffers(z.shape)``.
+    The one place a layer's arithmetic is written; ``_chain_calls`` chains
+    it for evaluation and training alike.  The calls write the
+    pre-activation into ``z`` and the activation into ``act``, which may be
+    ``z`` itself and is ``z`` for identity; a softmax layer also needs
+    ``softmax``, from ``_softmax_buffers(z.shape)``.
     Works on one layer (weight (out, in), bias (out,)) or on a stack of S
     layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.
     """
@@ -162,6 +162,19 @@ def _layer_calls(layer, below, z, act, softmax=None):
         calls.append((_maximum, (z, _ZERO, act)))
     elif layer.activation == SOFTMAX:
         calls += _softmax_calls(z, softmax, act)
+    return calls
+
+
+def _chain_calls(layers, below, zs, acts, softmax):
+    """``_layer_calls`` for each layer in turn, fed the activation of the one before.
+
+    Layer i writes into ``zs[i]`` and ``acts[i]``, buffers the caller
+    supplies; ``below`` is the first layer's input.
+    """
+    calls = []
+    for layer, z, act in zip(layers, zs, acts, strict=True):
+        calls += _layer_calls(layer, below, z, act, softmax)
+        below = act
     return calls
 
 
@@ -188,15 +201,17 @@ def softmax(v):
     return _softmax_rows(v[np.newaxis, :])[0]
 
 
-def _apply_layer(layer, acts):
-    """Apply a layer's calls to new arrays: returns (pre-activation z, activation)."""
-    weight_t = layer.weight_t
-    rows = np.broadcast_shapes(acts.shape[:-2], weight_t.shape[:-2]) + acts.shape[-2:-1]
-    z = np.empty(rows + weight_t.shape[-1:])
-    act = z if layer.activation == IDENTITY else np.empty(z.shape)
-    softmax = _softmax_buffers(z.shape) if layer.activation == SOFTMAX else None
-    _run(_layer_calls(layer, acts, z, act, softmax))
-    return z, act
+def _forward(layers, xs):
+    """Each layer's pre-activation and activation on the (n, in) batch ``xs``, as new arrays.
+
+    An overflow is left in the arrays: each caller checks what it returns.
+    """
+    zs = [np.empty((len(xs), layer.out_dim)) for layer in layers]
+    acts = [z if layer.activation == IDENTITY else np.empty(z.shape) for layer, z in zip(layers, zs)]
+    softmax = _softmax_buffers(zs[-1].shape) if layers[-1].activation == SOFTMAX else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run(_chain_calls(layers, xs, zs, acts, softmax))
+    return zs, acts
 
 
 def forward_batch(net, xs):
@@ -210,9 +225,7 @@ def forward_batch(net, xs):
         raise DimensionError(
             f"net expects inputs of dim {net.input_dim}, got {acts.shape[1]}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        for layer in net.layers:
-            _, acts = _apply_layer(layer, acts)
+    acts = _forward(net.layers, acts)[1][-1]
     if not np.isfinite(acts).all():
         raise NumericalError("net outputs are not finite: activations overflow float64")
     return acts
@@ -237,13 +250,11 @@ def forward_trace(net, cloud, include_pre=False):
             f"net expects inputs of dim {net.input_dim}, cloud has dim {cloud.dim}"
         )
     stages = [("input", cloud.points.copy())]
-    acts = cloud.points
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, layer in enumerate(net.layers, start=1):
-            z, acts = _apply_layer(layer, acts)
-            if include_pre:
-                stages.append((f"layer{i}_pre", z.copy()))
-            stages.append((f"layer{i}_{layer.activation}", acts.copy()))
+    zs, acts = _forward(net.layers, cloud.points)
+    for i, (layer, z, act) in enumerate(zip(net.layers, zs, acts), start=1):
+        if include_pre:
+            stages.append((f"layer{i}_pre", z.copy()))
+        stages.append((f"layer{i}_{layer.activation}", act.copy()))
     if not all(np.isfinite(points).all() for _, points in stages):
         raise NumericalError("a traced stage is not finite: activations overflow float64")
     return ActivationTrace(stages=tuple(stages), labels=cloud.labels.copy())

@@ -314,19 +314,28 @@ def _min_dists(xs, pts):
     return out
 
 
-def _prepare_classes(classes):
-    """The classes as float arrays, checked to be two or more, nonempty and disjoint."""
+def _class_gaps(classes):
+    """The classes as nonempty float arrays, and (i, j, min distance) for each pair i < j."""
     prepared = []
     for i, pts in enumerate(classes):
         arr = as_matrix(pts, f"class {i}")
         if arr.shape[0] == 0:
             raise EmptyInputError(f"class {i} has no points")
         prepared.append(arr)
-    for i in range(len(prepared)):
-        for j in range(i + 1, len(prepared)):
-            gap = float(_min_dists(prepared[i], prepared[j]).min())
-            if gap <= 0.0:
-                raise SeparationError(f"classes {i} and {j} overlap (min distance 0)")
+    gaps = [
+        (i, j, float(_min_dists(a, b).min()))
+        for i, a in enumerate(prepared)
+        for j, b in enumerate(prepared[i + 1 :], start=i + 1)
+    ]
+    return prepared, gaps
+
+
+def _prepare_classes(classes):
+    """The classes as float arrays, checked to be two or more, nonempty and disjoint."""
+    prepared, gaps = _class_gaps(classes)
+    for i, j, gap in gaps:
+        if gap <= 0.0:
+            raise SeparationError(f"classes {i} and {j} overlap (min distance 0)")
     if len(prepared) < 2:
         raise SeparationError("need at least 2 classes")
     return prepared
@@ -334,12 +343,7 @@ def _prepare_classes(classes):
 
 def min_class_gap(classes):
     """Smallest cross-class point distance; the separator's conditioning number."""
-    prepared = [as_matrix(p) for p in classes]
-    gap = np.inf
-    for i in range(len(prepared)):
-        for j in range(i + 1, len(prepared)):
-            gap = min(gap, float(_min_dists(prepared[i], prepared[j]).min()))
-    return gap
+    return min([np.inf] + [gap for _, _, gap in _class_gaps(classes)[1]])
 
 
 def urysohn_binary(d1, d2):

@@ -23,17 +23,18 @@ shared by all batches of that size.  Every view is made when the list is
 built, and a chunk is ``for f, args in calls: f(*args)``; a longer epoch
 runs one list for all its full chunks and one for the last, so the lists
 do not grow with the number of batches.  The forward calls come from
-``network._layer_calls``, which evaluation runs too.  ``gradients`` runs
+``network._chain_calls``, which evaluation runs too.  ``gradients`` runs
 the same step calls on one point, without the update.
 
 The rest of an epoch runs on buffers allocated once per stack too.  Each
 net shuffles an ``arange(n)`` copied into its row of an (S, n) order
 buffer, which is what ``Generator.permutation(n)`` does.  The accuracy
-after the updates (``_Accuracy``) is the forward calls of
-``network._layer_calls`` on (S, n, width) buffers and a count of the rows
-whose strict argmax is the label, folded column by column.  Constant
-operands, such as the update's ``lr / B``, are 0-d arrays, which numpy
-does not convert on every call.
+after the updates (``_Accuracy``) runs the same forward calls on
+(S, n, width) buffers, then ``strict_argmax_batch`` on all S·n rows at
+once: the tie rule is written once, in ``network``.  Its temporaries are
+(S·n)-sized, so an epoch after the first allocates no (S, n, width) array.
+Constant operands, such as the update's ``lr / B``, are 0-d arrays, which
+numpy does not convert on every call.
 
 Two choices keep the bits.  The relu mask is ``sign`` of the relu output,
 a float array that ``delta`` multiplies on numpy's same-type fast path (a
@@ -54,12 +55,10 @@ from .network import (
     IDENTITY,
     RELU,
     SOFTMAX,
-    TIE_TOL,
     LayerSpec,
     Mlp,
+    _chain_calls,
     _fold_columns,
-    _layer_calls,
-    _maximum,
     _run,
     _softmax_buffers,
     forward_batch,
@@ -207,12 +206,9 @@ def _step_calls(stack, xs, targets, probs, buffers):
     """
     layers, grads = stack.layers, stack.grads
     acts, deltas, softmax = buffers
-    calls, below = [], xs
-    for layer, z in zip(layers, acts):
-        # a relu writes its output over z: the backward pass needs only that
-        act = probs if layer.activation == SOFTMAX else z
-        calls += _layer_calls(layer, below, z, act, softmax)
-        below = z
+    # a relu writes its output over z: the backward pass needs only that
+    outs = [probs if layer.activation == SOFTMAX else z for layer, z in zip(layers, acts)]
+    calls = _chain_calls(layers, xs, acts, outs, softmax)
 
     delta = deltas[-1]
     calls.append((np.subtract, (probs, targets, delta)))
@@ -334,59 +330,26 @@ class _Epoch:
         return np.subtract(0.0, self.running[:, -1], out=self.loss)
 
 
-def _label_win_calls(probs, labels, counts):
-    """Calls that count, per net, the rows of ``probs`` whose strict argmax is the label.
-
-    ``probs`` is (S, n, classes) and ``counts`` (S,) integers.  A row's
-    strict argmax (``strict_argmax_batch``) is its label exactly when every
-    other entry is below the label's entry less ``TIE_TOL``: the label's
-    entry is then the maximum, so the tie floor is the same, and no other
-    entry reaches it.  A NaN fails that comparison, as it ties there.  The
-    other entries' maximum is folded column by column over a copy with the
-    label's entry set to -inf; with one class there is no other entry, and
-    a row counts when its entry reaches its own floor.
-    """
-    nets, n, classes = probs.shape
-    label_prob, floor = np.empty((nets, n)), np.empty((nets, n))
-    hits = np.empty((nets, n), dtype=bool)
-    picks = np.arange(n) * classes + labels  # each row's label entry in a net's flat row
-    calls = [
-        (np.take, (probs.reshape(nets, -1), picks, 1, label_prob, "clip")),
-        (np.subtract, (label_prob, np.array(TIE_TOL), floor)),
-    ]
-    if classes == 1:
-        calls.append((np.greater_equal, (label_prob, floor, hits)))
-    else:
-        others = np.empty_like(probs)
-        fold, top = _fold_columns(_maximum, others, np.empty((nets, n, 1)))
-        calls += [
-            (np.copyto, (others, probs)),
-            (np.copyto, (others, -np.inf, "same_kind", np.eye(classes, dtype=bool)[labels])),
-            *fold,
-            (np.less, (top[..., 0], floor, hits)),
-        ]
-    return calls + [(np.add.reduce, (hits, 1, np.intp, counts))]
-
-
 class _Accuracy:
-    """Each net's training accuracy, ``strict_argmax_batch`` hits averaged, as a call list."""
+    """Each net's training accuracy: its ``strict_argmax_batch`` hits, averaged.
+
+    The forward calls run on (S, n, width) buffers allocated once, each
+    layer writing its activation over its pre-activation.
+    """
 
     def __init__(self, stack, points, labels):
         nets, n = len(stack.params), len(points)
-        self.calls, below = [], points  # broadcast against the stack's weights
-        for layer in stack.layers:
-            z = np.empty((nets, n, layer.weight.shape[1]))
-            softmax = _softmax_buffers(z.shape) if layer.activation == SOFTMAX else None
-            self.calls += _layer_calls(layer, below, z, z, softmax)
-            below = z
-        counts = np.empty(nets, dtype=np.intp)
-        self.accs = np.empty(nets)
-        self.calls += _label_win_calls(below, labels, counts)
-        self.calls.append((np.divide, (counts, np.array(n), self.accs)))
+        zs = [np.empty((nets, n, layer.weight.shape[1])) for layer in stack.layers]
+        # the points broadcast against the stack's weights
+        self.calls = _chain_calls(stack.layers, points, zs, zs, _softmax_buffers(zs[-1].shape))
+        self.probs = zs[-1].reshape(nets * n, -1)  # one row per (net, point)
+        self.labels = labels
 
     def run(self):
         _run(self.calls)
-        return self.accs
+        preds, _ = strict_argmax_batch(self.probs)
+        hits = preds.reshape(-1, len(self.labels)) == self.labels
+        return hits.sum(axis=1) / len(self.labels)
 
 
 def gradients(net, x, label):

@@ -176,6 +176,32 @@ class TestTrace:
             pre, post = stages[f"layer{i}_pre"], stages[f"layer{i}_relu"]
             assert post.tobytes() == np.maximum(pre, 0.0).tobytes()
 
+    def test_identity_pre_and_post_stages_are_separate_arrays(self):
+        cloud = gen_annulus2d(10, 3)
+        net = Mlp(layers=(identity_layer(2), identity_layer(2)))
+        stages = dict(forward_trace(net, cloud, include_pre=True).stages)
+        for i in (1, 2):
+            pre, post = stages[f"layer{i}_pre"], stages[f"layer{i}_identity"]
+            assert np.array_equal(pre, post)
+            assert not np.shares_memory(pre, post)
+
+    def test_only_recorded_stages_must_be_finite(self):
+        # layer 1 overflows to -inf on the first point, which the relu maps
+        # to an exact 0: only the pre-activation stage holds the overflow
+        net = Mlp(
+            layers=(
+                LayerSpec(weight=np.array([[-4.0]]), bias=np.zeros(1), activation=RELU),
+                identity_layer(1),
+            )
+        )
+        cloud = LabeledPointCloud(
+            dim=1, points=np.array([[1e308], [-1.0]]), labels=np.array([0, 1]), class_count=2
+        )
+        trace = forward_trace(net, cloud)
+        assert trace.stage_points(-1).tolist() == [[0.0], [4.0]]
+        with pytest.raises(NumericalError):
+            forward_trace(net, cloud, include_pre=True)
+
 
 class TestModelFiles:
     def test_round_trip_exact(self, tmp_path):

@@ -26,6 +26,7 @@ from topoclass.topology import (
     full_separability_report,
     kernel_witness,
     linear_rank,
+    min_class_gap,
     min_enclosing_ball,
     principal_spectrum,
     simplex_class,
@@ -443,6 +444,31 @@ class TestUrysohnBinary:
 
         da, db = dist(a), dist(b)
         assert np.array_equal(urysohn_binary(a, b)(probes), da / (da + db))
+
+
+class TestMinClassGap:
+    def test_is_the_smallest_cross_class_distance(self):
+        classes = gen_annulus2d(30, 6).split_by_class() + [np.array([[5.0, 5.0]])]
+        want = min(
+            np.linalg.norm(p - q)
+            for i, a in enumerate(classes)
+            for b in classes[i + 1 :]
+            for p in a
+            for q in b
+        )
+        assert min_class_gap(classes) == pytest.approx(want, rel=1e-12)
+
+    def test_one_class_has_no_gap(self):
+        assert min_class_gap([np.ones((3, 2))]) == np.inf
+
+    @pytest.mark.parametrize("empty_at", [0, 1])
+    def test_empty_class_is_refused(self, empty_at):
+        classes = [np.ones((3, 2))]
+        classes.insert(empty_at, np.zeros((0, 2)))
+        with pytest.raises(EmptyInputError, match=f"class {empty_at} has no points"):
+            min_class_gap(classes)
+        with pytest.raises(EmptyInputError, match=f"class {empty_at} has no points"):
+            urysohn_multiclass(classes)
 
 
 class TestUrysohnMulticlass:
