@@ -9,11 +9,11 @@ flags; rerunning with the same flags rewrites byte-identical files.
 """
 
 import argparse
-import csv
 import functools
 import json
 import math
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -177,11 +177,11 @@ def cmd_check_sep(args):
         if args.format == "json":
             data_mod.write_json(report.to_jsonable(), args.out)
         else:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["index", "assigned", "true"])
-                for idx, assigned, true in report.violating_points:
-                    writer.writerow([idx, "" if assigned is None else assigned, true])
+            rows = (
+                (str(idx), "" if assigned is None else str(assigned), str(true))
+                for idx, assigned, true in report.violating_points
+            )
+            data_mod.write_csv(args.out, ["index", "assigned", "true"], rows)
     print(json.dumps(report.to_jsonable()))
     return EXIT_OK if report.voronoi_ok else EXIT_QUALITY
 
@@ -273,20 +273,18 @@ def cmd_sweep(args):
         args.batch_size,
         args.target_accuracy,
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["width", "best_accuracy", "witness_gap", "witness_p1", "witness_p2"])
-        for row in rows:
-            witness = row["witness"]
-            writer.writerow(
-                [
-                    row["width"],
-                    repr(float(row["best_accuracy"])),
-                    "" if witness is None else repr(float(witness.output_gap)),
-                    "" if witness is None else ";".join(repr(float(x)) for x in witness.p1),
-                    "" if witness is None else ";".join(repr(float(x)) for x in witness.p2),
-                ]
-            )
+    table = []
+    for row in rows:
+        witness = row["witness"]
+        cells = [str(row["width"]), repr(float(row["best_accuracy"]))]
+        if witness is None:
+            cells += ["", "", ""]
+        else:
+            cells.append(repr(float(witness.output_gap)))
+            cells += [";".join(map(repr, p.tolist())) for p in (witness.p1, witness.p2)]
+        table.append(cells)
+    header = ["width", "best_accuracy", "witness_gap", "witness_p1", "witness_p2"]
+    data_mod.write_csv(args.out, header, table)
     for row in rows:
         print(f"width {row['width']}: best accuracy {row['best_accuracy']:.4f}")
     print(f"wrote {args.out}")
@@ -335,12 +333,10 @@ def cmd_urysohn(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     axis_text = [repr(v) for v in xs.tolist()]
-    # csv.writer's lines: no float repr needs quoting
-    with open(out_dir / "field.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("x,y,value\r\n")
-        for y_text, row in zip(axis_text, values.tolist()):
-            middle = f",{y_text},"
-            fh.write("".join([x + middle + repr(v) + "\r\n" for x, v in zip(axis_text, row)]))
+    rows = chain.from_iterable(
+        zip(axis_text, repeat(y), map(repr, row.tolist())) for y, row in zip(axis_text, values)
+    )
+    data_mod.write_csv(out_dir / "field.csv", ["x", "y", "value"], rows)
     (out_dir / "field.svg").write_text(
         heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)"),
         encoding="utf-8",

@@ -10,7 +10,6 @@ checked against its band, so the radius bounds are hard constraints rather
 than statistical ones.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -231,6 +230,19 @@ def write_json(payload, path):
         fh.write("\n")
 
 
+def write_csv(path, header, rows):
+    """Write a header and then each row of string cells as one CSV line.
+
+    Cells are joined by commas and lines end in CRLF: the bytes the standard
+    ``csv`` module writes for cells that need no quoting, as every cell here
+    (a float ``repr``, an int or empty) does.  ``rows`` may be a generator.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(",".join(row) + "\r\n")
+
+
 def save_cloud(cloud, path):
     """Write the JSON dataset format; coordinates round-trip bit-exactly."""
     payload = {
@@ -280,11 +292,9 @@ def load_cloud(path):
 
 def cloud_to_csv(cloud, path):
     """One row per point: coordinates then label, with a header row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(cloud.dim)] + ["label"])
-        for row, lab in zip(cloud.points, cloud.labels):
-            writer.writerow([repr(float(x)) for x in row] + [int(lab)])
+    header = [f"x{i}" for i in range(cloud.dim)] + ["label"]
+    rows = zip(cloud.points.tolist(), cloud.labels.tolist())
+    write_csv(path, header, ([*map(repr, row), repr(lab)] for row, lab in rows))
 
 
 def class_norm_ranges(cloud):

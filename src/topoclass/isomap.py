@@ -7,13 +7,12 @@ the MDS stage on its own.  Geodesics are a dense Floyd-Warshall min-plus
 recursion in numpy, and the MDS eigensolve is LAPACK ``eigh``.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_json
+from .data import write_csv, write_json
 from .errors import DisconnectedError, DomainError, NumericalError, SpecError
 from .numerics import as_matrix, eigh_symmetric
 
@@ -206,11 +205,14 @@ def classical_mds(d, target_dim):
     if not 1 <= target_dim <= n:
         raise SpecError(f"target_dim must satisfy 1 <= t <= {n}, got {target_dim}")
 
-    sq = d * d
-    row_mean = sq.mean(axis=1, keepdims=True)
-    col_mean = sq.mean(axis=0, keepdims=True)
-    b = -0.5 * (sq - row_mean - col_mean + sq.mean())
-    b = (b + b.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = d * d
+        row_mean = sq.mean(axis=1, keepdims=True)
+        col_mean = sq.mean(axis=0, keepdims=True)
+        b = -0.5 * (sq - row_mean - col_mean + sq.mean())
+        b = (b + b.T) / 2.0
+    if not np.isfinite(b).all():
+        raise NumericalError("squared distances or their sums overflow float64 in classical MDS")
 
     evals, evecs = eigh_symmetric(b)
     used = evals[:target_dim]
@@ -219,11 +221,12 @@ def classical_mds(d, target_dim):
     coords = evecs[:, :target_dim] * lam[np.newaxis, :]
 
     recon = pairwise_distances(coords)
-    denom = float(np.sqrt((d * d).sum()))
-    if denom == 0.0:
-        stress = 0.0
-    else:
-        stress = float(np.sqrt(((recon - d) ** 2).sum()) / denom)
+    with np.errstate(over="ignore"):
+        denom = float(np.sqrt((d * d).sum()))
+        residual = float(np.sqrt(((recon - d) ** 2).sum()))
+    if not (math.isfinite(denom) and math.isfinite(residual)):
+        raise NumericalError("the stress sums of classical MDS overflow float64")
+    stress = 0.0 if denom == 0.0 else residual / denom
     return EmbeddingResult(coordinates=coords, eigenvalues=evals, stress=stress, clamped=clamped)
 
 
@@ -243,13 +246,8 @@ def embedding_to_csv(result, path, labels=None):
     coords = result.coordinates
     names = ["x", "y", "z"] + [f"c{i}" for i in range(3, coords.shape[1])]
     header = names[: coords.shape[1]]
+    rows = ([*map(repr, row)] for row in coords.tolist())
     if labels is not None:
         header = header + ["label"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, row in enumerate(coords):
-            cells = [repr(float(x)) for x in row]
-            if labels is not None:
-                cells.append(int(labels[i]))
-            writer.writerow(cells)
+        rows = (cells + [repr(lab)] for cells, lab in zip(rows, np.asarray(labels).tolist()))
+    write_csv(path, header, rows)

@@ -54,10 +54,6 @@ class LayerSpec:
     def out_dim(self):
         return self.weight.shape[0]
 
-    @property
-    def weight_t(self):  # (in_dim, out_dim): the right factor of a row batch
-        return self.weight.T
-
 
 @dataclass(frozen=True)
 class Mlp:
@@ -157,7 +153,8 @@ def _layer_calls(layer, below, z, act, softmax):
     Works on one layer (weight (out, in), bias (out,)) or on a stack of S
     layers (weights (S, out, in), biases (S, 1, out)); rows stay rows.
     """
-    calls = [(np.matmul, (below, layer.weight_t, z)), (np.add, (z, layer.bias, z))]
+    # the weight's (in, out) view is the right factor of a row batch
+    calls = [(np.matmul, (below, layer.weight.swapaxes(-1, -2), z)), (np.add, (z, layer.bias, z))]
     if layer.activation == RELU:
         calls.append((_maximum, (z, _ZERO, act)))
     elif layer.activation == SOFTMAX:

@@ -13,6 +13,8 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import NumericalError
+
 # class colors; index by label mod len
 PALETTE = (
     "#5e3a8e",  # purple
@@ -31,6 +33,8 @@ _HEX = [f"{i:02x}" for i in range(256)]
 
 def _spans(lo, hi):
     span = hi - lo
+    if np.isinf(span):
+        raise NumericalError(f"the coordinate span from {lo:.3g} to {hi:.3g} overflows float64")
     if span <= 0.0:
         return lo - 0.5, 1.0
     return lo, span

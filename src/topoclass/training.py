@@ -45,11 +45,11 @@ order by ``np.add.accumulate``: ``np.add.reduce`` would sum each net's
 contiguous row of batch sums pairwise, which differs in the last bits.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv
 from .errors import ConfigError, DomainError, NumericalError
 from .network import (
     IDENTITY,
@@ -101,11 +101,9 @@ class TrainHistory:
         return len(self.losses)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "accuracy"])
-            for i, (loss, acc) in enumerate(zip(self.losses, self.accuracies), start=1):
-                writer.writerow([i, repr(float(loss)), repr(float(acc))])
+        rows = enumerate(zip(self.losses, self.accuracies), start=1)
+        cells = ((str(i), repr(float(loss)), repr(float(acc))) for i, (loss, acc) in rows)
+        write_csv(path, ["epoch", "loss", "accuracy"], cells)
 
 
 def cross_entropy(p, label):
@@ -131,9 +129,6 @@ class _LayerStack:
     weight: np.ndarray
     bias: np.ndarray
     activation: str
-
-    def __post_init__(self):
-        self.weight_t = self.weight.swapaxes(-1, -2)  # a view, built once per stack
 
 
 def _layer_views(flat, template):

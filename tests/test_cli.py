@@ -18,7 +18,8 @@ from topoclass import errors
 from topoclass.cli import MAX_GRID_SIZE, main
 from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
 from topoclass.isomap import graph_components, knn_graph
-from topoclass.network import load_model
+from topoclass.network import build_relu_net, load_model, save_model
+from topoclass.numerics import make_rng
 from topoclass.topology import urysohn_binary
 
 # the package's ``isomap`` attribute is the function, not the module
@@ -402,6 +403,35 @@ class TestUrysohn:
         assert (out / "field.csv").read_text().splitlines()[1].startswith("-2.5,-2.5,")
 
 
+class TestCsvFiles:
+    def test_every_csv_is_the_standard_writers_bytes_for_its_rows(self, workspace, tmp_path):
+        data = workspace["data"]
+        tied = tmp_path / "tied.json"  # the zero softmax head ties every row
+        save_model(build_relu_net((2, 5, 2), make_rng(0)), tied)
+        for argv in (
+            ["gen", "--annulus", "--n", 20, "-o", tmp_path / "g.json", "--csv", tmp_path / "g.csv"],
+            ["train", data, "--dims", "2,3,2", "--epochs", 5, "-o", tmp_path / "m.json"],
+            ["sweep-bottleneck", data, "--widths", "1,2", "--seeds", 1, "--epochs", 5,
+             "-o", tmp_path / "sweep.csv"],
+            ["isomap", data, "--format", "csv", "--out-dir", tmp_path / "iso"],
+            ["urysohn", data, "--grid-size", 11, "--out-dir", tmp_path / "ury"],
+            ["check-sep", tied, data, "--format", "csv", "--out", tmp_path / "ties.csv"],
+        ):
+            run(argv)
+        paths = sorted(tmp_path.rglob("*.csv"))
+        names = ["embedding.csv", "field.csv", "g.csv", "m_history.csv", "sweep.csv", "ties.csv"]
+        assert sorted(path.name for path in paths) == names
+        for path in paths:
+            rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+            again = io.StringIO(newline="")
+            csv.writer(again).writerows(rows)
+            assert again.getvalue().encode("utf-8") == path.read_bytes(), path.name
+        ties = list(csv.reader(io.StringIO((tmp_path / "ties.csv").read_text(), newline="")))
+        assert len(ties) == 201 and all(row[1] == "" for row in ties[1:])
+        sweep = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text(), newline="")))
+        assert sweep[1][2] != "" and sweep[2][2:] == ["", "", ""]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
@@ -487,6 +517,36 @@ class TestExitCodes:
             assert run(["witness", model]) == 1
         captured = capsys.readouterr()
         assert "residual exceeds" in captured.out + captured.err
+
+    def test_isomap_whose_squared_geodesics_overflow_exits_1(self, tmp_path, capsys):
+        # a 3-D helix scaled so that its kNN distances are finite but the
+        # squares of its longest geodesics are not
+        t = np.arange(200)
+        radius = 20 / (2 * np.pi)
+        points = 1.5e152 * np.column_stack(
+            [radius * np.cos(2 * np.pi * t / 20), radius * np.sin(2 * np.pi * t / 20), 0.2 * t]
+        )
+        data = tmp_path / "helix.json"
+        save_cloud(LabeledPointCloud(dim=3, points=points, labels=t // 100, class_count=2), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["isomap", data, "--knn", 4, "--out-dir", tmp_path / "iso"]) == 1
+        assert "overflow float64 in classical MDS" in capsys.readouterr().err
+
+    def test_trace_stage_whose_span_overflows_exits_1(self, tmp_path, capsys):
+        # every coordinate of the stage is finite, its x span is not
+        data, model = tmp_path / "d.json", tmp_path / "big.json"
+        run(["gen", "--annulus", "--n", 50, "--seed", 0, "-o", data])
+        model.write_text(
+            '{"layers": [{"activation": "identity", "weight": [[9e307, 0], [0, 9e307]], '
+            '"bias": [0, 0]}]}'
+        )
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["trace", model, data, "--out-dir", tmp_path / "t"]) == 1
+        assert "overflows float64" in capsys.readouterr().err
+        assert not (tmp_path / "t" / "stage_01_layer1_identity.svg").exists()
 
     @pytest.mark.parametrize(
         "error",

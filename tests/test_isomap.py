@@ -367,6 +367,13 @@ class TestClassicalMds:
         assert result.clamped >= 1
         assert np.isfinite(result.coordinates).all()
 
+    @pytest.mark.parametrize(
+        "gap", [1.5e154, 1.2e154], ids=["square-overflows", "sum-of-squares-overflows"]
+    )
+    def test_overflowing_squares_are_numerical_error(self, gap):
+        with pytest.raises(NumericalError, match="overflow float64"):
+            classical_mds(np.array([[0.0, gap], [gap, 0.0]]), 1)
+
 
 class TestIsomapComposition:
     def test_planar_data_large_k_preserves_distances(self):

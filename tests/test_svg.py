@@ -9,6 +9,7 @@ import pytest
 
 import topoclass
 
+from topoclass.errors import NumericalError
 from topoclass.numerics import make_rng
 from topoclass.svg import (
     _MARGIN,
@@ -48,6 +49,20 @@ def test_depth_cue_varies_radius():
     svg = scatter_svg(pts, [0, 1], "3d")
     radii = sorted(float(c.get("r")) for c in circles_of(svg))
     assert radii[0] < radii[1]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "depth"])
+def test_span_past_float64_is_numerical_error(axis):
+    # both ends are finite, but hi - lo is not: the marks would be NaN
+    pts = np.zeros((3, 3))
+    pts[1, axis], pts[2, axis] = -1.5e308, 1.5e308
+    with pytest.raises(NumericalError, match="overflows float64"):
+        scatter_svg(pts, [0, 1, 0], "overflow")
+
+
+def test_span_at_float64_limit_renders():
+    pts = np.array([[0.0, -1.7e308], [1.0, 0.0]])
+    assert scatter_svg(pts, [0, 1], "edge") == scatter_oracle(pts, [0, 1], "edge")
 
 
 def test_one_dimensional_points_padded():
