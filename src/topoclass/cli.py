@@ -3,15 +3,24 @@
 Subcommands: gen, train, trace, check-sep, witness, sweep-bottleneck,
 isomap, urysohn.  Exit codes: 0 success, 1 quality failure (target not
 reached, separation not achieved, disconnected graph, a result outside its
-numerical contract), 2 usage, schema or unreadable-path error, 3
-precondition not applicable.  Every command is a pure function of its
-flags; rerunning with the same flags rewrites byte-identical files.
+numerical contract, a sweep worker that ended without its result), 2
+usage, schema or unreadable-path error (including a training stack too
+large to hold), 3 precondition not applicable.  Every command is a pure
+function of its flags; rerunning with the same flags rewrites
+byte-identical files.
+
+``sweep-bottleneck`` trains its widths in parallel, one forked process
+per usable core (``_train_stacks``); its rows, files, output and exit
+code are those of training the widths one after another.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 from itertools import chain, repeat
 from pathlib import Path
@@ -22,7 +31,14 @@ from . import data as data_mod
 from . import network as net_mod
 from . import topology as topo_mod
 from . import training as train_mod
-from .errors import ConfigError, DisconnectedError, NumericalError, SpecError, TopoclassError
+from .errors import (
+    ConfigError,
+    DisconnectedError,
+    NumericalError,
+    SpecError,
+    TopoclassError,
+    WorkerError,
+)
 from .isomap import (
     NeighborGraph,
     classical_mds,
@@ -46,6 +62,25 @@ MAX_WIDTH = 1024  # training holds every net's activations on every point at onc
 MAX_SEEDS = 100
 # gen holds every coordinate and its JSON text in memory: about 0.5 GB at 10^7
 MAX_COORDINATES = 10**7
+# a training stack of S nets holds every layer's activations on all n
+# points at once: S * n * (sum of layer widths) floats, 2 GiB at this limit
+MAX_STACK_ENTRIES = 2**28
+
+
+def _check_stack_size(nets, dims, n, processes=1):
+    """Refuse, before allocating, stacks of ``nets`` nets of ``dims`` on ``n`` points.
+
+    Each of ``processes`` processes holds one such stack at a time.
+    """
+    units = sum(dims[1:])
+    entries = processes * nets * n * units
+    if entries > MAX_STACK_ENTRIES:
+        stack = f"{nets} net{'s' if nets > 1 else ''} x {n} points x {units} units"
+        each = f", in each of {processes} processes" if processes > 1 else ""
+        raise SpecError(
+            f"{entries} activations to hold ({stack}, widths {','.join(map(str, dims))}{each}): "
+            f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
+        )
 
 
 def _sweep_dims(in_dim, width, class_count):
@@ -106,6 +141,7 @@ def cmd_train(args):
             f"--dims {dims} does not match data (dim {cloud.dim}, "
             f"{cloud.class_count} classes)"
         )
+    _check_stack_size(1, dims, len(cloud))
     net = net_mod.build_relu_net(dims, make_rng(args.seed))
     cfg = train_mod.TrainConfig(
         learning_rate=args.lr,
@@ -145,10 +181,10 @@ def cmd_trace(args):
     net = net_mod.load_model(args.model)
     cloud = data_mod.load_cloud(args.data)
     trace = net_mod.forward_trace(net, cloud, include_pre=args.include_pre)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    index = []
+    # every stage is projected and drawn before anything is written, so a
+    # stage that fails leaves no files behind
+    index, svgs = [], []
     for i, (name, points) in enumerate(trace.stages):
         dim = points.shape[1]
         entry = {"index": i, "name": name, "dim": dim, "projected": dim > 3}
@@ -158,12 +194,14 @@ def cmd_trace(args):
             plotted = result.coordinates
             entry["knn"] = k_used
             entry["stress"] = result.stress
-        svg_name = f"stage_{i:02d}_{name}.svg"
         title = f"stage {i}: {name} (dim {dim})" + (" via isomap" if dim > 3 else "")
-        svg = scatter_svg(plotted, trace.labels, title)
-        (out_dir / svg_name).write_text(svg, encoding="utf-8")
-        entry["svg"] = svg_name
+        svgs.append(scatter_svg(plotted, trace.labels, title))
+        entry["svg"] = f"stage_{i:02d}_{name}.svg"
         index.append(entry)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry, svg in zip(index, svgs):
+        (out_dir / entry["svg"]).write_text(svg, encoding="utf-8")
     data_mod.write_json({"stages": index}, out_dir / "index.json")
     print(f"wrote {len(index)} stage SVGs and index.json to {out_dir}")
     return EXIT_OK
@@ -215,37 +253,127 @@ def cmd_witness(args):
     return EXIT_OK
 
 
+def _usable_cores():
+    """The cores this process may run on; 1 where the platform cannot say."""
+    sched_getaffinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(sched_getaffinity(0)) if sched_getaffinity else 1
+
+
+def _train_share(cloud, stacks, cfgs):
+    """Yield each stack's ``train_many`` results, or the exception it raised.
+
+    Stops after the first exception.
+    """
+    for _, nets in stacks:
+        try:
+            outcome = train_mod.train_many(nets, cloud, cfgs)
+        except Exception as exc:  # the caller raises the first failure in width order
+            outcome = exc
+        yield outcome
+        if isinstance(outcome, Exception):
+            return
+
+
+def _train_stacks(cloud, stacks, cfgs, processes):
+    """``train_many(nets, cloud, cfgs)`` for each ``(width, nets)`` of ``stacks``.
+
+    Stack i trains in process i % ``processes``: this process takes share
+    0 and ``os.fork`` makes the others.  A worker pickles each outcome into
+    its pipe as soon as it has it and leaves by ``os._exit``; like this
+    process, it stops at its first failure.  Returns the results in stack
+    order, or raises the failure of the first stack that failed; a worker
+    that ended without sending an outcome fails its stack with WorkerError.
+    Every worker is reaped before this returns or raises, and killed first
+    when this process leaves by an exception, such as KeyboardInterrupt.
+    With one process this is the plain loop.
+    """
+    outcomes = [None] * len(stacks)
+    workers = []  # (pid, read end, first stack of its share), not yet reaped
+    try:
+        for first in range(1, processes):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    for _, pipe, _ in workers:
+                        pipe.close()
+                    with os.fdopen(write_end, "wb") as pipe:
+                        for outcome in _train_share(cloud, stacks[first::processes], cfgs):
+                            pickle.dump(outcome, pipe)
+                            pipe.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            workers.append((pid, os.fdopen(read_end, "rb"), first))
+        own = range(0, len(stacks), processes)
+        for i, outcome in zip(own, _train_share(cloud, stacks[::processes], cfgs)):
+            outcomes[i] = outcome
+        while workers:
+            pid, pipe, first = workers[0]
+            lost = None
+            for i in range(first, len(stacks), processes):
+                try:
+                    outcomes[i] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the worker ended before sending it
+                    lost = i
+                    break
+                if isinstance(outcomes[i], Exception):
+                    break
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            pipe.close()
+            if lost is not None:
+                how = f"exit {code}" if code >= 0 else f"killed by {signal.Signals(-code).name}"
+                outcomes[lost] = WorkerError(
+                    f"the process training width {stacks[lost][0]} ended without "
+                    f"its result ({how})"
+                )
+    finally:
+        for pid, pipe, _ in workers:  # left early by an exception: stop them
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size, target):
     """Train first-layer-width variants; per width, keep the best accuracy.
 
     The seeds of one width train together in one stack (train_many), with
-    results identical to training them one by one.  Returns one dict per
-    width (ordered by width) with the best accuracy over the seeds and,
-    when the width is an actual bottleneck, a kernel witness from the best
-    net's first layer.
+    results identical to training them one by one, and the widths train
+    in parallel, one process per usable core (``_train_stacks``).  Returns
+    one dict per width (ordered by width) with the best accuracy over the
+    seeds and, when the width is an actual bottleneck, a kernel witness
+    from the best net's first layer.
     """
-    rows = []
+    processes = min(len(widths), _usable_cores())
+    widest = _sweep_dims(cloud.dim, max(widths), cloud.class_count)
+    _check_stack_size(seeds, widest, len(cloud), processes)
+    run_seeds = range(base_seed, base_seed + seeds)
+    cfgs = [
+        train_mod.TrainConfig(
+            learning_rate=lr,
+            epochs=epochs,
+            batch_size=batch_size,
+            seed=seed,
+            target_accuracy=target,
+        )
+        for seed in run_seeds
+    ]
+    stacks = []
     for width in widths:
         dims = _sweep_dims(cloud.dim, width, cloud.class_count)
-        run_seeds = range(base_seed, base_seed + seeds)
         nets = [net_mod.build_relu_net(dims, make_rng(seed)) for seed in run_seeds]
-        cfgs = [
-            train_mod.TrainConfig(
-                learning_rate=lr,
-                epochs=epochs,
-                batch_size=batch_size,
-                seed=seed,
-                target_accuracy=target,
-            )
-            for seed in run_seeds
-        ]
-        seed_accs = []
-        best_net = None
-        for trained, history in train_mod.train_many(nets, cloud, cfgs):
-            acc = max(history.accuracies)
-            if best_net is None or acc > max(seed_accs):
-                best_net = trained
-            seed_accs.append(acc)
+        stacks.append((width, nets))
+    rows = []
+    for width, results in zip(widths, _train_stacks(cloud, stacks, cfgs, processes)):
+        seed_accs = [max(history.accuracies) for _, history in results]
         row = {
             "width": width,
             "best_accuracy": max(seed_accs),
@@ -253,6 +381,7 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
             "witness": None,
         }
         if width < cloud.dim:
+            best_net = results[seed_accs.index(max(seed_accs))][0]
             row["witness"] = topo_mod.kernel_witness(best_net.layers[0].weight)
         rows.append(row)
     return rows
@@ -449,7 +578,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DisconnectedError, NumericalError) as exc:
+    except (DisconnectedError, NumericalError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY
     except (TopoclassError, OSError) as exc:

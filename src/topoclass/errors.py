@@ -62,3 +62,7 @@ class DisconnectedError(TopoclassError):
             "increase k or restrict to the largest component"
         )
         self.components = components
+
+
+class WorkerError(TopoclassError):
+    """A worker process ended without handing back its result."""

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from topoclass.data import gen_annulus2d
@@ -19,3 +21,14 @@ def trained_paper_net(annulus500):
     trained, history = train(net, annulus500, cfg)
     assert history.accuracies[-1] == 1.0, "fixture net failed to converge"
     return trained
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test after which a child process is running or not yet reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process is still running" if pid == 0 else f"child {pid} was not reaped")

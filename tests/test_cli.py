@@ -3,8 +3,11 @@ import csv
 import importlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 import xml.etree.ElementTree as ET
@@ -15,6 +18,7 @@ import pytest
 import topoclass
 from topoclass import cli as cli_mod
 from topoclass import errors
+from topoclass import training as train_mod
 from topoclass.cli import MAX_GRID_SIZE, main
 from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
 from topoclass.isomap import graph_components, knn_graph
@@ -145,6 +149,20 @@ class TestTrain:
     def test_dims_mismatch_exit_2(self, workspace, tmp_path):
         code = run(["train", workspace["data"], "--dims", "3,4,2", "-o", tmp_path / "x.json"])
         assert code == 2
+
+    def test_stack_past_the_limit_exits_2_before_training(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # the paper net holds 200 points x (5 + 5 + 2 + 2 + 2 + 2) activations
+        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 3599)
+        monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
+        out = tmp_path / "m.json"
+        assert run(["train", workspace["data"], "--paper-net", "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: 3600 activations to hold (1 net x 200 points x 18 units, "
+            "widths 2,5,5,2,2,2,2): more than MAX_STACK_ENTRIES = 3599\n"
+        )
+        assert not out.exists()
 
 
 class TestTrace:
@@ -287,6 +305,133 @@ class TestSweep:
     @pytest.mark.parametrize("flags", [("--seeds", 0), ("--widths", "1,a")])
     def test_bad_flags_exit_2(self, workspace, tmp_path, flags):
         assert run(["sweep-bottleneck", workspace["data"], *flags, "-o", tmp_path / "s.csv"]) == 2
+
+    def test_stack_past_the_limit_exits_2_before_training(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # 2 seeds x 200 points x (2 + 8 + 8 + 2) for the widest net, once per process
+        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 2 * 8000 - 1)
+        train_many = train_mod.train_many
+        monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
+        out = tmp_path / "s.csv"
+        argv = ["sweep-bottleneck", workspace["data"], "--widths", "1,2", "--seeds", 2,
+                "--epochs", 2, "-o", out]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 16000 activations to hold (2 nets x 200 points x 20 units, "
+            "widths 2,2,8,8,2, in each of 2 processes): more than MAX_STACK_ENTRIES = 15999\n"
+        )
+        assert not out.exists()
+        # one process holds one stack: 8000 activations fit
+        monkeypatch.setattr(train_mod, "train_many", train_many)
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
+        assert run(argv) == 0
+
+
+class TestParallelSweep:
+    """The widths train in forked processes with the sequential loop's results."""
+
+    @staticmethod
+    def sweep(monkeypatch, tmp_path, cores, data, *flags):
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: cores)
+        out = tmp_path / f"sweep{cores}.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(["sweep-bottleneck", data, "--seeds", 2, "-o", out, *flags])
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        csv_bytes = out.read_bytes() if out.exists() else None
+        return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), csv_bytes
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("sweep") / "a.json"
+        assert run(["gen", "--annulus", "--n", 20, "--seed", 0, "-o", data]) == 0
+        return data
+
+    def test_one_two_and_three_processes_write_the_same_bytes(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        flags = ("--widths", "1,2,3,4,5", "--epochs", 30)
+        runs = [self.sweep(monkeypatch, tmp_path, cores, workspace["data"], *flags)
+                for cores in (1, 2, 3)]
+        assert runs[0][0] == 0 and runs[0][3].count(b"\r\n") == 6
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    # at --lr 10 widths 1 and 2 train, width 3 diverges with the net of
+    # seed 0 and width 5 with the net of seed 1 (checked below)
+    @pytest.mark.parametrize(
+        "widths, cores",
+        [("1,5,3", 2), ("5,3", 2), ("1,3,5", 3), ("1,2,5,3", 3)],
+        ids=["child first", "parent first", "first child first", "second child first"],
+    )
+    def test_diverging_width_fails_as_the_sequential_run(
+        self, small, tmp_path, monkeypatch, widths, cores
+    ):
+        flags = ("--widths", widths, "--epochs", 5, "--lr", 10)
+        expected = self.sweep(monkeypatch, tmp_path, 1, small, *flags)
+        code, stdout, stderr, csv_bytes = expected
+        assert (code, stdout, csv_bytes) == (1, "", None)
+        assert "diverged" in stderr and "Traceback" not in stderr
+        assert self.sweep(monkeypatch, tmp_path, cores, small, *flags) == expected
+        # the width that fails later in width order fails differently
+        later = [w for w in widths.split(",") if w in ("3", "5")][1]
+        assert self.sweep(monkeypatch, tmp_path, 1, small, "--widths", later,
+                          *flags[2:])[2] != stderr
+
+    def kill_in_worker(self, monkeypatch, width):
+        parent, train_many = os.getpid(), train_mod.train_many
+
+        def train_or_die(nets, cloud, cfgs):
+            if os.getpid() != parent and nets[0].layers[0].weight.shape[0] == width:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_many(nets, cloud, cfgs)
+
+        monkeypatch.setattr(train_mod, "train_many", train_or_die)
+
+    @pytest.mark.parametrize("width, widths", [(2, "1,2,3"), (4, "1,2,3,4")])
+    def test_killed_worker_is_a_typed_error_naming_its_width(
+        self, small, tmp_path, monkeypatch, width, widths
+    ):
+        # with two processes the worker trains widths 2 and 4; killed at 4,
+        # it has already sent width 2's results
+        self.kill_in_worker(monkeypatch, width)
+        code, stdout, stderr, csv_bytes = self.sweep(
+            monkeypatch, tmp_path, 2, small, "--widths", widths, "--epochs", 2
+        )
+        assert (code, stdout, csv_bytes) == (1, "", None)
+        assert stderr == (
+            f"error: the process training width {width} ended without its result "
+            "(killed by SIGKILL)\n"
+        )
+
+    def test_earlier_failure_in_this_process_wins_over_a_killed_worker(
+        self, small, tmp_path, monkeypatch
+    ):
+        self.kill_in_worker(monkeypatch, 5)
+        flags = ("--widths", "3,5", "--epochs", 5, "--lr", 10)
+        code, _, stderr, _ = self.sweep(monkeypatch, tmp_path, 2, small, *flags)
+        assert code == 1 and "diverged" in stderr
+
+    def test_interrupt_kills_and_reaps_the_workers(self, small, monkeypatch):
+        parent, train_many = os.getpid(), train_mod.train_many
+
+        def interrupt_or_hang(nets, cloud, cfgs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return train_many(nets, cloud, cfgs)
+
+        monkeypatch.setattr(train_mod, "train_many", interrupt_or_hang)
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 3)
+        cloud = load_cloud(small)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli_mod.run_bottleneck_sweep(cloud, [1, 2, 3], 1, 0, 0.05, 2, 32, 0.99)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestIsomapCommand:
@@ -547,6 +692,7 @@ class TestExitCodes:
             assert run(["trace", model, data, "--out-dir", tmp_path / "t"]) == 1
         assert "overflows float64" in capsys.readouterr().err
         assert not (tmp_path / "t" / "stage_01_layer1_identity.svg").exists()
+        assert not (tmp_path / "t" / "stage_00_input.svg").exists()
 
     @pytest.mark.parametrize(
         "error",
@@ -562,7 +708,8 @@ class TestExitCodes:
             raise error([[0], [1]]) if error is errors.DisconnectedError else error("boom")
 
         monkeypatch.setattr("topoclass.data.gen_annulus2d", fail)
-        expected = 1 if error in (errors.DisconnectedError, errors.NumericalError) else 2
+        quality = (errors.DisconnectedError, errors.NumericalError, errors.WorkerError)
+        expected = 1 if error in quality else 2
         assert run(["gen", "--annulus", "-o", tmp_path / "d.json"]) == expected
 
 
