@@ -4,10 +4,10 @@ Subcommands: gen, train, trace, check-sep, witness, sweep-bottleneck,
 isomap, urysohn.  Exit codes: 0 success, 1 quality failure (target not
 reached, separation not achieved, disconnected graph, a result outside its
 numerical contract, a sweep worker that ended without its result), 2
-usage, schema or unreadable-path error (including a training stack too
-large to hold), 3 precondition not applicable.  Every command is a pure
-function of its flags; rerunning with the same flags rewrites
-byte-identical files.
+usage, schema or unreadable-path error (including a training stack or a
+dense Isomap too large to hold), 3 precondition not applicable.  Every
+command is a pure function of its flags; rerunning with the same flags
+rewrites byte-identical files.
 
 ``sweep-bottleneck`` trains its widths in parallel, one forked process
 per usable core (``_train_stacks``); its rows, files, output and exit
@@ -65,6 +65,8 @@ MAX_COORDINATES = 10**7
 # a training stack of S nets holds every layer's activations on all n
 # points at once: S * n * (sum of layer widths) floats, 2 GiB at this limit
 MAX_STACK_ENTRIES = 2**28
+# dense Isomap holds about 7 n x n float64 arrays at once: 0.94 GB at this n
+MAX_ISOMAP_POINTS = 2**12
 
 
 def _check_stack_size(nets, dims, n, processes=1):
@@ -81,6 +83,12 @@ def _check_stack_size(nets, dims, n, processes=1):
             f"{entries} activations to hold ({stack}, widths {','.join(map(str, dims))}{each}): "
             f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
         )
+
+
+def _check_isomap_size(n):
+    """Refuse, before allocating, a dense Isomap of ``n`` points."""
+    if n > MAX_ISOMAP_POINTS:
+        raise SpecError(f"Isomap of {n} points: more than MAX_ISOMAP_POINTS = {MAX_ISOMAP_POINTS}")
 
 
 def _sweep_dims(in_dim, width, class_count):
@@ -165,6 +173,7 @@ def cmd_train(args):
 def _project_stage(points, k_start):
     """Isomap a high-dimensional stage to 3-D, doubling k past disconnection."""
     n = points.shape[0]
+    _check_isomap_size(n)
     k = min(k_start, n - 1)
     while True:
         try:
@@ -422,6 +431,7 @@ def cmd_sweep(args):
 
 def cmd_isomap(args):
     cloud = data_mod.load_cloud(args.data)
+    _check_isomap_size(len(cloud))
     labels = cloud.labels
     graph = knn_graph(cloud.points, args.knn)
     if args.largest_component:
@@ -458,6 +468,9 @@ def cmd_urysohn(args):
 
     xs = ys = np.linspace(-extent, extent, size)
     values = topo_mod.urysohn_grid(classes, xs, ys)
+    # the field on the classes, like the grid, is evaluated before anything
+    # is written, so a failure leaves no files behind
+    on_classes = [field(points) for points in classes]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -470,8 +483,7 @@ def cmd_urysohn(args):
         heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)"),
         encoding="utf-8",
     )
-    for k in range(cloud.class_count):
-        on_class = field(cloud.class_points(k))
+    for k, on_class in enumerate(on_classes):
         print(f"class {k}: field in [{on_class.min():.3g}, {on_class.max():.3g}] (target {k})")
     print(f"wrote field.csv and field.svg to {out_dir}")
     return EXIT_OK

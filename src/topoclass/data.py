@@ -45,6 +45,8 @@ class LabeledPointCloud:
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
+        if self.dim < 1:
+            raise SchemaError("dim must be >= 1")
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise SchemaError(f"points must have shape (n, {self.dim})")
         if points.shape[0] == 0:
@@ -230,6 +232,37 @@ def write_json(payload, path):
         fh.write("\n")
 
 
+def fields(obj, what, keys):
+    """The values of ``keys`` in ``obj``, a parsed JSON object that ``what`` names."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{what} is missing key {key!r}")
+    return [obj[key] for key in keys]
+
+
+def numbers(value, what, kinds=(int, float), dtype=np.float64):
+    """A JSON number or nested lists of them as a ``dtype`` array; SchemaError otherwise.
+
+    Every leaf must be one of ``kinds`` and not a bool; the walk keeps a
+    stack, so any depth ``read_json`` accepts is safe.  Values past
+    ``dtype``'s range, ragged rows and nesting past numpy's dimension limit
+    fail the conversion.  Shapes are the caller's to check.
+    """
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, kinds):
+            raise SchemaError(f"{what} has an entry of type {type(item).__name__}")
+    try:
+        return np.array(value, dtype=dtype)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"{what} cannot be read as {np.dtype(dtype).name} values: {exc}") from exc
+
+
 def write_csv(path, header, rows):
     """Write a header and then each row of string cells as one CSV line.
 
@@ -256,38 +289,18 @@ def save_cloud(cloud, path):
 
 def load_cloud(path):
     """Read a JSON dataset, raising ParseError/SchemaError on bad files."""
-    payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise SchemaError("dataset file must contain a JSON object")
-    for key in ("dim", "class_count", "points", "labels"):
-        if key not in payload:
-            raise SchemaError(f"dataset file is missing key {key!r}")
-    dim = payload["dim"]
-    class_count = payload["class_count"]
-    points = payload["points"]
-    labels = payload["labels"]
+    dim, class_count, points, labels = fields(
+        read_json(path), "dataset file", ("dim", "class_count", "points", "labels")
+    )
     for key, value in (("dim", dim), ("class_count", class_count)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError(f"{key} must be an integer, got {type(value).__name__}")
-    if not isinstance(points, list) or not points:
-        raise SchemaError("points must be a non-empty list")
-    if not isinstance(labels, list):
-        raise SchemaError("labels must be a list")
-    for i, row in enumerate(points):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"point {i} does not have {dim} coordinates")
-        for x in row:
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise SchemaError(f"point {i} has a non-numeric coordinate")
-    for i, lab in enumerate(labels):
-        if not isinstance(lab, int) or isinstance(lab, bool):
-            raise SchemaError(f"label {i} is not an integer")
-    try:
-        points = np.array(points, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
-    except OverflowError as exc:
-        raise SchemaError("a coordinate is past the float64 range or a label past int64") from exc
-    return LabeledPointCloud(dim=dim, points=points, labels=labels, class_count=class_count)
+    return LabeledPointCloud(
+        dim=dim,
+        points=numbers(points, "points"),
+        labels=numbers(labels, "labels", int, np.int64),
+        class_count=class_count,
+    )
 
 
 def cloud_to_csv(cloud, path):

@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .data import read_json, write_json
+from .data import fields, numbers, read_json, write_json
 from .errors import DimensionError, NumericalError, SchemaError
 from .numerics import as_matrix, as_vector
 
@@ -334,44 +334,20 @@ def save_model(net, path):
     write_json(payload, path)
 
 
-def _require_numbers(value, what):
-    """Raise SchemaError unless value is a number or nested lists of numbers (bools are not)."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise SchemaError(f"{what} has a non-numeric entry of type {type(item).__name__}")
-
-
 def load_model(path):
-    payload = read_json(path)
-    if not isinstance(payload, dict) or "layers" not in payload:
-        raise SchemaError("model file must be an object with a 'layers' key")
-    raw_layers = payload["layers"]
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise SchemaError("model must contain at least one layer")
+    """Read a JSON model, raising ParseError/SchemaError on bad files."""
+    (raw_layers,) = fields(read_json(path), "model file", ("layers",))
+    if not isinstance(raw_layers, list):
+        raise SchemaError("layers must be a list")
     layers = []
     for i, raw in enumerate(raw_layers):
-        if not isinstance(raw, dict):
-            raise SchemaError(f"layer {i} must be an object")
-        for key in ("activation", "weight", "bias"):
-            if key not in raw:
-                raise SchemaError(f"layer {i} is missing key {key!r}")
-        if raw["activation"] not in ACTIVATIONS:
-            raise SchemaError(f"layer {i} has unknown activation {raw['activation']!r}")
-        _require_numbers([raw["weight"], raw["bias"]], f"layer {i}")
+        what = f"layer {i}"
+        activation, weight, bias = fields(raw, what, ("activation", "weight", "bias"))
+        weight, bias = numbers(weight, f"{what} weight"), numbers(bias, f"{what} bias")
         try:
-            layers.append(
-                LayerSpec(
-                    weight=np.array(raw["weight"], dtype=np.float64),
-                    bias=np.array(raw["bias"], dtype=np.float64),
-                    activation=raw["activation"],
-                )
-            )
-        except (DimensionError, NumericalError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"layer {i} is malformed: {exc}") from exc
+            layers.append(LayerSpec(weight, bias, activation))
+        except (DimensionError, NumericalError, ValueError) as exc:  # ValueError: activation
+            raise SchemaError(f"{what} is malformed: {exc}") from exc
     try:
         return Mlp(layers=tuple(layers))
     except DimensionError as exc:

@@ -151,8 +151,8 @@ def simplex_class(y, tol=TIE_TOL):
     return strict_argmax(y, tol)
 
 
-def check_thm3(net, cloud):
-    """Voronoi criterion: every point's strict-argmax class equals its label."""
+def _voronoi_violations(net, cloud):
+    """The net's outputs on the cloud, and the points its strict argmax misclassifies."""
     if net.layers[-1].activation != SOFTMAX:
         raise DimensionError("criterion needs a softmax final layer")
     if net.output_dim != cloud.class_count:
@@ -165,7 +165,13 @@ def check_thm3(net, cloud):
     violations = tuple(
         (int(i), None if ties[i] else int(preds[i]), int(cloud.labels[i])) for i in bad
     )
-    return SeparabilityReport(voronoi_ok=len(violations) == 0, violating_points=violations)
+    return outputs, violations
+
+
+def check_thm3(net, cloud):
+    """Voronoi criterion: every point's strict-argmax class equals its label."""
+    _, violations = _voronoi_violations(net, cloud)
+    return SeparabilityReport(voronoi_ok=not violations, violating_points=violations)
 
 
 def _circumball(support):
@@ -293,13 +299,12 @@ def check_disc_separation(clouds_by_class):
 
 def full_separability_report(net, cloud):
     """Voronoi criterion plus the disc certificate on the net's output clouds."""
-    report = check_thm3(net, cloud)
-    outputs = forward_batch(net, cloud.points)
+    outputs, violations = _voronoi_violations(net, cloud)
     by_class = [outputs[cloud.labels == k] for k in range(cloud.class_count)]
     disc_ok, discs, gap = check_disc_separation(by_class)
     return SeparabilityReport(
-        voronoi_ok=report.voronoi_ok,
-        violating_points=report.violating_points,
+        voronoi_ok=not violations,
+        violating_points=violations,
         disc_ok=disc_ok,
         discs=tuple(discs),
         min_inter_disc_gap=gap,
@@ -496,7 +501,4 @@ def linear_rank(points, rel_tol=1e-6):
 
 def component_count(points, k):
     """Connected components of the symmetric kNN graph."""
-    pts = as_matrix(points, "points")
-    if k < 1 or k >= pts.shape[0]:
-        raise SpecError(f"k must satisfy 1 <= k < {pts.shape[0]}, got {k}")
-    return len(graph_components(knn_graph(pts, k)))
+    return len(graph_components(knn_graph(points, k)))

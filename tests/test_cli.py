@@ -694,6 +694,58 @@ class TestExitCodes:
         assert not (tmp_path / "t" / "stage_01_layer1_identity.svg").exists()
         assert not (tmp_path / "t" / "stage_00_input.svg").exists()
 
+    def test_zero_dimensional_dataset_exits_2(self, tmp_path, capsys):
+        # points without coordinates, and a model whose first layer reads none
+        data, model = tmp_path / "d0.json", tmp_path / "m0.json"
+        data.write_text('{"dim": 0, "class_count": 1, "points": [[], []], "labels": [0, 0]}')
+        model.write_text('{"layers": [{"activation": "softmax", "weight": [[]], "bias": [0]}]}')
+        trace = ["trace", model, data, "--out-dir", tmp_path / "t"]
+        for argv in (["check-sep", model, data], trace):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == "error: dim must be >= 1\n"
+        assert not (tmp_path / "t").exists()
+
+    def test_urysohn_field_failure_writes_nothing(self, tmp_path, capsys):
+        # on each class the product of the three other distances underflows;
+        # an even grid size keeps (0, 0) off the grid, so the grid passes and
+        # only the per-class field fails
+        data = tmp_path / "tiny.json"
+        points = [[0.0, 0.0], [1e-110, 0.0], [2e-110, 0.0], [3e-110, 0.0]]
+        data.write_text(
+            json.dumps({"dim": 2, "class_count": 4, "points": points, "labels": [0, 1, 2, 3]})
+        )
+        assert run(["urysohn", data, "--grid-size", 100, "--out-dir", tmp_path / "u"]) == 1
+        assert "distance products leave float64 range" in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
+
+    @staticmethod
+    def _refuse_dense_isomap(monkeypatch, limit):
+        def never(points):
+            raise AssertionError("pairwise distances allocated past MAX_ISOMAP_POINTS")
+
+        monkeypatch.setattr(cli_mod, "MAX_ISOMAP_POINTS", limit)
+        monkeypatch.setattr(isomap_mod, "pairwise_distances", never)
+
+    def test_isomap_past_the_point_limit_exits_2_before_allocating(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_mod, "MAX_ISOMAP_POINTS", 200)  # the 200 points pass
+        assert run(["isomap", workspace["data"], "--out-dir", tmp_path / "at"]) == 0
+        self._refuse_dense_isomap(monkeypatch, 199)
+        assert run(["isomap", workspace["data"], "--out-dir", tmp_path / "past"]) == 2
+        assert "more than MAX_ISOMAP_POINTS = 199" in capsys.readouterr().err
+        assert not (tmp_path / "past").exists()
+
+    def test_trace_past_the_point_limit_exits_2_before_allocating(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # the paper net's 5-wide stages are projected by Isomap
+        self._refuse_dense_isomap(monkeypatch, 199)
+        argv = ["trace", workspace["model"], workspace["data"], "--out-dir", tmp_path / "t"]
+        assert run(argv) == 2
+        assert "more than MAX_ISOMAP_POINTS = 199" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize(
         "error",
         [
@@ -711,6 +763,63 @@ class TestExitCodes:
         quality = (errors.DisconnectedError, errors.NumericalError, errors.WorkerError)
         expected = 1 if error in quality else 2
         assert run(["gen", "--annulus", "-o", tmp_path / "d.json"]) == expected
+
+
+DATASET = '{"dim": 2, "class_count": 2, "points": %s, "labels": %s}'
+POINTS, LABELS = "[[0, 0], [1, 1]]", "[0, 1]"
+MODEL = (
+    '{"layers": [{"activation": "relu", "weight": %s, "bias": [0]}, '
+    '{"activation": "softmax", "weight": [[1], [-1]], "bias": [0, 0]}]}'
+)
+DEEP = "[" * 900 + "0" + "]" * 900
+PAST_FLOAT64 = "1" + "0" * 400
+
+MALFORMED_DATASETS = {
+    "ragged rows": DATASET % ("[[0, 0], [1]]", LABELS),
+    "points nested 900 deep": DATASET % (DEEP, LABELS),
+    "empty points": DATASET % ("[]", LABELS),
+    "scalar points": DATASET % ("0", LABELS),
+    "float label": DATASET % (POINTS, "[0, 1.0]"),
+    "bool coordinate": DATASET % ("[[0, true], [1, 1]]", LABELS),
+    "string coordinate": DATASET % ('[[0, "0"], [1, 1]]', LABELS),
+    "null coordinate": DATASET % ("[[0, null], [1, 1]]", LABELS),
+    "object coordinate": DATASET % ("[[0, {}], [1, 1]]", LABELS),
+    "label past int64": DATASET % (POINTS, "[0, %d]" % 2**63),
+    "coordinate 10**400": DATASET % ("[[0, %s], [1, 1]]" % PAST_FLOAT64, LABELS),
+    "missing key": '{"dim": 2, "class_count": 2, "points": [[0, 0], [1, 1]]}',
+    "file not an object": "[[0, 0], [1, 1]]",
+}
+MALFORMED_MODELS = {
+    "ragged rows": MODEL % "[[1, 0], [1]]",
+    "weight nested 900 deep": MODEL % DEEP,
+    "bool weight": MODEL % "[[true, 0]]",
+    "string weight": MODEL % '[["1", 0]]',
+    "null weight": MODEL % "[[null, 0]]",
+    "object weight": MODEL % "[[{}, 0]]",
+    "weight 10**400": MODEL % ("[[%s, 0]]" % PAST_FLOAT64),
+    "missing key": '{"layers": [{"activation": "relu", "weight": [[1, 0]]}]}',
+    "layer not an object": '{"layers": [[1, 0]]}',
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [("dataset", text) for text in MALFORMED_DATASETS.values()]
+    + [("model", text) for text in MALFORMED_MODELS.values()],
+    ids=[f"dataset {name}" for name in MALFORMED_DATASETS]
+    + [f"model {name}" for name in MALFORMED_MODELS],
+)
+def test_malformed_file_exits_2_with_one_error_line(kind, text, workspace, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text)
+    argv = ["check-sep", workspace["model"], path] if kind == "dataset" else ["witness", path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestParserReuse:

@@ -9,10 +9,12 @@ from topoclass.data import (
     ShellSpec,
     MAX_DRAW_COORDINATES,
     cloud_to_csv,
+    fields,
     gen_annulus2d,
     gen_nested_shells,
     gen_shells,
     load_cloud,
+    numbers,
     save_cloud,
 )
 from topoclass.errors import ParseError, SchemaError, SpecError
@@ -185,6 +187,29 @@ class TestRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError):
             load_cloud(path)
+
+
+class TestJsonReaders:
+    def test_numbers_keep_values_and_dtype(self):
+        points = numbers([[1, 2.5], [-0.0, 1e308]], "points")
+        assert points.dtype == np.float64 and points.tolist() == [[1.0, 2.5], [-0.0, 1e308]]
+        assert numbers([0, 2**62], "labels", int, np.int64).tolist() == [0, 2**62]
+        assert numbers(3, "value").shape == ()
+
+    @pytest.mark.parametrize("leaf", [0, "0"])
+    def test_numbers_walk_any_depth_without_recursion(self, leaf):
+        deep = leaf
+        for _ in range(100_000):
+            deep = [deep]
+        with pytest.raises(SchemaError):
+            numbers(deep, "points")
+
+    def test_fields_in_order(self):
+        assert fields({"b": 1, "a": 2}, "file", ("a", "b")) == [2, 1]
+        with pytest.raises(SchemaError, match="^file is missing key 'c'$"):
+            fields({"a": 1}, "file", ("a", "c"))
+        with pytest.raises(SchemaError, match="^file must be a JSON object$"):
+            fields([1], "file", ("a",))
 
 
 class TestCloudInvariants:

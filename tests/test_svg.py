@@ -94,7 +94,8 @@ def test_cli_import_leaves_the_web_stack_out():
     src = str(Path(topoclass.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import topoclass.cli; "
-        "print(sorted({'ssl', 'http.client', 'urllib.request'} & set(sys.modules)))"
+        "print(sorted({'ssl', 'http.client', 'urllib.request', 'multiprocessing', "
+        "'concurrent.futures', 'scipy'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

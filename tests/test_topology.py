@@ -774,6 +774,18 @@ class TestDiagnostics:
             component_count(pts, 5)
 
 
+def test_full_report_runs_the_net_once(trained_paper_net, annulus500, monkeypatch):
+    calls = []
+
+    def counted(net, points):
+        calls.append(len(points))
+        return forward_batch(net, points)
+
+    monkeypatch.setattr(topology, "forward_batch", counted)
+    full_separability_report(trained_paper_net, annulus500)
+    assert calls == [len(annulus500)]
+
+
 def test_full_report_combines_criteria(trained_paper_net, annulus500):
     report = full_separability_report(trained_paper_net, annulus500)
     assert report.voronoi_ok
