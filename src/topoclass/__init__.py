@@ -8,10 +8,8 @@ traces with a from-scratch Isomap.
 
 from .data import (
     LabeledPointCloud,
-    ShellSpec,
     gen_annulus2d,
     gen_nested_shells,
-    gen_shells,
     load_cloud,
     save_cloud,
 )
@@ -63,10 +61,8 @@ BACKEND = "numpy"
 __all__ = [
     "BACKEND",
     "LabeledPointCloud",
-    "ShellSpec",
     "gen_annulus2d",
     "gen_nested_shells",
-    "gen_shells",
     "load_cloud",
     "save_cloud",
     "EmbeddingResult",

@@ -32,7 +32,6 @@ from . import network as net_mod
 from . import topology as topo_mod
 from . import training as train_mod
 from .errors import (
-    ConfigError,
     DisconnectedError,
     NumericalError,
     SpecError,
@@ -62,8 +61,9 @@ MAX_WIDTH = 1024  # training holds every net's activations on every point at onc
 MAX_SEEDS = 100
 # gen holds every coordinate and its JSON text in memory: about 0.5 GB at 10^7
 MAX_COORDINATES = 10**7
-# a training stack of S nets holds every layer's activations on all n
-# points at once: S * n * (sum of layer widths) floats, 2 GiB at this limit
+# a training stack of S nets holds its parameters and every layer's
+# activations on all n points at once: S * (n * (sum of layer widths) +
+# sum of out * (in + 1) over the layers) floats, 2 GiB at this limit
 MAX_STACK_ENTRIES = 2**28
 # dense Isomap holds about 7 n x n float64 arrays at once: 0.94 GB at this n
 MAX_ISOMAP_POINTS = 2**12
@@ -75,12 +75,14 @@ def _check_stack_size(nets, dims, n, processes=1):
     Each of ``processes`` processes holds one such stack at a time.
     """
     units = sum(dims[1:])
-    entries = processes * nets * n * units
+    params = sum(out * (fan_in + 1) for fan_in, out in zip(dims, dims[1:]))
+    entries = processes * nets * (n * units + params)
     if entries > MAX_STACK_ENTRIES:
-        stack = f"{nets} net{'s' if nets > 1 else ''} x {n} points x {units} units"
+        plural = "s" if nets > 1 else ""
+        stack = f"{nets} net{plural} x ({n} points x {units} units + {params} parameters)"
         each = f", in each of {processes} processes" if processes > 1 else ""
         raise SpecError(
-            f"{entries} activations to hold ({stack}, widths {','.join(map(str, dims))}{each}): "
+            f"{entries} floats to hold ({stack}, widths {','.join(map(str, dims))}{each}): "
             f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
         )
 
@@ -144,11 +146,6 @@ def cmd_gen(args):
 def cmd_train(args):
     cloud = data_mod.load_cloud(args.data)
     dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_widths(args.dims, "--dims")
-    if dims[0] != cloud.dim or dims[-1] != cloud.class_count:
-        raise ConfigError(
-            f"--dims {dims} does not match data (dim {cloud.dim}, "
-            f"{cloud.class_count} classes)"
-        )
     _check_stack_size(1, dims, len(cloud))
     net = net_mod.build_relu_net(dims, make_rng(args.seed))
     cfg = train_mod.TrainConfig(

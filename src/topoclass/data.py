@@ -19,11 +19,9 @@ import numpy as np
 from .errors import ParseError, SchemaError, SpecError
 from .numerics import make_rng
 
-# Radii of the default two-class dataset: a solid disc of radius 0.9
+# Bands of the default two-class dataset: a solid disc of radius 0.9
 # surrounded by the closed annulus between radii 1 and 2.
-ANNULUS_INNER_RADIUS = 0.9
-ANNULUS_OUTER_MIN_RADIUS = 1.0
-ANNULUS_OUTER_MAX_RADIUS = 2.0
+ANNULUS_BANDS = ((0.0, 0.9), (1.0, 2.0))
 # a band's outer radius lies in this range, so that squared norms neither
 # underflow (a band of radius 1e-320 never accepts a point) nor overflow
 MIN_OUTER_RADIUS = 1e-150
@@ -80,29 +78,6 @@ class LabeledPointCloud:
 
     def split_by_class(self):
         return [self.class_points(k) for k in range(self.class_count)]
-
-
-@dataclass(frozen=True)
-class ShellSpec:
-    """Two-class ball-plus-shell geometry: 0 < inner < outer_min <= outer_max."""
-
-    dim: int
-    inner_max_radius: float = ANNULUS_INNER_RADIUS
-    outer_min_radius: float = ANNULUS_OUTER_MIN_RADIUS
-    outer_max_radius: float = ANNULUS_OUTER_MAX_RADIUS
-    samples_per_class: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise SpecError("dim must be >= 1")
-        if self.samples_per_class < 1:
-            raise SpecError("samples_per_class must be >= 1")
-        if not (0.0 < self.inner_max_radius < self.outer_min_radius <= self.outer_max_radius):
-            raise SpecError(
-                "radii must satisfy 0 < inner_max < outer_min <= outer_max, got "
-                f"({self.inner_max_radius}, {self.outer_min_radius}, {self.outer_max_radius})"
-            )
 
 
 def _band_acceptance(dim, lo, hi):
@@ -199,19 +174,9 @@ def gen_nested_shells(dim, bands, samples_per_class, seed):
     )
 
 
-def gen_shells(spec):
-    """Class 0 uniform in the ball, class 1 uniform in the outer shell."""
-    return gen_nested_shells(
-        spec.dim,
-        [(0.0, spec.inner_max_radius), (spec.outer_min_radius, spec.outer_max_radius)],
-        spec.samples_per_class,
-        spec.seed,
-    )
-
-
 def gen_annulus2d(samples_per_class, seed):
     """The planar disc-vs-annulus dataset with the canonical radii."""
-    return gen_shells(ShellSpec(dim=2, samples_per_class=samples_per_class, seed=seed))
+    return gen_nested_shells(2, ANNULUS_BANDS, samples_per_class, seed)
 
 
 def read_json(path):

@@ -314,8 +314,7 @@ class _Epoch:
             # rows index in range, so "clip" clips nothing ("raise" copies via a temporary)
             np.take(points, rows, axis=0, out=chunk.xs, mode="clip")
             np.take(one_hot, rows, axis=0, out=chunk.targets, mode="clip")
-            for f, args in chunk.calls:
-                f(*args)
+            _run(chunk.calls)
             first = start // self.batch_size
             self.sums[:, first : first + chunk.sums.shape[1]] = chunk.sums
         # the batch sums added in batch order; 0.0 - (s1 + s2 + ...) is

@@ -18,6 +18,7 @@ import pytest
 import topoclass
 from topoclass import cli as cli_mod
 from topoclass import errors
+from topoclass import network as net_mod
 from topoclass import training as train_mod
 from topoclass.cli import MAX_GRID_SIZE, main
 from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
@@ -146,21 +147,41 @@ class TestTrain:
         assert code == 1
         assert "diverged in epoch 1" in capsys.readouterr().err
 
-    def test_dims_mismatch_exit_2(self, workspace, tmp_path):
-        code = run(["train", workspace["data"], "--dims", "3,4,2", "-o", tmp_path / "x.json"])
-        assert code == 2
+    def test_dims_mismatch_exit_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["train", workspace["data"], "--dims", "3,4,2", "-o", out]) == 2
+        assert capsys.readouterr().err == "error: net expects inputs of dim 3, data has dim 2\n"
+        assert not out.exists()
 
     def test_stack_past_the_limit_exits_2_before_training(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
         # the paper net holds 200 points x (5 + 5 + 2 + 2 + 2 + 2) activations
-        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 3599)
+        # and 5*3 + 5*6 + 2*6 + 2*3 + 2*3 + 2*3 parameters
+        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 3674)
         monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
         out = tmp_path / "m.json"
         assert run(["train", workspace["data"], "--paper-net", "-o", out]) == 2
         assert capsys.readouterr().err == (
-            "error: 3600 activations to hold (1 net x 200 points x 18 units, "
-            "widths 2,5,5,2,2,2,2): more than MAX_STACK_ENTRIES = 3599\n"
+            "error: 3675 floats to hold (1 net x (200 points x 18 units + 75 parameters), "
+            "widths 2,5,5,2,2,2,2): more than MAX_STACK_ENTRIES = 3674\n"
+        )
+        assert not out.exists()
+
+    def test_deep_net_on_few_points_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
+        # 819,204 activations on 2 points, but about 4.2e8 parameters (3.4 GB)
+        data = tmp_path / "two.json"
+        assert run(["gen", "--annulus", "--n", 1, "-o", data]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(net_mod, "build_relu_net", None)  # a call would be a TypeError
+        out = tmp_path / "deep.json"
+        dims = ",".join(["2"] + ["1024"] * 400 + ["2"])
+        assert run(["train", data, "--dims", dims, "-o", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error: 419614726 floats to hold "
+            "(1 net x (2 points x 409602 units + 418795522 parameters), widths 2,1024,"
         )
         assert not out.exists()
 
@@ -309,8 +330,9 @@ class TestSweep:
     def test_stack_past_the_limit_exits_2_before_training(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        # 2 seeds x 200 points x (2 + 8 + 8 + 2) for the widest net, once per process
-        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 2 * 8000 - 1)
+        # 2 seeds x (200 points x (2 + 8 + 8 + 2) + 120 parameters) for the
+        # widest net, once per process
+        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 2 * 8240 - 1)
         train_many = train_mod.train_many
         monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
@@ -319,11 +341,11 @@ class TestSweep:
                 "--epochs", 2, "-o", out]
         assert run(argv) == 2
         assert capsys.readouterr().err == (
-            "error: 16000 activations to hold (2 nets x 200 points x 20 units, "
-            "widths 2,2,8,8,2, in each of 2 processes): more than MAX_STACK_ENTRIES = 15999\n"
+            "error: 16480 floats to hold (2 nets x (200 points x 20 units + 120 parameters), "
+            "widths 2,2,8,8,2, in each of 2 processes): more than MAX_STACK_ENTRIES = 16479\n"
         )
         assert not out.exists()
-        # one process holds one stack: 8000 activations fit
+        # one process holds one stack: 8240 floats fit
         monkeypatch.setattr(train_mod, "train_many", train_many)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
         assert run(argv) == 0

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from topoclass.data import (
+    ANNULUS_BANDS,
     LabeledPointCloud,
-    ShellSpec,
     MAX_DRAW_COORDINATES,
     cloud_to_csv,
     fields,
     gen_annulus2d,
     gen_nested_shells,
-    gen_shells,
     load_cloud,
     numbers,
     save_cloud,
@@ -26,7 +25,7 @@ def norms(points):
 
 class TestGenShells:
     def test_bounds_are_hard(self):
-        cloud = gen_shells(ShellSpec(dim=2, samples_per_class=10_000, seed=1))
+        cloud = gen_nested_shells(2, ANNULUS_BANDS, 10_000, 1)
         inner = norms(cloud.class_points(0))
         outer = norms(cloud.class_points(1))
         assert inner.max() <= 0.9
@@ -35,19 +34,18 @@ class TestGenShells:
 
     def test_disc_mean_norm_matches_density(self):
         # E[r] for uniform on a disc of radius R is (2/3) R
-        cloud = gen_shells(ShellSpec(dim=2, samples_per_class=10_000, seed=2))
+        cloud = gen_nested_shells(2, ANNULUS_BANDS, 10_000, 2)
         mean = norms(cloud.class_points(0)).mean()
         assert abs(mean - (2.0 / 3.0) * 0.9) < 0.05 * (2.0 / 3.0) * 0.9
 
     def test_single_sample_per_class(self):
-        cloud = gen_shells(ShellSpec(dim=4, samples_per_class=1, seed=3))
+        cloud = gen_nested_shells(4, ANNULUS_BANDS, 1, 3)
         assert len(cloud) == 2
         assert sorted(cloud.labels.tolist()) == [0, 1]
 
     def test_deterministic(self):
-        spec = ShellSpec(dim=3, samples_per_class=50, seed=9)
-        a = gen_shells(spec)
-        b = gen_shells(spec)
+        a = gen_nested_shells(3, ANNULUS_BANDS, 50, 9)
+        b = gen_nested_shells(3, ANNULUS_BANDS, 50, 9)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
@@ -55,7 +53,7 @@ class TestGenShells:
         # at dim 20 the sampler draws radially; uniform in the ball makes
         # (r / 0.9)^20 uniform on [0, 1], and the shell the same for
         # (r^20 - 1) / (2^20 - 1)
-        cloud = gen_shells(ShellSpec(dim=20, samples_per_class=2000, seed=4))
+        cloud = gen_nested_shells(20, ANNULUS_BANDS, 2000, 4)
         inner = norms(cloud.class_points(0))
         outer = norms(cloud.class_points(1))
         assert inner.max() <= 0.9 and outer.min() >= 1.0 and outer.max() <= 2.0
@@ -68,7 +66,7 @@ class TestGenShells:
         # rows of 17 coordinates peaked at 322 MB, for one point per class
         tracemalloc.start()
         try:
-            cloud = gen_shells(ShellSpec(dim=17, samples_per_class=1, seed=0))
+            cloud = gen_nested_shells(17, ANNULUS_BANDS, 1, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -77,17 +75,17 @@ class TestGenShells:
         assert peak < 3 * MAX_DRAW_COORDINATES * 8
 
     def test_very_high_dim_does_not_overflow(self):
-        cloud = gen_nested_shells(400, [(0.0, 0.9), (1.0, 2.0)], 3, 5)
+        cloud = gen_nested_shells(400, ANNULUS_BANDS, 3, 5)
         r = norms(cloud.points)
         assert r[:3].max() <= 0.9 and r[3:].min() >= 1.0 and r[3:].max() <= 2.0
 
     def test_invalid_radii(self):
-        with pytest.raises(SpecError):
-            ShellSpec(dim=2, inner_max_radius=1.5, outer_min_radius=1.0, outer_max_radius=2.0)
-        with pytest.raises(SpecError):
-            ShellSpec(dim=2, inner_max_radius=0.0)
-        with pytest.raises(SpecError):
-            ShellSpec(dim=0)
+        with pytest.raises(SpecError, match="separated by gaps"):
+            gen_nested_shells(2, [(0.0, 1.5), (1.0, 2.0)], 10, 0)
+        with pytest.raises(SpecError, match="not a valid radius range"):
+            gen_nested_shells(2, [(0.0, 0.0), (1.0, 2.0)], 10, 0)
+        with pytest.raises(SpecError, match="dim must be >= 1"):
+            gen_nested_shells(0, ANNULUS_BANDS, 10, 0)
 
 
 class TestAnnulus:
@@ -126,7 +124,7 @@ class TestNestedShells:
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
-        cloud = gen_shells(ShellSpec(dim=3, samples_per_class=40, seed=13))
+        cloud = gen_nested_shells(3, ANNULUS_BANDS, 40, 13)
         path = tmp_path / "cloud.json"
         save_cloud(cloud, path)
         back = load_cloud(path)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from topoclass.data import gen_annulus2d
 from topoclass.errors import DisconnectedError, DomainError, NumericalError, SpecError
 from topoclass.isomap import (
     DUPLICATE_POINT_WEIGHT,
@@ -397,6 +398,20 @@ class TestIsomapComposition:
         da = pairwise_distances(a.coordinates)[np.ix_(perm, perm)]
         db = pairwise_distances(b.coordinates)
         np.testing.assert_allclose(da, db, rtol=0, atol=1e-8)
+
+    def test_peak_memory_stays_within_seven_and_a_half_n_by_n_arrays(self):
+        # cli.MAX_ISOMAP_POINTS rests on dense Isomap holding about seven
+        # n x n float64 arrays: 7.07 measured on this 5-D lift of a
+        # 200-per-class annulus (knn_graph alone 3.2, geodesics 2.1, MDS 5.1)
+        pts = gen_annulus2d(200, 0).points @ make_rng(0).standard_normal((2, 5))
+        n = len(pts)
+        tracemalloc.start()
+        try:
+            isomap(pts, 10, target_dim=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * n * n * 8
 
     def test_deterministic(self):
         pts = make_rng(12).standard_normal((30, 4))
