@@ -5,9 +5,11 @@ isomap, urysohn.  Exit codes: 0 success, 1 quality failure (target not
 reached, separation not achieved, disconnected graph, a result outside its
 numerical contract, a sweep worker that ended without its result), 2
 usage, schema or unreadable-path error (including a training stack or a
-dense Isomap too large to hold), 3 precondition not applicable.  Every
-command is a pure function of its flags; rerunning with the same flags
-rewrites byte-identical files.
+dense Isomap too large to hold), 3 precondition not applicable, 141 a
+pipe it writes to lost its reader (every command writes its files before
+it prints, so a closed stdout leaves them complete).  Every command is a
+pure function of its flags; rerunning with the same flags rewrites
+byte-identical files.
 
 ``sweep-bottleneck`` trains its widths in parallel, one forked process
 per usable core (``_train_stacks``); its rows, files, output and exit
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_QUALITY = 1
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a program a closed pipe ended
 # urysohn writes size**2 cells: at 1024, field.csv and field.svg together take about 140 MB
 MAX_GRID_SIZE = 1024
 MAX_WIDTH = 1024  # training holds every net's activations on every point at once
@@ -80,9 +83,10 @@ def _check_stack_size(nets, dims, n, processes=1):
     if entries > MAX_STACK_ENTRIES:
         plural = "s" if nets > 1 else ""
         stack = f"{nets} net{plural} x ({n} points x {units} units + {params} parameters)"
+        layers = f"{len(dims) - 1} layers, the widest {max(dims[1:])}"
         each = f", in each of {processes} processes" if processes > 1 else ""
         raise SpecError(
-            f"{entries} floats to hold ({stack}, widths {','.join(map(str, dims))}{each}): "
+            f"{entries} floats to hold ({stack}, {layers}{each}): "
             f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
         )
 
@@ -123,17 +127,17 @@ def _parse_widths(text, flag):
 
 
 def cmd_gen(args):
-    bands = None if args.annulus else _parse_bands(args.bands)
-    dim, classes = (2, 2) if args.annulus else (args.dim, len(bands))
-    if args.n * classes * dim > MAX_COORDINATES:
+    given = [f"--{name}" for name in ("dim", "bands") if getattr(args, name) is not None]
+    if args.annulus and given:  # --annulus is the --shells defaults
+        raise SpecError(f"--annulus cannot be combined with {' or '.join(given)}")
+    dim = 2 if args.dim is None else args.dim
+    bands = data_mod.ANNULUS_BANDS if args.bands is None else _parse_bands(args.bands)
+    if args.n * len(bands) * dim > MAX_COORDINATES:
         raise SpecError(
-            f"--n {args.n} points per class, {classes} classes in R^{dim}: more than "
+            f"--n {args.n} points per class, {len(bands)} classes in R^{dim}: more than "
             f"{MAX_COORDINATES} coordinates"
         )
-    if args.annulus:
-        cloud = data_mod.gen_annulus2d(args.n, args.seed)
-    else:
-        cloud = data_mod.gen_nested_shells(dim, bands, args.n, args.seed)
+    cloud = data_mod.gen_nested_shells(dim, bands, args.n, args.seed)
     data_mod.save_cloud(cloud, args.out)
     if args.csv:
         data_mod.cloud_to_csv(cloud, args.csv)
@@ -460,14 +464,8 @@ def cmd_urysohn(args):
     cloud = data_mod.load_cloud(args.data)
     if cloud.dim != 2:
         raise SpecError("urysohn maps are rendered for 2-D data only")
-    classes = cloud.split_by_class()
-    field = topo_mod.urysohn_multiclass(classes)
-
     xs = ys = np.linspace(-extent, extent, size)
-    values = topo_mod.urysohn_grid(classes, xs, ys)
-    # the field on the classes, like the grid, is evaluated before anything
-    # is written, so a failure leaves no files behind
-    on_classes = [field(points) for points in classes]
+    values = topo_mod.urysohn_grid(cloud.split_by_class(), xs, ys)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -480,8 +478,8 @@ def cmd_urysohn(args):
         heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)"),
         encoding="utf-8",
     )
-    for k, on_class in enumerate(on_classes):
-        print(f"class {k}: field in [{on_class.min():.3g}, {on_class.max():.3g}] (target {k})")
+    for k in range(cloud.class_count):  # urysohn_grid checked the field is exactly k on class k
+        print(f"class {k}: field in [{k:.3g}, {k:.3g}] (target {k})")
     print(f"wrote field.csv and field.svg to {out_dir}")
     return EXIT_OK
 
@@ -500,10 +498,9 @@ def build_parser():
     geom.add_argument("--shells", action="store_true", help="concentric bands in --dim dimensions")
     gen.add_argument("--n", type=int, default=500, help="samples per class (default 500)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--dim", type=int, default=2, help="ambient dimension for --shells (default 2)")
+    gen.add_argument("--dim", type=int, help="ambient dimension for --shells (default 2)")
     gen.add_argument(
         "--bands",
-        default="0:0.9,1:2",
         help="radius bands lo:hi,lo:hi,... for --shells; one class per band (default 0:0.9,1:2)",
     )
     gen.add_argument("-o", "--out", required=True, help="output dataset JSON")
@@ -586,7 +583,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # where a buffered stdout meets a closed reader
+        return code
+    except BrokenPipeError:  # as SIGPIPE would end a C program; see the module docstring
+        with open(os.devnull, "wb") as devnull:  # where the interpreter's flush at exit goes
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (DisconnectedError, NumericalError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUALITY

@@ -433,7 +433,9 @@ def urysohn_grid(classes, xs, ys):
     """``urysohn_multiclass(classes)`` on the nodes (xs[i], ys[j]) of a 2-D grid, bit for bit.
 
     Returns a (len(ys), len(xs)) array: row j, column i holds the field at
-    (xs[i], ys[j]).
+    (xs[i], ys[j]).  The weights are also formed on the classes (distance 0
+    to their own), so a field that leaves float64 range there raises
+    ``NumericalError``; otherwise it is exactly k on class k (p / p = 1).
     """
     prepared = _prepare_classes(classes)
     if any(pts.shape[1] != 2 for pts in prepared):
@@ -441,7 +443,12 @@ def urysohn_grid(classes, xs, ys):
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     dists = np.stack([_grid_min_dists(xs, ys, pts).ravel() for pts in prepared], axis=1)
-    return _partition_of_unity(dists).reshape(len(ys), len(xs))
+    values = _partition_of_unity(dists).reshape(len(ys), len(xs))
+    for k, own in enumerate(prepared):
+        zero = np.zeros(len(own))
+        gaps = [zero if j == k else _min_dists(own, pts) for j, pts in enumerate(prepared)]
+        _partition_of_unity(np.stack(gaps, axis=1))
+    return values
 
 
 def kernel_witness(w, inner_r=0.5, outer_r=1.5):

@@ -19,13 +19,14 @@ import topoclass
 from topoclass import cli as cli_mod
 from topoclass import errors
 from topoclass import network as net_mod
+from topoclass import topology as topo_mod
 from topoclass import training as train_mod
 from topoclass.cli import MAX_GRID_SIZE, main
 from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
 from topoclass.isomap import graph_components, knn_graph
 from topoclass.network import build_relu_net, load_model, save_model
 from topoclass.numerics import make_rng
-from topoclass.topology import urysohn_binary
+from topoclass.topology import urysohn_binary, urysohn_multiclass
 
 # the package's ``isomap`` attribute is the function, not the module
 isomap_mod = importlib.import_module("topoclass.isomap")
@@ -60,6 +61,30 @@ class TestGen:
         out = tmp_path / "d5.json"
         assert run(["gen", "--shells", "--dim", 5, "--n", 50, "--seed", 1, "-o", out]) == 0
         assert load_cloud(out).dim == 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_annulus_is_the_shells_defaults(self, tmp_path, seed):
+        outs = [tmp_path / f"{name}.json" for name in ("annulus", "shells", "defaults")]
+        for geometry, out in zip(
+            (["--annulus"], ["--shells", "--dim", 2, "--bands", "0:0.9,1:2"], ["--shells"]), outs
+        ):
+            assert run(["gen", *geometry, "--n", 30, "--seed", seed, "-o", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--dim", 5], "--dim"),
+            (["--dim", 2], "--dim"),
+            (["--bands", "0:0.9,1:2"], "--bands"),
+            (["--dim", 5, "--bands", "0:1,2:3,4:5"], "--dim or --bands"),
+        ],
+    )
+    def test_annulus_refuses_dim_and_bands(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "g.json"
+        assert run(["gen", "--annulus", *flags, "--n", 3, "-o", out]) == 2
+        assert capsys.readouterr().err == f"error: --annulus cannot be combined with {named}\n"
+        assert not out.exists()
 
     def test_missing_output_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -164,7 +189,7 @@ class TestTrain:
         assert run(["train", workspace["data"], "--paper-net", "-o", out]) == 2
         assert capsys.readouterr().err == (
             "error: 3675 floats to hold (1 net x (200 points x 18 units + 75 parameters), "
-            "widths 2,5,5,2,2,2,2): more than MAX_STACK_ENTRIES = 3674\n"
+            "6 layers, the widest 5): more than MAX_STACK_ENTRIES = 3674\n"
         )
         assert not out.exists()
 
@@ -177,11 +202,10 @@ class TestTrain:
         out = tmp_path / "deep.json"
         dims = ",".join(["2"] + ["1024"] * 400 + ["2"])
         assert run(["train", data, "--dims", dims, "-o", out]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(
+        assert capsys.readouterr().err == (
             "error: 419614726 floats to hold "
-            "(1 net x (2 points x 409602 units + 418795522 parameters), widths 2,1024,"
+            "(1 net x (2 points x 409602 units + 418795522 parameters), 401 layers, "
+            f"the widest 1024): more than MAX_STACK_ENTRIES = {cli_mod.MAX_STACK_ENTRIES}\n"
         )
         assert not out.exists()
 
@@ -342,7 +366,7 @@ class TestSweep:
         assert run(argv) == 2
         assert capsys.readouterr().err == (
             "error: 16480 floats to hold (2 nets x (200 points x 20 units + 120 parameters), "
-            "widths 2,2,8,8,2, in each of 2 processes): more than MAX_STACK_ENTRIES = 16479\n"
+            "4 layers, the widest 8, in each of 2 processes): more than MAX_STACK_ENTRIES = 16479\n"
         )
         assert not out.exists()
         # one process holds one stack: 8240 floats fit
@@ -528,6 +552,48 @@ class TestUrysohn:
         assert float(first[0]) == -2.5 and float(first[1]) == -2.5
         root = ET.parse(out / "field.svg").getroot()
         assert root.tag.endswith("svg")
+
+    @pytest.mark.parametrize("bands", ["0:0.9,1:2", "0:0.5,1:1.5,2:2.5,3:3.5"])
+    def test_one_overlap_check_and_the_field_on_the_classes(
+        self, tmp_path, monkeypatch, capsys, bands
+    ):
+        data = tmp_path / "d.json"
+        assert run(["gen", "--shells", "--bands", bands, "--n", 40, "--seed", 5, "-o", data]) == 0
+        capsys.readouterr()
+        prepare, calls = topo_mod._prepare_classes, []
+
+        def counting_prepare(classes):
+            calls.append(len(classes))
+            return prepare(classes)
+
+        monkeypatch.setattr(topo_mod, "_prepare_classes", counting_prepare)
+        out = tmp_path / "u"
+        assert run(["urysohn", data, "--grid-size", 11, "--out-dir", out]) == 0
+        classes = load_cloud(data).split_by_class()
+        assert calls == [len(classes)]
+        field = urysohn_multiclass(classes)
+        expected = [
+            f"class {k}: field in [{on_class.min():.3g}, {on_class.max():.3g}] (target {k})"
+            for k, on_class in enumerate(map(field, classes))
+        ]
+        expected.append(f"wrote field.csv and field.svg to {out}")
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_class_whose_own_squared_spread_overflows(self, tmp_path, capsys):
+        # squares of the 1.4e154 spread of class 0 overflow; its distances to
+        # class 1, and the grid's, do not, and no distance within a class is formed
+        data = tmp_path / "wide.json"
+        data.write_text(
+            '{"dim": 2, "class_count": 2, "points": [[-7e153, 0], [7e153, 0], [0, 0]], '
+            '"labels": [0, 0, 1]}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["urysohn", data, "--grid-size", 5, "--out-dir", tmp_path / "u"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "class 0: field in [0, 0] (target 0)",
+            "class 1: field in [1, 1] (target 1)",
+        ]
 
     def test_three_class_field(self, tmp_path):
         data = tmp_path / "shells3.json"
@@ -781,7 +847,7 @@ class TestExitCodes:
         def fail(*args):
             raise error([[0], [1]]) if error is errors.DisconnectedError else error("boom")
 
-        monkeypatch.setattr("topoclass.data.gen_annulus2d", fail)
+        monkeypatch.setattr("topoclass.data.gen_nested_shells", fail)
         quality = (errors.DisconnectedError, errors.NumericalError, errors.WorkerError)
         expected = 1 if error in quality else 2
         assert run(["gen", "--annulus", "-o", tmp_path / "d.json"]) == expected
@@ -865,13 +931,36 @@ class TestParserReuse:
         return code, out.getvalue(), err.getvalue()
 
     @staticmethod
-    def _fresh_process(argv, cwd):
+    def _fresh_process(argv, cwd, stdout=subprocess.PIPE, env=None):
         src = str(Path(topoclass.__file__).resolve().parent.parent)
         code = f"import sys; sys.path.insert(0, {src!r}); from topoclass.cli import main; sys.exit(main())"
         done = subprocess.run(
-            [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True, text=True
+            [sys.executable, "-c", code, *argv],
+            cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
         )
         return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_141_quietly_with_the_files_written(
+        self, tmp_path, monkeypatch, unbuffered
+    ):
+        argv = ("gen", "--annulus", "--n", "5", "-o", "a.json")
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(one)
+        assert self._in_process(argv)[0] == 0
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the child's first write to stdout fails
+        try:
+            code, _, err = self._fresh_process(argv, fresh, stdout=write_end, env=env)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (141, "")
+        assert (fresh / "a.json").read_bytes() == (one / "a.json").read_bytes()
 
     def test_calls_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch):
         one, fresh = tmp_path / "one", tmp_path / "fresh"

@@ -549,6 +549,10 @@ class TestUrysohnGrid:
         got = urysohn_grid(classes, xs, ys)
         assert got.shape == (len(ys), len(xs))
         assert got.tobytes() == field_on_grid(classes, xs, ys).tobytes()
+        # a grid that returns vouches for the field on the classes
+        field = urysohn_multiclass(classes)
+        for k, pts in enumerate(classes):
+            assert (field(pts) == k).all()
         return got
 
     @pytest.mark.parametrize("seed, count", [(0, 2), (1, 3), (2, 4), (3, 5)])
@@ -617,6 +621,21 @@ class TestUrysohnGrid:
             with pytest.raises(NumericalError) as got:
                 urysohn_grid(classes, axis, axis)
         assert str(got.value) == str(want.value)
+
+    def test_field_on_the_classes_out_of_range_raises(self):
+        # on each class the product of the three other distances underflows;
+        # an even grid size keeps (0, 0) off the grid, where the field is in range
+        classes = [np.array([[k * 1e-110, 0.0]]) for k in range(4)]
+        axis = np.linspace(-2.5, 2.5, 100)
+        field_on_grid(classes, axis, axis)
+        field = urysohn_multiclass(classes)
+        for pts in classes:
+            with pytest.raises(NumericalError, match="distance products leave float64 range"):
+                field(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="distance products leave float64 range"):
+                urysohn_grid(classes, axis, axis)
 
     def test_overlap_and_single_class_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
