@@ -5,11 +5,20 @@ isomap, urysohn.  Exit codes: 0 success, 1 quality failure (target not
 reached, separation not achieved, disconnected graph, a result outside its
 numerical contract, a sweep worker that ended without its result), 2
 usage, schema or unreadable-path error (including a training stack or a
-dense Isomap too large to hold), 3 precondition not applicable, 141 a
-pipe it writes to lost its reader (every command writes its files before
-it prints, so a closed stdout leaves them complete).  Every command is a
-pure function of its flags; rerunning with the same flags rewrites
-byte-identical files.
+dense Isomap too large to hold, and two outputs that name one file), 3
+precondition not applicable, 141 a pipe it writes to lost its reader.
+Every command is a pure function of its flags; rerunning with the same
+flags rewrites byte-identical files.
+
+Each command computes everything, then makes one ``data.write_files``
+call, then prints: its files appear whole or not at all, a command that
+fails writes no file, and a closed stdout leaves them complete.  A
+process killed mid-write can leave a hidden ``.NAME.PID.tmp`` beside an
+output but never a truncated one.  A rerun replaces each file, so an
+existing file's mode and hard links are not kept.  An output that exists
+and is not a regular file (a FIFO, a device) is written in place, and a
+symlink's target is replaced with the link kept.  ``--out-dir`` is made
+just before the write, and stays, empty, if the write fails.
 
 ``sweep-bottleneck`` trains its widths in parallel, one forked process
 per usable core (``_train_stacks``); its rows, files, output and exit
@@ -43,8 +52,7 @@ from .errors import (
 from .isomap import (
     NeighborGraph,
     classical_mds,
-    embedding_to_csv,
-    embedding_to_json,
+    embedding_csv,
     geodesic_distances,
     graph_components,
     isomap as isomap_embed,
@@ -62,7 +70,7 @@ EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a program a closed p
 MAX_GRID_SIZE = 1024
 MAX_WIDTH = 1024  # training holds every net's activations on every point at once
 MAX_SEEDS = 100
-# gen holds every coordinate and its JSON text in memory: about 0.5 GB at 10^7
+# gen holds every coordinate and its JSON text in memory: 455 MB max RSS at 3 * 10^6
 MAX_COORDINATES = 10**7
 # a training stack of S nets holds its parameters and every layer's
 # activations on all n points at once: S * (n * (sum of layer widths) +
@@ -138,9 +146,10 @@ def cmd_gen(args):
             f"{MAX_COORDINATES} coordinates"
         )
     cloud = data_mod.gen_nested_shells(dim, bands, args.n, args.seed)
-    data_mod.save_cloud(cloud, args.out)
+    files = [(args.out, data_mod.json_text(cloud.to_jsonable()))]
     if args.csv:
-        data_mod.cloud_to_csv(cloud, args.csv)
+        files.append((args.csv, data_mod.cloud_csv(cloud)))
+    data_mod.write_files(files)
     print(f"wrote {args.out}: {len(cloud)} points in R^{cloud.dim}, {cloud.class_count} classes")
     for k, (count, lo, hi) in enumerate(data_mod.class_norm_ranges(cloud)):
         print(f"  class {k}: {count} points, norms in [{lo:.6f}, {hi:.6f}]")
@@ -160,9 +169,10 @@ def cmd_train(args):
         target_accuracy=args.target_accuracy,
     )
     trained, history = train_mod.train(net, cloud, cfg)
-    net_mod.save_model(trained, args.out)
     history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
-    history.to_csv(history_path)
+    data_mod.write_files(
+        [(args.out, data_mod.json_text(trained.to_jsonable())), (history_path, history.csv_lines())]
+    )
     final = history.accuracies[-1]
     print(
         f"trained {len(dims) - 1} layers for {history.epochs_run()} epochs; "
@@ -191,10 +201,8 @@ def cmd_trace(args):
     net = net_mod.load_model(args.model)
     cloud = data_mod.load_cloud(args.data)
     trace = net_mod.forward_trace(net, cloud, include_pre=args.include_pre)
-
-    # every stage is projected and drawn before anything is written, so a
-    # stage that fails leaves no files behind
-    index, svgs = [], []
+    out_dir = Path(args.out_dir)
+    index, files = [], []
     for i, (name, points) in enumerate(trace.stages):
         dim = points.shape[1]
         entry = {"index": i, "name": name, "dim": dim, "projected": dim > 3}
@@ -205,14 +213,12 @@ def cmd_trace(args):
             entry["knn"] = k_used
             entry["stress"] = result.stress
         title = f"stage {i}: {name} (dim {dim})" + (" via isomap" if dim > 3 else "")
-        svgs.append(scatter_svg(plotted, trace.labels, title))
         entry["svg"] = f"stage_{i:02d}_{name}.svg"
         index.append(entry)
-    out_dir = Path(args.out_dir)
+        files.append((out_dir / entry["svg"], scatter_svg(plotted, trace.labels, title)))
+    files.append((out_dir / "index.json", data_mod.json_text({"stages": index})))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, svg in zip(index, svgs):
-        (out_dir / entry["svg"]).write_text(svg, encoding="utf-8")
-    data_mod.write_json({"stages": index}, out_dir / "index.json")
+    data_mod.write_files(files)
     print(f"wrote {len(index)} stage SVGs and index.json to {out_dir}")
     return EXIT_OK
 
@@ -223,13 +229,14 @@ def cmd_check_sep(args):
     report = topo_mod.full_separability_report(net, cloud)
     if args.out:
         if args.format == "json":
-            data_mod.write_json(report.to_jsonable(), args.out)
+            text = data_mod.json_text(report.to_jsonable())
         else:
             rows = (
                 (str(idx), "" if assigned is None else str(assigned), str(true))
                 for idx, assigned, true in report.violating_points
             )
-            data_mod.write_csv(args.out, ["index", "assigned", "true"], rows)
+            text = data_mod.csv_lines(["index", "assigned", "true"], rows)
+        data_mod.write_files([(args.out, text)])
     print(json.dumps(report.to_jsonable()))
     return EXIT_OK if report.voronoi_ok else EXIT_QUALITY
 
@@ -258,7 +265,7 @@ def cmd_witness(args):
     payload["net_output_p2"] = out_p2.tolist()
     payload["net_output_diff"] = float(np.abs(out_p1 - out_p2).max())
     if args.out:
-        data_mod.write_json(payload, args.out)
+        data_mod.write_files([(args.out, data_mod.json_text(payload))])
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -423,7 +430,7 @@ def cmd_sweep(args):
             cells += [";".join(map(repr, p.tolist())) for p in (witness.p1, witness.p2)]
         table.append(cells)
     header = ["width", "best_accuracy", "witness_gap", "witness_p1", "witness_p2"]
-    data_mod.write_csv(args.out, header, table)
+    data_mod.write_files([(args.out, data_mod.csv_lines(header, table))])
     for row in rows:
         print(f"width {row['width']}: best accuracy {row['best_accuracy']:.4f}")
     print(f"wrote {args.out}")
@@ -442,14 +449,16 @@ def cmd_isomap(args):
         graph = NeighborGraph(weights=graph.weights[np.ix_(keep, keep)])
         labels = labels[keep]
     result = classical_mds(geodesic_distances(graph), args.target_dim)
+    if args.format == "json":
+        embedding = data_mod.json_text(result.to_jsonable())
+    else:
+        embedding = embedding_csv(result, labels)
+    svg = scatter_svg(result.coordinates, labels, f"isomap k={args.knn} (stress {result.stress:.3g})")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        embedding_to_json(result, out_dir / "embedding.json")
-    else:
-        embedding_to_csv(result, out_dir / "embedding.csv", labels=labels)
-    svg = scatter_svg(result.coordinates, labels, f"isomap k={args.knn} (stress {result.stress:.3g})")
-    (out_dir / "embedding.svg").write_text(svg, encoding="utf-8")
+    data_mod.write_files(
+        [(out_dir / f"embedding.{args.format}", embedding), (out_dir / "embedding.svg", svg)]
+    )
     print(f"embedded {len(labels)} points to R^{args.target_dim}; stress {result.stress:.6g}")
     return EXIT_OK
 
@@ -466,17 +475,18 @@ def cmd_urysohn(args):
         raise SpecError("urysohn maps are rendered for 2-D data only")
     xs = ys = np.linspace(-extent, extent, size)
     values = topo_mod.urysohn_grid(cloud.split_by_class(), xs, ys)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     axis_text = [repr(v) for v in xs.tolist()]
     rows = chain.from_iterable(
         zip(axis_text, repeat(y), map(repr, row.tolist())) for y, row in zip(axis_text, values)
     )
-    data_mod.write_csv(out_dir / "field.csv", ["x", "y", "value"], rows)
-    (out_dir / "field.svg").write_text(
-        heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)"),
-        encoding="utf-8",
+    svg = heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data_mod.write_files(
+        [
+            (out_dir / "field.csv", data_mod.csv_lines(["x", "y", "value"], rows)),
+            (out_dir / "field.svg", svg),
+        ]
     )
     for k in range(cloud.class_count):  # urysohn_grid checked the field is exactly k on class k
         print(f"class {k}: field in [{k:.3g}, {k:.3g}] (target {k})")

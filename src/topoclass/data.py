@@ -10,8 +10,11 @@ checked against its band, so the radius bounds are hard constraints rather
 than statistical ones.
 """
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +81,15 @@ class LabeledPointCloud:
 
     def split_by_class(self):
         return [self.class_points(k) for k in range(self.class_count)]
+
+    def to_jsonable(self):
+        """The JSON dataset format; coordinates round-trip bit-exactly."""
+        return {
+            "dim": self.dim,
+            "class_count": self.class_count,
+            "points": self.points.tolist(),
+            "labels": self.labels.tolist(),
+        }
 
 
 def _band_acceptance(dim, lo, hi):
@@ -190,11 +202,9 @@ def read_json(path):
             raise ParseError("JSON arrays or objects nested too deep") from exc
 
 
-def write_json(payload, path):
-    """Write payload as one line of JSON and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+def json_text(payload):
+    """Payload as one line of JSON and a newline."""
+    return json.dumps(payload) + "\n"
 
 
 def fields(obj, what, keys):
@@ -228,28 +238,81 @@ def numbers(value, what, kinds=(int, float), dtype=np.float64):
         raise SchemaError(f"{what} cannot be read as {np.dtype(dtype).name} values: {exc}") from exc
 
 
-def write_csv(path, header, rows):
-    """Write a header and then each row of string cells as one CSV line.
+def csv_lines(header, rows):
+    """Yield a header and then each row of string cells as one CSV line.
 
     Cells are joined by commas and lines end in CRLF: the bytes the standard
     ``csv`` module writes for cells that need no quoting, as every cell here
     (a float ``repr``, an int or empty) does.  ``rows`` may be a generator.
     """
+    yield ",".join(header) + "\r\n"
+    for row in rows:
+        yield ",".join(row) + "\r\n"
+
+
+def _write(path, text):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(row) + "\r\n")
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
+
+
+def _in_place(path):
+    """Whether ``path`` is written in place: it exists and is not a regular file."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return False
+
+
+def write_files(files):
+    """Write each ``(path, text)`` of ``files``, all of them or none.
+
+    ``text`` is a string or an iterable of strings, written in order.  Each
+    regular file is written under the hidden name ``.NAME.PID.tmp`` beside
+    it (beside its target, for a symlink), and once every file is written
+    they all move into place with ``os.replace``; a rerun thus replaces a
+    file, keeping neither its mode nor its hard links.  A path that exists
+    and is not a regular file (a FIFO, ``/dev/null``) is written in place,
+    after the temporaries.  If a write fails, the temporaries are removed
+    and the error, naming the path as given, propagates.  No directory is
+    made.  Two paths that name the same file are a SpecError, before any
+    write.
+    """
+    files = [(os.fspath(path), text) for path, text in files]
+    real = [os.path.realpath(path) for path, _ in files]
+    for i, name in enumerate(real):
+        if name in real[:i]:
+            first = files[real.index(name)][0]
+            raise SpecError(f"two outputs name the same file: {first} and {files[i][0]}")
+    in_place = [_in_place(path) for path, _ in files]
+    staged = {}  # temporary -> (its final name, the path as given)
+    try:
+        for (path, text), target, direct in zip(files, real, in_place):
+            if not direct:
+                final = target if os.path.islink(path) else path
+                head, name = os.path.split(final)
+                temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+                staged[temporary] = (final, path)
+                _write(temporary, text)
+        for (path, text), direct in zip(files, in_place):
+            if direct:
+                _write(path, text)
+        for temporary, (final, _) in staged.items():
+            os.replace(temporary, final)
+    except BaseException as exc:
+        for temporary in staged:
+            with contextlib.suppress(OSError):  # never written, or already in place
+                os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename in staged:
+            raise OSError(exc.errno, exc.strerror, staged[exc.filename][1]) from exc
+        raise
 
 
 def save_cloud(cloud, path):
     """Write the JSON dataset format; coordinates round-trip bit-exactly."""
-    payload = {
-        "dim": cloud.dim,
-        "class_count": cloud.class_count,
-        "points": cloud.points.tolist(),
-        "labels": cloud.labels.tolist(),
-    }
-    write_json(payload, path)
+    write_files([(path, json_text(cloud.to_jsonable()))])
 
 
 def load_cloud(path):
@@ -268,11 +331,11 @@ def load_cloud(path):
     )
 
 
-def cloud_to_csv(cloud, path):
-    """One row per point: coordinates then label, with a header row."""
+def cloud_csv(cloud):
+    """CSV lines, one row per point: coordinates then label, with a header row."""
     header = [f"x{i}" for i in range(cloud.dim)] + ["label"]
     rows = zip(cloud.points.tolist(), cloud.labels.tolist())
-    write_csv(path, header, ([*map(repr, row), repr(lab)] for row, lab in rows))
+    return csv_lines(header, ([*map(repr, row), repr(lab)] for row, lab in rows))
 
 
 def class_norm_ranges(cloud):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_csv, write_json
+from .data import csv_lines
 from .errors import DisconnectedError, DomainError, NumericalError, SpecError
 from .numerics import as_matrix, eigh_symmetric
 
@@ -237,17 +237,10 @@ def isomap(points, k, target_dim=3):
     return classical_mds(geo, target_dim)
 
 
-def embedding_to_json(result, path):
-    write_json(result.to_jsonable(), path)
-
-
-def embedding_to_csv(result, path, labels=None):
-    """Coordinate columns (x, y, z, ...) plus a label column when given."""
+def embedding_csv(result, labels):
+    """CSV lines: coordinate columns (x, y, z, ...) and then the label column."""
     coords = result.coordinates
     names = ["x", "y", "z"] + [f"c{i}" for i in range(3, coords.shape[1])]
-    header = names[: coords.shape[1]]
-    rows = ([*map(repr, row)] for row in coords.tolist())
-    if labels is not None:
-        header = header + ["label"]
-        rows = (cells + [repr(lab)] for cells, lab in zip(rows, np.asarray(labels).tolist()))
-    write_csv(path, header, rows)
+    header = names[: coords.shape[1]] + ["label"]
+    rows = zip(coords.tolist(), np.asarray(labels).tolist())
+    return csv_lines(header, ([*map(repr, row), repr(lab)] for row, lab in rows))

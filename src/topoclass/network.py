@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .data import fields, numbers, read_json, write_json
+from .data import fields, json_text, numbers, read_json, write_files
 from .errors import DimensionError, NumericalError, SchemaError
 from .numerics import as_matrix, as_vector
 
@@ -73,6 +73,19 @@ class Mlp:
             if layer.activation == SOFTMAX and i != len(layers) - 1:
                 raise DimensionError("softmax is allowed only as the final layer")
         object.__setattr__(self, "layers", layers)
+
+    def to_jsonable(self):
+        """The JSON model format; weights and biases round-trip bit-exactly."""
+        return {
+            "layers": [
+                {
+                    "activation": layer.activation,
+                    "weight": layer.weight.tolist(),
+                    "bias": layer.bias.tolist(),
+                }
+                for layer in self.layers
+            ]
+        }
 
     @property
     def input_dim(self):
@@ -257,9 +270,9 @@ def forward_trace(net, cloud, include_pre=False):
     return ActivationTrace(stages=tuple(stages), labels=cloud.labels.copy())
 
 
-def strict_argmax(y, tol=TIE_TOL):
-    """Index of the strict maximum coordinate, or None on a tie within tol."""
-    preds, ties = strict_argmax_batch(np.asarray(y)[np.newaxis], tol)
+def strict_argmax(y):
+    """Index of the strict maximum coordinate, or None on a tie within TIE_TOL."""
+    preds, ties = strict_argmax_batch(np.asarray(y)[np.newaxis])
     return None if ties[0] else int(preds[0])
 
 
@@ -286,13 +299,13 @@ def he_uniform_init(rng, out_dim, in_dim):
 HIDDEN_BIAS_INIT = 0.1
 
 
-def build_relu_net(dims, rng, hidden_bias=HIDDEN_BIAS_INIT):
+def build_relu_net(dims, rng):
     """Relu layers along ``dims`` with a softmax on the last pair.
 
     ``dims`` is the full width chain including input and output, e.g.
     (2, 5, 2): a 2->5 relu layer followed by a 5->2 softmax.  Relu layers
     get He-style uniform weights in +-sqrt(6/fan_in) and bias
-    ``hidden_bias``; the softmax head starts at exactly zero, so a fresh
+    ``HIDDEN_BIAS_INIT``; the softmax head starts at exactly zero, so a fresh
     net outputs the uniform distribution for every input.
     """
     dims = tuple(int(d) for d in dims)
@@ -310,7 +323,7 @@ def build_relu_net(dims, rng, hidden_bias=HIDDEN_BIAS_INIT):
             )
         else:
             weight = he_uniform_init(rng, dims[i + 1], dims[i])
-            bias = np.full(dims[i + 1], hidden_bias)
+            bias = np.full(dims[i + 1], HIDDEN_BIAS_INIT)
             layers.append(LayerSpec(weight=weight, bias=bias, activation=RELU))
     return Mlp(layers=tuple(layers))
 
@@ -321,17 +334,7 @@ def build_paper_net(rng):
 
 
 def save_model(net, path):
-    payload = {
-        "layers": [
-            {
-                "activation": layer.activation,
-                "weight": layer.weight.tolist(),
-                "bias": layer.bias.tolist(),
-            }
-            for layer in net.layers
-        ]
-    }
-    write_json(payload, path)
+    write_files([(path, json_text(net.to_jsonable()))])
 
 
 def load_model(path):

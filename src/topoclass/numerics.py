@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, ShapeError, SpecError
 
-DEFAULT_EIGH_TOL = 1e-12
-DEFAULT_KERNEL_TOL = 1e-10
+EIGH_TOL = 1e-12  # eigh_symmetric: the asymmetry it accepts, relative to the largest entry
+KERNEL_TOL = 1e-10  # null_space_basis: the kernel's bound, relative to ||W||
 
 
 def make_rng(seed):
@@ -51,7 +51,7 @@ def as_vector(v, name="vector"):
     return a
 
 
-def eigh_symmetric(s, tol=DEFAULT_EIGH_TOL):
+def eigh_symmetric(s):
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
@@ -61,8 +61,8 @@ def eigh_symmetric(s, tol=DEFAULT_EIGH_TOL):
     input on a given numpy/BLAS build and BLAS thread count.
 
     Raises ShapeError for empty or non-square input, and for input whose
-    asymmetry exceeds ``tol`` times its largest entry (or ``tol`` when the
-    entries are below 1); the symmetric part is what gets decomposed.
+    asymmetry exceeds ``EIGH_TOL`` times its largest entry (or ``EIGH_TOL``
+    when the entries are below 1); the symmetric part is what gets decomposed.
     """
     a = as_matrix(s, "s")
     n, m = a.shape
@@ -71,8 +71,8 @@ def eigh_symmetric(s, tol=DEFAULT_EIGH_TOL):
     if n == 0:
         raise ShapeError("matrix must be non-empty")
     scale = float(np.abs(a).max())
-    if float(np.abs(a - a.T).max()) > tol * max(1.0, scale):
-        raise ShapeError("matrix is not symmetric within tol")
+    if float(np.abs(a - a.T).max()) > EIGH_TOL * max(1.0, scale):
+        raise ShapeError("matrix is not symmetric within EIGH_TOL")
 
     evals, basis = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-evals, kind="stable")
@@ -86,15 +86,15 @@ def _fix_signs(columns):
     return columns * np.where(leading < 0.0, -1.0, 1.0)
 
 
-def null_space_basis(w, tol=DEFAULT_KERNEL_TOL):
-    """Orthonormal basis of the numerical kernel {v : ||Wv|| <= tol*||W||*||v||}.
+def null_space_basis(w):
+    """Orthonormal basis of the numerical kernel {v : ||Wv|| <= KERNEL_TOL*||W||*||v||}.
 
     The candidates are the right singular vectors of W from one
     ``np.linalg.svd`` (singular values padded with zeros to the column
     count).  A candidate is kept when its singular value and its residual
-    ||Wv|| are both at most tol times the largest singular value, ||W||.
+    ||Wv|| are both at most KERNEL_TOL times the largest singular value, ||W||.
     Vectors come back most null first (a stable sort by residual), each
-    sign-normalized; the list is empty when the kernel is trivial at tol.
+    sign-normalized; the list is empty when the kernel is trivial.
     A W whose largest entry lies outside [2^-257, 2^256) is first scaled by
     an exact power of 4, so that ||Wv|| can neither overflow nor underflow.
     """
@@ -108,7 +108,7 @@ def null_space_basis(w, tol=DEFAULT_KERNEL_TOL):
     _, sigma, vt = np.linalg.svd(w)
     sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
     residuals = np.linalg.norm(w @ vt.T, axis=0)
-    bound = tol * float(sigma[0])
+    bound = KERNEL_TOL * float(sigma[0])
     keep = np.nonzero((sigma <= bound) & (residuals <= bound))[0]
     order = keep[np.argsort(residuals[keep], kind="stable")]
     return list(_fix_signs(vt[order].T).T)

@@ -43,10 +43,12 @@ from .isomap import (
     graph_components,
     knn_graph,
 )
-from .network import SOFTMAX, TIE_TOL, forward_batch, strict_argmax, strict_argmax_batch
+from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
 from .numerics import as_matrix, null_space_basis
 
 SIMPLEX_TOL = 1e-9
+# linear_rank counts the singular values above this fraction of the largest
+RANK_REL_TOL = 1e-6
 
 # within this fraction of the radius (its square, for the sphere) a point is
 # on the sphere or in the support's affine hull, and a center at its target
@@ -136,7 +138,7 @@ class KernelWitness:
         }
 
 
-def simplex_class(y, tol=TIE_TOL):
+def simplex_class(y):
     """Class index of a simplex point, or None on a tie boundary.
 
     The index of the strict maximum coordinate is exactly interior Voronoi
@@ -148,7 +150,7 @@ def simplex_class(y, tol=TIE_TOL):
         raise DomainError("simplex point must be a nonempty vector")
     if (y < -SIMPLEX_TOL).any() or abs(float(y.sum()) - 1.0) > SIMPLEX_TOL:
         raise DomainError("point is not within 1e-9 of the closed simplex")
-    return strict_argmax(y, tol)
+    return strict_argmax(y)
 
 
 def _voronoi_violations(net, cloud):
@@ -160,7 +162,7 @@ def _voronoi_violations(net, cloud):
             f"net has {net.output_dim} outputs but cloud has {cloud.class_count} classes"
         )
     outputs = forward_batch(net, cloud.points)
-    preds, ties = strict_argmax_batch(outputs, TIE_TOL)
+    preds, ties = strict_argmax_batch(outputs)
     bad = np.nonzero((preds != cloud.labels) | ties)[0]
     violations = tuple(
         (int(i), None if ties[i] else int(preds[i]), int(cloud.labels[i])) for i in bad
@@ -497,13 +499,13 @@ def principal_spectrum(points):
     return np.concatenate([sigma, np.zeros(pts.shape[1] - sigma.size)])
 
 
-def linear_rank(points, rel_tol=1e-6):
-    """Count of singular values above rel_tol times the largest one."""
+def linear_rank(points):
+    """Count of singular values above RANK_REL_TOL times the largest one."""
     spectrum = principal_spectrum(points)
     top = float(spectrum[0])
     if top == 0.0:
         return 0
-    return int((spectrum > rel_tol * top).sum())
+    return int((spectrum > RANK_REL_TOL * top).sum())
 
 
 def component_count(points, k):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_csv
+from .data import csv_lines
 from .errors import ConfigError, DomainError, NumericalError
 from .network import (
     IDENTITY,
@@ -100,10 +100,10 @@ class TrainHistory:
     def epochs_run(self):
         return len(self.losses)
 
-    def to_csv(self, path):
+    def csv_lines(self):
         rows = enumerate(zip(self.losses, self.accuracies), start=1)
         cells = ((str(i), repr(float(loss)), repr(float(acc))) for i, (loss, acc) in rows)
-        write_csv(path, ["epoch", "loss", "accuracy"], cells)
+        return csv_lines(["epoch", "loss", "accuracy"], cells)
 
 
 def cross_entropy(p, label):

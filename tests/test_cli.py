@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import errno
 import importlib
 import io
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 
 import topoclass
 from topoclass import cli as cli_mod
+from topoclass import data as data_mod
 from topoclass import errors
 from topoclass import network as net_mod
 from topoclass import topology as topo_mod
@@ -663,6 +667,206 @@ class TestCsvFiles:
         assert len(ties) == 201 and all(row[1] == "" for row in ties[1:])
         sweep = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text(), newline="")))
         assert sweep[1][2] != "" and sweep[2][2:] == ["", "", ""]
+
+
+class TestAllOrNone:
+    """Every command writes all of its files or none, through ``data.write_files``."""
+
+    # command -> (argv from the input paths, the files a run writes); outputs
+    # are relative to the directory the command runs in
+    COMMANDS = {
+        "gen --csv": (
+            lambda f: ["gen", "--annulus", "--n", 20, "-o", "g.json", "--csv", "g.csv"],
+            ["g.json", "g.csv"],
+        ),
+        "train": (
+            lambda f: ["train", f["data"], "--dims", "2,3,2", "--epochs", 2, "-o", "m.json"],
+            ["m.json", "m_history.csv"],
+        ),
+        "trace": (
+            lambda f: ["trace", f["model"], f["data"], "--out-dir", "t"],
+            [f"t/stage_{i:02d}_{name}.svg" for i, name in enumerate(
+                ["input", *(f"layer{j}_relu" for j in range(1, 6)), "layer6_softmax"]
+            )] + ["t/index.json"],
+        ),
+        "check-sep json": (
+            lambda f: ["check-sep", f["model"], f["data"], "--out", "r.json"], ["r.json"]
+        ),
+        "check-sep csv": (
+            lambda f: ["check-sep", f["model"], f["data"], "--format", "csv", "--out", "r.csv"],
+            ["r.csv"],
+        ),
+        "witness": (lambda f: ["witness", f["narrow"], "--out", "w.json"], ["w.json"]),
+        "sweep-bottleneck": (
+            lambda f: ["sweep-bottleneck", f["data"], "--widths", "1,2", "--seeds", 1,
+                       "--epochs", 2, "-o", "s.csv"],
+            ["s.csv"],
+        ),
+        "isomap json": (
+            lambda f: ["isomap", f["data"], "--out-dir", "e"], ["e/embedding.json", "e/embedding.svg"]
+        ),
+        "isomap csv": (
+            lambda f: ["isomap", f["data"], "--format", "csv", "--out-dir", "e"],
+            ["e/embedding.csv", "e/embedding.svg"],
+        ),
+        "urysohn": (
+            lambda f: ["urysohn", f["data"], "--grid-size", 11, "--out-dir", "f"],
+            ["f/field.csv", "f/field.svg"],
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, workspace, tmp_path_factory):
+        narrow = tmp_path_factory.mktemp("narrow") / "narrow.json"
+        save_model(build_relu_net((2, 1, 2), make_rng(0)), narrow)
+        return {**workspace, "narrow": narrow}
+
+    @staticmethod
+    def files(root):
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    @staticmethod
+    def fail_write(monkeypatch, k):
+        """Make the k-th file write raise OSError after writing part of its text."""
+        write, calls = data_mod._write, []
+
+        def broken():
+            yield "partial"
+            raise OSError(errno.EIO, "injected write failure")
+
+        def fake(path, text):
+            calls.append(path)
+            write(path, broken() if len(calls) == k else text)
+
+        monkeypatch.setattr(data_mod, "_write", fake)
+        return calls
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_failed_write_leaves_the_output_tree_as_it_was(
+        self, command, inputs, tmp_path, monkeypatch, capsys
+    ):
+        make_argv, outputs = self.COMMANDS[command]
+        argv = make_argv(inputs)
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        fresh.mkdir()
+        rerun.mkdir()
+        monkeypatch.chdir(rerun)
+        calls = self.fail_write(monkeypatch, 0)
+        assert run(argv) in (0, 1)  # the two-epoch train misses its target
+        assert sorted(self.files(rerun)) == sorted(outputs)
+        # each file went to a hidden temporary beside it
+        assert sorted(
+            os.path.join(os.path.dirname(path), os.path.basename(path)[1:].rsplit(".", 2)[0])
+            for path in calls
+        ) == sorted(outputs)
+        capsys.readouterr()
+        for k in range(1, len(outputs) + 1):
+            for root in (fresh, rerun):
+                monkeypatch.chdir(root)
+                before = self.files(root)
+                self.fail_write(monkeypatch, k)
+                assert run(argv) == 2, (k, root.name)
+                assert capsys.readouterr().err == "error: [Errno 5] injected write failure\n"
+                assert self.files(root) == before, (k, root.name)
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (["gen", "--annulus", "--n", 20, "-o", "p.json", "--csv", "missing/x.csv"],
+             "missing/x.csv"),
+            (["train", "DATA", "--dims", "2,3,2", "--epochs", 2, "-o", "m.json",
+              "--history", "missing/h.csv"], "missing/h.csv"),
+        ],
+        ids=["gen --csv", "train --history"],
+    )
+    def test_missing_parent_writes_nothing_and_names_the_path(
+        self, command, blocked, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run([workspace["data"] if a == "DATA" else a for a in command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{blocked}'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (["isomap", "DATA", "--out-dir", "o"], "o/embedding.svg"),
+            (["trace", "MODEL", "DATA", "--out-dir", "o"], "o/index.json"),
+            (["urysohn", "DATA", "--grid-size", 11, "--out-dir", "o"], "o/field.svg"),
+        ],
+        ids=["isomap", "trace", "urysohn"],
+    )
+    def test_directory_at_an_output_name_writes_nothing(
+        self, command, blocked, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / blocked).mkdir(parents=True)
+        names = {"DATA": workspace["data"], "MODEL": workspace["model"]}
+        assert run([names.get(a, a) for a in command]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{blocked}'\n"
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == [
+            "o", blocked
+        ]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["train", "DATA", "--dims", "2,3,2", "--epochs", 2, "-o", "m.json",
+             "--history", "m.json"],
+            ["gen", "--annulus", "--n", 5, "-o", "s.json", "--csv", "s.json"],
+            ["gen", "--annulus", "--n", 5, "-o", "s.json", "--csv", "sub/../s.json"],
+            ["gen", "--annulus", "--n", 5, "-o", "s.json", "--csv", "link.csv"],
+        ],
+        ids=["train --history", "gen --csv", "gen --csv through ..", "gen --csv symlink"],
+    )
+    def test_two_outputs_naming_one_file_exit_2_writing_nothing(
+        self, command, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "s.json")
+        argv = [workspace["data"] if a == "DATA" else a for a in command]
+        assert run(argv) == 2
+        first, second = argv[argv.index("-o") + 1], argv[-1]
+        assert capsys.readouterr().err == (
+            f"error: two outputs name the same file: {first} and {second}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+        assert not (tmp_path / "s.json").exists()
+
+    def test_fifo_output_is_written_in_place(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fifo = tmp_path / "a.json"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(["gen", "--annulus", "--n", 5, "-o", fifo, "--csv", "a.csv"]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert run(["gen", "--annulus", "--n", 5, "-o", "b.json"]) == 0
+        assert got == [(tmp_path / "b.json").read_bytes()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json", "b.json"]
+
+    def test_symlinked_outputs_replace_their_targets(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "a.json").write_text("old")
+        Path("a.json").symlink_to(real / "a.json")
+        Path("a.csv").symlink_to(real / "a.csv")  # dangling until the command writes it
+        calls = self.fail_write(monkeypatch, 0)
+        assert run(["gen", "--annulus", "--n", 5, "-o", "a.json", "--csv", "a.csv"]) == 0
+        assert [Path(path).parent for path in calls] == [real.resolve()] * 2
+        assert run(["gen", "--annulus", "--n", 5, "-o", "b.json", "--csv", "b.csv"]) == 0
+        for name in ("a.json", "a.csv"):
+            assert Path(name).is_symlink()
+        assert (real / "a.json").read_bytes() == Path("b.json").read_bytes()
+        assert (real / "a.csv").read_bytes() == Path("b.csv").read_bytes()
+        assert sorted(p.name for p in real.iterdir()) == ["a.csv", "a.json"]
 
 
 class TestExitCodes:

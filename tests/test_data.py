@@ -8,13 +8,14 @@ from topoclass.data import (
     ANNULUS_BANDS,
     LabeledPointCloud,
     MAX_DRAW_COORDINATES,
-    cloud_to_csv,
+    cloud_csv,
     fields,
     gen_annulus2d,
     gen_nested_shells,
     load_cloud,
     numbers,
     save_cloud,
+    write_files,
 )
 from topoclass.errors import ParseError, SchemaError, SpecError
 
@@ -239,7 +240,7 @@ class TestCloudInvariants:
 def test_csv_export(tmp_path):
     cloud = gen_annulus2d(5, 3)
     path = tmp_path / "cloud.csv"
-    cloud_to_csv(cloud, path)
+    write_files([(path, cloud_csv(cloud))])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x0,x1,label"
     assert len(lines) == 11

@@ -424,12 +424,12 @@ class TestIsomapComposition:
 def test_embedding_json_round_trip(tmp_path):
     import json
 
-    from topoclass.isomap import embedding_to_json
+    from topoclass.data import json_text, write_files
 
     pts = make_rng(14).standard_normal((10, 3))
     result = isomap(pts, 9, target_dim=2)
     path = tmp_path / "embedding.json"
-    embedding_to_json(result, path)
+    write_files([(path, json_text(result.to_jsonable()))])
     back = json.loads(path.read_text())
     assert np.array_equal(np.array(back["coordinates"]), result.coordinates)
     assert back["stress"] == result.stress

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoclass.data import LabeledPointCloud, gen_annulus2d
+from topoclass.data import LabeledPointCloud, gen_annulus2d, write_files
 from topoclass.errors import ConfigError, NumericalError
 from topoclass.network import LayerSpec, Mlp, build_relu_net, forward
 from topoclass.numerics import make_rng
@@ -294,7 +294,7 @@ class TestAccuracy:
 def test_history_csv(tmp_path):
     history = TrainHistory(losses=(0.5, 0.25), accuracies=(0.75, 1.0))
     path = tmp_path / "history.csv"
-    history.to_csv(path)
+    write_files([(path, history.csv_lines())])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,loss,accuracy"
     assert lines[1] == "1,0.5,0.75"

@@ -6,8 +6,10 @@
 #
 # OUT must be new or empty; the commands run inside it with relative paths,
 # so two runs can be compared with one `diff -r OUT_A OUT_B` (files, stdout,
-# stderr and exit codes).  BLAS runs on one thread: Isomap's eigensolve may
-# round differently on more.  Set PYTHON to choose the interpreter.
+# stderr, exit codes and OUT/log/leftover_temporaries, the list of hidden
+# .tmp files left under OUT, empty when every write finished or was undone).
+# BLAS runs on one thread: Isomap's eigensolve may round differently on
+# more.  Set PYTHON to choose the interpreter.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -56,4 +58,5 @@ run train train shells4.json --dims 2,16,16,4 -o model4.json
 run check-sep check-sep model4.json shells4.json --out report4.json
 run urysohn urysohn shells4.json --out-dir field4/
 
+find . -name '.*.tmp' | LC_ALL=C sort >log/leftover_temporaries
 cat log/exit_codes
