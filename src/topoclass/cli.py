@@ -10,15 +10,16 @@ precondition not applicable, 141 a pipe it writes to lost its reader.
 Every command is a pure function of its flags; rerunning with the same
 flags rewrites byte-identical files.
 
-Each command computes everything, then makes one ``data.write_files``
-call, then prints: its files appear whole or not at all, a command that
-fails writes no file, and a closed stdout leaves them complete.  A
-process killed mid-write can leave a hidden ``.NAME.PID.tmp`` beside an
-output but never a truncated one.  A rerun replaces each file, so an
-existing file's mode and hard links are not kept.  An output that exists
-and is not a regular file (a FIFO, a device) is written in place, and a
-symlink's target is replaced with the link kept.  ``--out-dir`` is made
-just before the write, and stays, empty, if the write fails.
+Each ``cmd_*`` only computes and returns ``(files, lines, exit_code)``;
+``main`` makes ``--out-dir``, writes every file with one
+``data.write_files`` call, then prints the lines.  So files appear whole
+or not at all, a command that fails writes no file and leaves no new
+directory, and a closed stdout leaves the files complete.  A process
+killed mid-write can leave a hidden ``.NAME.PID.tmp`` beside an output but
+never a truncated one.  A rerun replaces each file, so an existing file's
+mode and hard links are not kept.  An output that exists and is not a
+regular file (a FIFO, a device) is written in place, and a symlink's
+target is replaced with the link kept.
 
 ``sweep-bottleneck`` trains its widths in parallel, one forked process
 per usable core (``_train_stacks``); its rows, files, output and exit
@@ -26,6 +27,7 @@ code are those of training the widths one after another.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -42,13 +44,7 @@ from . import data as data_mod
 from . import network as net_mod
 from . import topology as topo_mod
 from . import training as train_mod
-from .errors import (
-    DisconnectedError,
-    NumericalError,
-    SpecError,
-    TopoclassError,
-    WorkerError,
-)
+from .errors import DisconnectedError, SpecError, TopoclassError, WorkerError
 from .isomap import (
     NeighborGraph,
     classical_mds,
@@ -76,7 +72,7 @@ MAX_COORDINATES = 10**7
 # activations on all n points at once: S * (n * (sum of layer widths) +
 # sum of out * (in + 1) over the layers) floats, 2 GiB at this limit
 MAX_STACK_ENTRIES = 2**28
-# dense Isomap holds about 7 n x n float64 arrays at once: 0.94 GB at this n
+# dense Isomap holds about 5 n x n float64 arrays at once: 0.67 GB at this n
 MAX_ISOMAP_POINTS = 2**12
 
 
@@ -149,14 +145,17 @@ def cmd_gen(args):
     files = [(args.out, data_mod.json_text(cloud.to_jsonable()))]
     if args.csv:
         files.append((args.csv, data_mod.cloud_csv(cloud)))
-    data_mod.write_files(files)
-    print(f"wrote {args.out}: {len(cloud)} points in R^{cloud.dim}, {cloud.class_count} classes")
-    for k, (count, lo, hi) in enumerate(data_mod.class_norm_ranges(cloud)):
-        print(f"  class {k}: {count} points, norms in [{lo:.6f}, {hi:.6f}]")
-    return EXIT_OK
+    lines = [f"wrote {args.out}: {len(cloud)} points in R^{cloud.dim}, {cloud.class_count} classes"]
+    for k, points in enumerate(cloud.split_by_class()):
+        norms = np.sqrt((points * points).sum(axis=1))
+        low, high = norms.min(), norms.max()
+        lines.append(f"  class {k}: {len(points)} points, norms in [{low:.6f}, {high:.6f}]")
+    return files, lines, EXIT_OK
 
 
 def cmd_train(args):
+    history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
+    data_mod.real_paths([args.out, history_path])  # one file for both is refused before training
     cloud = data_mod.load_cloud(args.data)
     dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_widths(args.dims, "--dims")
     _check_stack_size(1, dims, len(cloud))
@@ -169,16 +168,14 @@ def cmd_train(args):
         target_accuracy=args.target_accuracy,
     )
     trained, history = train_mod.train(net, cloud, cfg)
-    history_path = args.history or str(Path(args.out).with_suffix("")) + "_history.csv"
-    data_mod.write_files(
-        [(args.out, data_mod.json_text(trained.to_jsonable())), (history_path, history.csv_lines())]
-    )
+    model = data_mod.json_text(trained.to_jsonable())
+    files = [(args.out, model), (history_path, history.csv_lines())]
     final = history.accuracies[-1]
-    print(
+    line = (
         f"trained {len(dims) - 1} layers for {history.epochs_run()} epochs; "
         f"final accuracy {final:.4f}; wrote {args.out} and {history_path}"
     )
-    return EXIT_OK if final >= args.target_accuracy else EXIT_QUALITY
+    return files, [line], EXIT_OK if final >= args.target_accuracy else EXIT_QUALITY
 
 
 def _project_stage(points, k_start):
@@ -217,28 +214,24 @@ def cmd_trace(args):
         index.append(entry)
         files.append((out_dir / entry["svg"], scatter_svg(plotted, trace.labels, title)))
     files.append((out_dir / "index.json", data_mod.json_text({"stages": index})))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_mod.write_files(files)
-    print(f"wrote {len(index)} stage SVGs and index.json to {out_dir}")
-    return EXIT_OK
+    return files, [f"wrote {len(index)} stage SVGs and index.json to {out_dir}"], EXIT_OK
 
 
 def cmd_check_sep(args):
     net = net_mod.load_model(args.model)
     cloud = data_mod.load_cloud(args.data)
     report = topo_mod.full_separability_report(net, cloud)
-    if args.out:
-        if args.format == "json":
-            text = data_mod.json_text(report.to_jsonable())
-        else:
-            rows = (
-                (str(idx), "" if assigned is None else str(assigned), str(true))
-                for idx, assigned, true in report.violating_points
-            )
-            text = data_mod.csv_lines(["index", "assigned", "true"], rows)
-        data_mod.write_files([(args.out, text)])
-    print(json.dumps(report.to_jsonable()))
-    return EXIT_OK if report.voronoi_ok else EXIT_QUALITY
+    line = json.dumps(report.to_jsonable())
+    if args.format == "json":
+        text = line + "\n"  # the printed line, as data.json_text renders the report
+    else:
+        rows = (
+            (str(idx), "" if assigned is None else str(assigned), str(true))
+            for idx, assigned, true in report.violating_points
+        )
+        text = data_mod.csv_lines(["index", "assigned", "true"], rows)
+    files = [(args.out, text)] if args.out else []
+    return files, [line], EXIT_OK if report.voronoi_ok else EXIT_QUALITY
 
 
 def cmd_witness(args):
@@ -246,11 +239,8 @@ def cmd_witness(args):
     first = net.layers[0]
     rows, cols = first.weight.shape
     if rows >= cols:
-        print(
-            f"no bottleneck: first layer is {rows}x{cols} (rows >= cols); "
-            "theorem does not apply"
-        )
-        return EXIT_NOT_APPLICABLE
+        line = f"no bottleneck: first layer is {rows}x{cols} (rows >= cols); theorem does not apply"
+        return [], [line], EXIT_NOT_APPLICABLE
     witness = topo_mod.kernel_witness(first.weight, args.inner_r, args.outer_r)
     # one point per call: a two-row batch may round differently in BLAS
     first_net = net_mod.Mlp(layers=(first,))
@@ -264,10 +254,8 @@ def cmd_witness(args):
     payload["net_output_p1"] = out_p1.tolist()
     payload["net_output_p2"] = out_p2.tolist()
     payload["net_output_diff"] = float(np.abs(out_p1 - out_p2).max())
-    if args.out:
-        data_mod.write_files([(args.out, data_mod.json_text(payload))])
-    print(json.dumps(payload))
-    return EXIT_OK
+    files = [(args.out, data_mod.json_text(payload))] if args.out else []
+    return files, [json.dumps(payload)], EXIT_OK
 
 
 def _usable_cores():
@@ -430,11 +418,9 @@ def cmd_sweep(args):
             cells += [";".join(map(repr, p.tolist())) for p in (witness.p1, witness.p2)]
         table.append(cells)
     header = ["width", "best_accuracy", "witness_gap", "witness_p1", "witness_p2"]
-    data_mod.write_files([(args.out, data_mod.csv_lines(header, table))])
-    for row in rows:
-        print(f"width {row['width']}: best accuracy {row['best_accuracy']:.4f}")
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    lines = [f"width {row['width']}: best accuracy {row['best_accuracy']:.4f}" for row in rows]
+    lines.append(f"wrote {args.out}")
+    return [(args.out, data_mod.csv_lines(header, table))], lines, EXIT_OK
 
 
 def cmd_isomap(args):
@@ -455,12 +441,9 @@ def cmd_isomap(args):
         embedding = embedding_csv(result, labels)
     svg = scatter_svg(result.coordinates, labels, f"isomap k={args.knn} (stress {result.stress:.3g})")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_mod.write_files(
-        [(out_dir / f"embedding.{args.format}", embedding), (out_dir / "embedding.svg", svg)]
-    )
-    print(f"embedded {len(labels)} points to R^{args.target_dim}; stress {result.stress:.6g}")
-    return EXIT_OK
+    files = [(out_dir / f"embedding.{args.format}", embedding), (out_dir / "embedding.svg", svg)]
+    line = f"embedded {len(labels)} points to R^{args.target_dim}; stress {result.stress:.6g}"
+    return files, [line], EXIT_OK
 
 
 def cmd_urysohn(args):
@@ -481,17 +464,13 @@ def cmd_urysohn(args):
     )
     svg = heatmap_svg(xs, ys, values, f"urysohn separator ({cloud.class_count} classes)")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    data_mod.write_files(
-        [
-            (out_dir / "field.csv", data_mod.csv_lines(["x", "y", "value"], rows)),
-            (out_dir / "field.svg", svg),
-        ]
-    )
-    for k in range(cloud.class_count):  # urysohn_grid checked the field is exactly k on class k
-        print(f"class {k}: field in [{k:.3g}, {k:.3g}] (target {k})")
-    print(f"wrote field.csv and field.svg to {out_dir}")
-    return EXIT_OK
+    field_csv = data_mod.csv_lines(["x", "y", "value"], rows)
+    files = [(out_dir / "field.csv", field_csv), (out_dir / "field.svg", svg)]
+    lines = [  # urysohn_grid checked the field is exactly k on class k
+        f"class {k}: field in [{k:.3g}, {k:.3g}] (target {k})" for k in range(cloud.class_count)
+    ]
+    lines.append(f"wrote field.csv and field.svg to {out_dir}")
+    return files, lines, EXIT_OK
 
 
 @functools.cache  # one parser per process: parse_args fills a fresh namespace each call
@@ -591,21 +570,32 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command, then make its ``--out-dir``, write its files and print its lines."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        files, lines, code = args.func(args)
+        made = []  # --out-dir and its parents that did not exist, deepest first
+        try:
+            if "out_dir" in args:
+                out_dir = Path(args.out_dir)
+                made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+                out_dir.mkdir(parents=True, exist_ok=True)
+            data_mod.write_files(files)
+        except BaseException:
+            for path in made:
+                with contextlib.suppress(OSError):  # not made, or no longer empty
+                    path.rmdir()
+            raise
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         sys.stdout.flush()  # where a buffered stdout meets a closed reader
         return code
     except BrokenPipeError:  # as SIGPIPE would end a C program; see the module docstring
         with open(os.devnull, "wb") as devnull:  # where the interpreter's flush at exit goes
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
-    except (DisconnectedError, NumericalError, WorkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUALITY
     except (TopoclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)  # an OSError is a usage error
 
 
 if __name__ == "__main__":

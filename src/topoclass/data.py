@@ -266,6 +266,16 @@ def _in_place(path):
         return False
 
 
+def real_paths(paths):
+    """The ``os.path.realpath`` of each path; SpecError if two name the same file."""
+    real = [os.path.realpath(path) for path in paths]
+    for i, name in enumerate(real):
+        if name in real[:i]:
+            first = paths[real.index(name)]
+            raise SpecError(f"two outputs name the same file: {first} and {paths[i]}")
+    return real
+
+
 def write_files(files):
     """Write each ``(path, text)`` of ``files``, all of them or none.
 
@@ -278,14 +288,10 @@ def write_files(files):
     after the temporaries.  If a write fails, the temporaries are removed
     and the error, naming the path as given, propagates.  No directory is
     made.  Two paths that name the same file are a SpecError, before any
-    write.
+    write (``real_paths``).
     """
     files = [(os.fspath(path), text) for path, text in files]
-    real = [os.path.realpath(path) for path, _ in files]
-    for i, name in enumerate(real):
-        if name in real[:i]:
-            first = files[real.index(name)][0]
-            raise SpecError(f"two outputs name the same file: {first} and {files[i][0]}")
+    real = real_paths([path for path, _ in files])
     in_place = [_in_place(path) for path, _ in files]
     staged = {}  # temporary -> (its final name, the path as given)
     try:
@@ -336,13 +342,3 @@ def cloud_csv(cloud):
     header = [f"x{i}" for i in range(cloud.dim)] + ["label"]
     rows = zip(cloud.points.tolist(), cloud.labels.tolist())
     return csv_lines(header, ([*map(repr, row), repr(lab)] for row, lab in rows))
-
-
-def class_norm_ranges(cloud):
-    """Per-class (count, min norm, max norm); feeds CLI summaries."""
-    out = []
-    for k in range(cloud.class_count):
-        pts = cloud.class_points(k)
-        norms = np.sqrt((pts * pts).sum(axis=1))
-        out.append((pts.shape[0], float(norms.min()), float(norms.max())))
-    return out

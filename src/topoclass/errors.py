@@ -1,8 +1,10 @@
-"""Exception types shared by all topoclass modules."""
+"""Exception types shared by all topoclass modules, each with its CLI exit code."""
 
 
 class TopoclassError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2  # usage, schema or input; the quality failures below set 1
 
 
 class DimensionError(TopoclassError):
@@ -47,6 +49,8 @@ class SeparationError(TopoclassError):
 class NumericalError(TopoclassError):
     """A computation produced a result outside its numerical contract."""
 
+    exit_code = 1
+
 
 class DomainError(TopoclassError):
     """An input lies outside the mathematical domain of the operation."""
@@ -54,6 +58,8 @@ class DomainError(TopoclassError):
 
 class DisconnectedError(TopoclassError):
     """A neighbor graph is disconnected; lists the components found."""
+
+    exit_code = 1
 
     def __init__(self, components):
         sizes = sorted((len(c) for c in components), reverse=True)
@@ -66,3 +72,5 @@ class DisconnectedError(TopoclassError):
 
 class WorkerError(TopoclassError):
     """A worker process ended without handing back its result."""
+
+    exit_code = 1

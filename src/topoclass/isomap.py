@@ -158,11 +158,11 @@ def geodesic_distances(graph):
     w = graph.weights
     dist = np.where(w > 0.0, w, np.inf)
     np.fill_diagonal(dist, 0.0)
+    # exactly symmetric, as NeighborGraph's weights are: pivot k tries dist[i,k] + dist[k,j]
+    # at (i, j) and the same sum in the other order at (j, i), equal as float addition commutes
     for k in range(dist.shape[0]):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    # a path and its reverse sum the same weights in opposite order; take the
-    # min so the matrix is exactly symmetric
-    return np.minimum(dist, dist.T)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,16 @@ def classical_mds(d, target_dim):
         raise SpecError(f"target_dim must satisfy 1 <= t <= {n}, got {target_dim}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = d * d
-        row_mean = sq.mean(axis=1, keepdims=True)
-        col_mean = sq.mean(axis=0, keepdims=True)
-        b = -0.5 * (sq - row_mean - col_mean + sq.mean())
+        b = d * d
+        denom = float(np.sqrt(b.sum()))  # ||d||_F for the stress, before b is centered
+        row_mean = b.mean(axis=1, keepdims=True)
+        col_mean = b.mean(axis=0, keepdims=True)
+        total = b.mean()
+        # b = -0.5 * (b - row_mean - col_mean + total), in place, in that order
+        b -= row_mean
+        b -= col_mean
+        b += total
+        b *= -0.5
         b = (b + b.T) / 2.0
     if not np.isfinite(b).all():
         raise NumericalError("squared distances or their sums overflow float64 in classical MDS")
@@ -222,8 +228,9 @@ def classical_mds(d, target_dim):
 
     recon = pairwise_distances(coords)
     with np.errstate(over="ignore"):
-        denom = float(np.sqrt((d * d).sum()))
-        residual = float(np.sqrt(((recon - d) ** 2).sum()))
+        recon -= d  # the residual, squared in place
+        recon *= recon
+        residual = float(np.sqrt(recon.sum()))
     if not (math.isfinite(denom) and math.isfinite(residual)):
         raise NumericalError("the stress sums of classical MDS overflow float64")
     stress = 0.0 if denom == 0.0 else residual / denom
@@ -231,10 +238,8 @@ def classical_mds(d, target_dim):
 
 
 def isomap(points, k, target_dim=3):
-    """knn_graph -> geodesic_distances -> classical_mds, composed."""
-    graph = knn_graph(points, k)
-    geo = geodesic_distances(graph)
-    return classical_mds(geo, target_dim)
+    """knn_graph -> geodesic_distances -> classical_mds, composed; the graph is freed before MDS."""
+    return classical_mds(geodesic_distances(knn_graph(points, k)), target_dim)
 
 
 def embedding_csv(result, labels):

@@ -197,6 +197,21 @@ class TestTrain:
         )
         assert not out.exists()
 
+    def test_model_and_history_in_one_file_exit_2_before_building(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # --epochs 500 trained in full before the write refused the pair
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(net_mod, "build_relu_net", None)  # a call would be a TypeError
+        monkeypatch.setattr(train_mod, "train_many", None)
+        argv = ["train", workspace["data"], "--paper-net", "--epochs", 500, "-o", "m.json"]
+        for history in ("m.json", "./m.json"):
+            assert run([*argv, "--history", history]) == 2
+            assert capsys.readouterr().err == (
+                f"error: two outputs name the same file: m.json and {history}\n"
+            )
+        assert list(tmp_path.iterdir()) == []
+
     def test_deep_net_on_few_points_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
         # 819,204 activations on 2 points, but about 4.2e8 parameters (3.4 GB)
         data = tmp_path / "two.json"
@@ -726,6 +741,14 @@ class TestAllOrNone:
         return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
     @staticmethod
+    def tree(root):
+        """Every path under ``root``: a file's bytes, None for a directory."""
+        return {
+            str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")
+        }
+
+    @staticmethod
     def fail_write(monkeypatch, k):
         """Make the k-th file write raise OSError after writing part of its text."""
         write, calls = data_mod._write, []
@@ -760,14 +783,67 @@ class TestAllOrNone:
             for path in calls
         ) == sorted(outputs)
         capsys.readouterr()
+        # a failed write under a new --out-dir also leaves no directory
+        # behind in the fresh root, and the rerun's --out-dir stays
         for k in range(1, len(outputs) + 1):
             for root in (fresh, rerun):
                 monkeypatch.chdir(root)
-                before = self.files(root)
+                before = self.tree(root)
                 self.fail_write(monkeypatch, k)
                 assert run(argv) == 2, (k, root.name)
                 assert capsys.readouterr().err == "error: [Errno 5] injected write failure\n"
-                assert self.files(root) == before, (k, root.name)
+                assert self.tree(root) == before, (k, root.name)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_commands_compute_without_writing_or_printing(
+        self, command, inputs, tmp_path, monkeypatch, capsys
+    ):
+        make_argv, outputs = self.COMMANDS[command]
+        monkeypatch.chdir(tmp_path)
+        args = cli_mod.build_parser().parse_args([str(a) for a in make_argv(inputs)])
+        files, lines, code = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+        assert sorted(os.fspath(path) for path, _ in files) == sorted(outputs)
+        assert lines and all(isinstance(line, str) for line in lines)
+        assert code in (0, 1)  # the two-epoch train misses its target
+        # main writes those files and prints those lines
+        texts = {os.fspath(path): "".join(text).encode("utf-8") for path, text in files}
+        assert run(make_argv(inputs)) == code
+        assert capsys.readouterr().out.splitlines() == lines
+        assert {name: Path(name).read_bytes() for name in outputs} == texts
+
+    def test_witness_without_a_bottleneck_computes_no_file(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = cli_mod.build_parser().parse_args(["witness", str(workspace["model"]), "--out", "w"])
+        assert args.func(args) == (
+            [], ["no bottleneck: first layer is 5x2 (rows >= cols); theorem does not apply"], 3
+        )
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out_dir", ["a/b/c", "old/b/c", "old", "old/../b"])
+    def test_a_failed_write_removes_only_the_directories_made_for_it(
+        self, out_dir, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("old").mkdir()
+        self.fail_write(monkeypatch, 2)
+        argv = ["urysohn", workspace["data"], "--grid-size", 5, "--out-dir", out_dir]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 5] injected write failure\n"
+        assert self.tree(tmp_path) == {"old": None}
+
+    def test_an_out_dir_under_a_file_exits_2_making_nothing(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("f").write_text("")
+        assert run(["urysohn", workspace["data"], "--grid-size", 5, "--out-dir", "f/u"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 20] Not a directory: 'f/u'\n"
+        assert self.tree(tmp_path) == {"f": b""}
 
     @pytest.mark.parametrize(
         "command, blocked",
