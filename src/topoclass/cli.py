@@ -4,9 +4,11 @@ Subcommands: gen, train, trace, check-sep, witness, sweep-bottleneck,
 isomap, urysohn.  Exit codes: 0 success, 1 quality failure (target not
 reached, separation not achieved, disconnected graph, a result outside its
 numerical contract, a sweep worker that ended without its result), 2
-usage, schema or unreadable-path error (including a training stack or a
-dense Isomap too large to hold, and two outputs that name one file), 3
-precondition not applicable, 141 a pipe it writes to lost its reader.
+usage, schema or unreadable-path error (including a training stack too
+large to hold, a dense Isomap past ``isomap.MAX_ISOMAP_POINTS`` points,
+whose arrays peak at 4.1 n x n float64 by tracemalloc and 7.4 by max RSS,
+and two outputs that name one file), 3 precondition not applicable, 141 a
+pipe it writes to lost its reader.
 Every command is a pure function of its flags; rerunning with the same
 flags rewrites byte-identical files.
 
@@ -72,8 +74,6 @@ MAX_COORDINATES = 10**7
 # activations on all n points at once: S * (n * (sum of layer widths) +
 # sum of out * (in + 1) over the layers) floats, 2 GiB at this limit
 MAX_STACK_ENTRIES = 2**28
-# dense Isomap holds about 5 n x n float64 arrays at once: 0.67 GB at this n
-MAX_ISOMAP_POINTS = 2**12
 
 
 def _check_stack_size(nets, dims, n, processes=1):
@@ -93,12 +93,6 @@ def _check_stack_size(nets, dims, n, processes=1):
             f"{entries} floats to hold ({stack}, {layers}{each}): "
             f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
         )
-
-
-def _check_isomap_size(n):
-    """Refuse, before allocating, a dense Isomap of ``n`` points."""
-    if n > MAX_ISOMAP_POINTS:
-        raise SpecError(f"Isomap of {n} points: more than MAX_ISOMAP_POINTS = {MAX_ISOMAP_POINTS}")
 
 
 def _sweep_dims(in_dim, width, class_count):
@@ -181,7 +175,6 @@ def cmd_train(args):
 def _project_stage(points, k_start):
     """Isomap a high-dimensional stage to 3-D, doubling k past disconnection."""
     n = points.shape[0]
-    _check_isomap_size(n)
     k = min(k_start, n - 1)
     while True:
         try:
@@ -425,7 +418,6 @@ def cmd_sweep(args):
 
 def cmd_isomap(args):
     cloud = data_mod.load_cloud(args.data)
-    _check_isomap_size(len(cloud))
     labels = cloud.labels
     graph = knn_graph(cloud.points, args.knn)
     if args.largest_component:
@@ -434,7 +426,9 @@ def cmd_isomap(args):
         keep = max(graph_components(graph), key=len)
         graph = NeighborGraph(weights=graph.weights[np.ix_(keep, keep)])
         labels = labels[keep]
-    result = classical_mds(geodesic_distances(graph), args.target_dim)
+    geodesics = geodesic_distances(graph)
+    del graph  # freed before MDS, as isomap.isomap frees it
+    result = classical_mds(geodesics, args.target_dim)
     if args.format == "json":
         embedding = data_mod.json_text(result.to_jsonable())
     else:
@@ -454,8 +448,6 @@ def cmd_urysohn(args):
     if not (math.isfinite(2.0 * extent) and extent > 0.0):
         raise SpecError(f"--grid-extent must be positive with 2 * extent finite, got {extent}")
     cloud = data_mod.load_cloud(args.data)
-    if cloud.dim != 2:
-        raise SpecError("urysohn maps are rendered for 2-D data only")
     xs = ys = np.linspace(-extent, extent, size)
     values = topo_mod.urysohn_grid(cloud.split_by_class(), xs, ys)
     axis_text = [repr(v) for v in xs.tolist()]

@@ -20,6 +20,9 @@ DUPLICATE_POINT_WEIGHT = 1e-12
 # entries in one squared-distance tile: 2^15 float64 (256 KB) stays in L2;
 # 4K-entry tiles measured slower again, 16K to 64K about equal
 TILE_ENTRIES = 32_768
+# knn_graph refuses more points: dense Isomap peaks at 4.13 n x n float64 arrays by tracemalloc
+# (n = 1000; 0.55 GB here) and at 7.4 by max RSS, LAPACK's eigh work included (n = 1500; 1.0 GB)
+MAX_ISOMAP_POINTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,8 @@ def knn_graph(points, k):
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
+    if n > MAX_ISOMAP_POINTS:
+        raise SpecError(f"Isomap of {n} points: more than MAX_ISOMAP_POINTS = {MAX_ISOMAP_POINTS}")
     if not 1 <= k < n:
         raise SpecError(f"k must satisfy 1 <= k < {n}, got {k}")
     dists = pairwise_distances(pts)

@@ -71,19 +71,20 @@ def eigh_symmetric(s):
     if n == 0:
         raise ShapeError("matrix must be non-empty")
     scale = float(np.abs(a).max())
-    if float(np.abs(a - a.T).max()) > EIGH_TOL * max(1.0, scale):
+    sym = np.subtract(a, a.T)  # one n x n buffer: |a - a.T|, then (a + a.T) / 2.0 bit for bit
+    if float(np.abs(sym, out=sym).max()) > EIGH_TOL * max(1.0, scale):
         raise ShapeError("matrix is not symmetric within EIGH_TOL")
-
-    evals, basis = np.linalg.eigh((a + a.T) / 2.0)
+    evals, basis = np.linalg.eigh(np.multiply(np.add(a, a.T, out=sym), 0.5, out=sym))
+    del sym  # freed before the reordered copy of the basis
     order = np.argsort(-evals, kind="stable")
     return evals[order], _fix_signs(basis[:, order])
 
 
 def _fix_signs(columns):
-    """Flip each column (an exact product with -1.0) so its first nonzero entry is positive."""
+    """Flip each column in place (exact, by -1.0) so its first nonzero entry is positive."""
     first = np.argmax(columns != 0.0, axis=0)  # 0 for an all-zero column
     leading = columns[first, np.arange(columns.shape[1])]
-    return columns * np.where(leading < 0.0, -1.0, 1.0)
+    return np.multiply(columns, np.where(leading < 0.0, -1.0, 1.0), out=columns)
 
 
 def null_space_basis(w):

@@ -438,10 +438,11 @@ def urysohn_grid(classes, xs, ys):
     (xs[i], ys[j]).  The weights are also formed on the classes (distance 0
     to their own), so a field that leaves float64 range there raises
     ``NumericalError``; otherwise it is exactly k on class k (p / p = 1).
+    Classes that are not 2-D raise ``DimensionError`` before any distance.
     """
-    prepared = _prepare_classes(classes)
-    if any(pts.shape[1] != 2 for pts in prepared):
+    if any(np.shape(pts)[1:] != (2,) for pts in classes):
         raise DimensionError("a urysohn grid needs 2-D classes")
+    prepared = _prepare_classes(classes)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     dists = np.stack([_grid_min_dists(xs, ys, pts).ravel() for pts in prepared], axis=1)

@@ -633,6 +633,20 @@ class TestUrysohn:
         run(["gen", "--shells", "--dim", 5, "--n", 10, "--seed", 0, "-o", data])
         assert run(["urysohn", data, "--out-dir", tmp_path / "u"]) == 2
 
+    def test_non_planar_data_exit_2_before_any_class_distance(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        data = tmp_path / "d3.json"
+        run(["gen", "--shells", "--dim", 3, "--n", 10, "--seed", 0, "-o", data])
+
+        def never(xs, pts):
+            raise AssertionError("class distances formed for 3-D data")
+
+        monkeypatch.setattr(topo_mod, "_min_dists", never)
+        assert run(["urysohn", data, "--out-dir", tmp_path / "u"]) == 2
+        assert "a urysohn grid needs 2-D classes" in capsys.readouterr().err
+        assert not (tmp_path / "u").exists()
+
     def test_field_csv_matches_row_by_row_writer(self, workspace, tmp_path):
         out = tmp_path / "ury21"
         assert run(["urysohn", workspace["data"], "--grid-size", 21, "--out-dir", out]) == 0
@@ -1091,13 +1105,13 @@ class TestExitCodes:
         def never(points):
             raise AssertionError("pairwise distances allocated past MAX_ISOMAP_POINTS")
 
-        monkeypatch.setattr(cli_mod, "MAX_ISOMAP_POINTS", limit)
+        monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", limit)
         monkeypatch.setattr(isomap_mod, "pairwise_distances", never)
 
     def test_isomap_past_the_point_limit_exits_2_before_allocating(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(cli_mod, "MAX_ISOMAP_POINTS", 200)  # the 200 points pass
+        monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", 200)  # the 200 points pass
         assert run(["isomap", workspace["data"], "--out-dir", tmp_path / "at"]) == 0
         self._refuse_dense_isomap(monkeypatch, 199)
         assert run(["isomap", workspace["data"], "--out-dir", tmp_path / "past"]) == 2

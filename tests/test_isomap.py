@@ -1,11 +1,13 @@
 import heapq
+import importlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from topoclass.data import gen_annulus2d
+from topoclass import cli
+from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells, save_cloud
 from topoclass.errors import DisconnectedError, DomainError, NumericalError, SpecError
 from topoclass.isomap import (
     DUPLICATE_POINT_WEIGHT,
@@ -20,7 +22,10 @@ from topoclass.isomap import (
     pairwise_distances,
 )
 from topoclass.numerics import make_rng
-from topoclass.topology import _min_dists
+from topoclass.topology import _min_dists, component_count
+
+# the package's ``isomap`` attribute is the function, not the module
+isomap_mod = importlib.import_module("topoclass.isomap")
 
 
 def floyd_warshall(weights):
@@ -426,20 +431,43 @@ class TestIsomapComposition:
         db = pairwise_distances(b.coordinates)
         np.testing.assert_allclose(da, db, rtol=0, atol=1e-8)
 
-    def test_peak_memory_stays_within_five_and_a_half_n_by_n_arrays(self):
-        # cli.MAX_ISOMAP_POINTS rests on dense Isomap holding about five
-        # n x n float64 arrays: 5.07 measured on this 5-D lift of a
-        # 200-per-class annulus (knn_graph alone 3.2, geodesics 2.0 beside
-        # the graph, MDS 4.0 beside the geodesics, once the graph is freed)
-        pts = gen_annulus2d(200, 0).points @ make_rng(0).standard_normal((2, 5))
-        n = len(pts)
+    @pytest.mark.parametrize(
+        "entry", ["isomap", "cmd_isomap", "cmd_isomap_largest_component", "project_stage"]
+    )
+    def test_every_entry_point_peaks_within_five_point_one_n_by_n_arrays(self, entry, tmp_path):
+        # isomap.MAX_ISOMAP_POINTS rests on dense Isomap holding about four
+        # n x n float64 arrays that tracemalloc sees: knn_graph alone 3.2,
+        # geodesics 2.0 beside the graph, MDS 3.8 beside the geodesics once
+        # the graph is freed.  Measured on this 5-D lift of a 200-per-class
+        # annulus (n = 400): isomap() 4.83, cmd_isomap 4.85, _project_stage
+        # 4.83; with --largest-component on three bands (n = 402, the far
+        # band cut off at k = 10) 3.22, the kNN graph of every point
+        annulus = gen_annulus2d(200, 0)
+        lifted = annulus.points @ make_rng(0).standard_normal((2, 5))
+        cloud = LabeledPointCloud(5, lifted, annulus.labels, 2)
+        flags = []
+        if entry == "cmd_isomap_largest_component":
+            cloud = gen_nested_shells(2, [(0.0, 0.9), (1.0, 2.0), (50.0, 51.0)], 134, 1)
+            flags = ["--largest-component"]
+        save_cloud(cloud, tmp_path / "data.json")
+        argv = ["isomap", str(tmp_path / "data.json"), "--out-dir", str(tmp_path), *flags]
+        args = cli.build_parser().parse_args(argv)
+        calls = {
+            "isomap": lambda: isomap(cloud.points, 10, target_dim=3),
+            "cmd_isomap": lambda: cli.cmd_isomap(args),
+            "cmd_isomap_largest_component": lambda: cli.cmd_isomap(args),
+            "project_stage": lambda: cli._project_stage(cloud.points, 10),
+        }
+        n = len(cloud)
         tracemalloc.start()
         try:
-            isomap(pts, 10, target_dim=3)
+            out = calls[entry]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * n * n * 8
+        if flags:
+            assert out[1][0].startswith("embedded 268 points")
+        assert peak < 5.1 * n * n * 8
 
     def test_deterministic(self):
         pts = make_rng(12).standard_normal((30, 4))
@@ -447,6 +475,21 @@ class TestIsomapComposition:
         b = isomap(pts, 6)
         assert np.array_equal(a.coordinates, b.coordinates)
         assert a.stress == b.stress
+
+
+def test_knn_graph_past_the_point_limit_raises_before_allocating(monkeypatch):
+    pts = make_rng(13).standard_normal((12, 3))
+    monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", 12)  # the 12 points pass
+    assert knn_graph(pts, 3).node_count == 12
+
+    def never(points):
+        raise AssertionError("pairwise distances allocated past MAX_ISOMAP_POINTS")
+
+    monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", 11)
+    monkeypatch.setattr(isomap_mod, "pairwise_distances", never)
+    for call in (knn_graph, component_count, isomap):
+        with pytest.raises(SpecError, match="12 points: more than MAX_ISOMAP_POINTS = 11"):
+            call(pts, 3)
 
 
 def test_embedding_json_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Run the README quick tour (500 points per class) and a 4-class leg against
+# Run the README quick tour (500 points per class), a 4-class leg and an
+# `isomap --largest-component` leg (three bands, the far one cut off) against
 # the source tree SRC/src, logging every command's stdout, stderr and exit code.
 #
 #   tools/readme_tour.sh SRC OUT
@@ -57,6 +58,9 @@ run gen gen --shells --bands 0:0.5,1:1.5,2:2.5,3:3.5 --n 250 -o shells4.json
 run train train shells4.json --dims 2,16,16,4 -o model4.json
 run check-sep check-sep model4.json shells4.json --out report4.json
 run urysohn urysohn shells4.json --out-dir field4/
+
+run gen gen --shells --bands 0:0.9,1:2,50:51 --n 100 --seed 1 -o far.json
+run isomap isomap far.json --knn 5 --largest-component --format csv --out-dir embed_far/
 
 find . -name '.*.tmp' | LC_ALL=C sort >log/leftover_temporaries
 cat log/exit_codes
