@@ -17,17 +17,19 @@ that direction are mapped identically by the whole net.
 A Urysohn field on a 2-D grid (``urysohn_grid``) takes its squared gaps to
 each point from one table per axis, (x_i - p0)^2 and (y_j - p1)^2, added
 one grid column at a time: a third of the arithmetic of forming them node
-by node.  The values keep the field's bits: each squared gap is the same
-two rounded squares added (in the other order, and float addition
-commutes), a minimum over points is exact in any order, and one helper
-does the weights' arithmetic for both.
+by node, with the field's bits (float addition commutes, a minimum over
+points is exact in any order, and one helper forms the weights for both).
+The distances between the classes are measured once, in ``_class_table``:
+the overlap check, ``min_class_gap`` and the weights on the classes read it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ANNULUS_BANDS
 from .errors import (
     DimensionError,
     DomainError,
@@ -44,7 +46,7 @@ from .isomap import (
     knn_graph,
 )
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
-from .numerics import as_matrix, null_space_basis
+from .numerics import KERNEL_TOL, as_matrix, null_space_basis
 
 SIMPLEX_TOL = 1e-9
 # linear_rank counts the singular values above this fraction of the largest
@@ -59,6 +61,8 @@ _TINY_SPREAD = 2.0**-256
 # tested clouds (1-40 dimensions, up to 600 points) took at most 141 pivots;
 # a pivot that stalls in a degenerate position raises instead of looping
 _MAX_PIVOTS = 10_000
+# the canonical two-class geometry a kernel witness's points sit in
+_INNER, _OUTER = ANNULUS_BANDS
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,12 @@ class KernelWitness:
         p2 = np.asarray(self.p2, dtype=np.float64)
         if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-12:
             raise NumericalError("witness direction must be a unit vector")
-        if float(np.linalg.norm(p1)) > 0.9 + 1e-12:
-            raise NumericalError("p1 must lie in the inner ball (norm <= 0.9)")
-        if not (1.0 - 1e-12 <= float(np.linalg.norm(p2)) <= 2.0 + 1e-12):
-            raise NumericalError("p2 must lie in the outer shell (1 <= norm <= 2)")
+        if float(np.linalg.norm(p1)) > _INNER[1] + 1e-12:
+            raise NumericalError(f"p1 must lie in the inner ball (norm <= {_INNER[1]:g})")
+        if not (_OUTER[0] - 1e-12 <= float(np.linalg.norm(p2)) <= _OUTER[1] + 1e-12):
+            raise NumericalError(
+                f"p2 must lie in the outer shell ({_OUTER[0]:g} <= norm <= {_OUTER[1]:g})"
+            )
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
@@ -321,36 +327,35 @@ def _min_dists(xs, pts):
     return out
 
 
-def _class_gaps(classes):
-    """The classes as nonempty float arrays, and (i, j, min distance) for each pair i < j."""
+def _class_table(classes):
+    """The classes as nonempty float arrays, and each one's (n_k, c) distances to every class."""
     prepared = []
     for i, pts in enumerate(classes):
         arr = as_matrix(pts, f"class {i}")
         if arr.shape[0] == 0:
             raise EmptyInputError(f"class {i} has no points")
         prepared.append(arr)
-    gaps = [
-        (i, j, float(_min_dists(a, b).min()))
-        for i, a in enumerate(prepared)
-        for j, b in enumerate(prepared[i + 1 :], start=i + 1)
-    ]
-    return prepared, gaps
+    table = [np.zeros((len(own), len(prepared))) for own in prepared]
+    for k, j in itertools.permutations(range(len(prepared)), 2):
+        table[k][:, j] = _min_dists(prepared[k], prepared[j])
+    return prepared, table
 
 
 def _prepare_classes(classes):
-    """The classes as float arrays, checked to be two or more, nonempty and disjoint."""
-    prepared, gaps = _class_gaps(classes)
-    for i, j, gap in gaps:
-        if gap <= 0.0:
+    """``_class_table`` of two or more nonempty classes, checked to be disjoint."""
+    prepared, table = _class_table(classes)
+    for i, j in itertools.combinations(range(len(table)), 2):
+        if table[i][:, j].min() <= 0.0:
             raise SeparationError(f"classes {i} and {j} overlap (min distance 0)")
     if len(prepared) < 2:
         raise SeparationError("need at least 2 classes")
-    return prepared
+    return prepared, table
 
 
 def min_class_gap(classes):
     """Smallest cross-class point distance; the separator's conditioning number."""
-    return min([np.inf] + [gap for _, _, gap in _class_gaps(classes)[1]])
+    table = _class_table(classes)[1]
+    return min([np.inf] + [float(d[:, k + 1 :].min()) for k, d in enumerate(table[:-1])])
 
 
 def urysohn_binary(d1, d2):
@@ -393,7 +398,7 @@ def urysohn_multiclass(classes):
     f(x) = sum_k k * w_k(x) with w_k proportional to the product of the
     distances to every other class, so membership in class k forces w_k = 1.
     """
-    prepared = _prepare_classes(classes)
+    prepared = _prepare_classes(classes)[0]
 
     def field(x):
         xs = np.asarray(x, dtype=np.float64)
@@ -435,22 +440,20 @@ def urysohn_grid(classes, xs, ys):
     """``urysohn_multiclass(classes)`` on the nodes (xs[i], ys[j]) of a 2-D grid, bit for bit.
 
     Returns a (len(ys), len(xs)) array: row j, column i holds the field at
-    (xs[i], ys[j]).  The weights are also formed on the classes (distance 0
-    to their own), so a field that leaves float64 range there raises
+    (xs[i], ys[j]).  The weights are also formed on the classes, from the
+    class table, so a field that leaves float64 range there raises
     ``NumericalError``; otherwise it is exactly k on class k (p / p = 1).
     Classes that are not 2-D raise ``DimensionError`` before any distance.
     """
     if any(np.shape(pts)[1:] != (2,) for pts in classes):
         raise DimensionError("a urysohn grid needs 2-D classes")
-    prepared = _prepare_classes(classes)
+    prepared, table = _prepare_classes(classes)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     dists = np.stack([_grid_min_dists(xs, ys, pts).ravel() for pts in prepared], axis=1)
     values = _partition_of_unity(dists).reshape(len(ys), len(xs))
-    for k, own in enumerate(prepared):
-        zero = np.zeros(len(own))
-        gaps = [zero if j == k else _min_dists(own, pts) for j, pts in enumerate(prepared)]
-        _partition_of_unity(np.stack(gaps, axis=1))
+    for on_class in table:
+        _partition_of_unity(on_class)
     return values
 
 
@@ -466,22 +469,30 @@ def kernel_witness(w, inner_r=0.5, outer_r=1.5):
     rows, cols = w.shape
     if rows >= cols:
         raise SpecError(f"no bottleneck: weight is {rows}x{cols} (needs rows < cols)")
-    if not 0.0 < inner_r <= 0.9:
-        raise SpecError("inner radius must lie in (0, 0.9]")
-    if not 1.0 <= outer_r <= 2.0:
-        raise SpecError("outer radius must lie in [1, 2]")
+    if not 0.0 < inner_r <= _INNER[1]:
+        raise SpecError(f"inner radius must lie in (0, {_INNER[1]:g}]")
+    if not _OUTER[0] <= outer_r <= _OUTER[1]:
+        raise SpecError(f"outer radius must lie in [{_OUTER[0]:g}, {_OUTER[1]:g}]")
     basis = null_space_basis(w)
     if not basis:
         raise NumericalError("kernel numerically trivial despite rows < cols")
     direction = basis[0]
     p1 = inner_r * direction
     p2 = outer_r * direction
-    # near the float64 limit a residual may overflow to inf, which fails the bound
+    # null_space_basis's bound, ||W p|| <= KERNEL_TOL * ||W||_2 * ||p||; near the
+    # float64 limit a residual may overflow to inf, which fails it
     with np.errstate(over="ignore"):
+        scale = KERNEL_TOL * float(np.linalg.norm(w, 2))
         img1 = w @ p1
         img2 = w @ p2
-        if float(np.linalg.norm(img1)) > 1e-9 or float(np.linalg.norm(img2)) > 1e-9:
-            raise NumericalError("null direction residual exceeds 1e-9")
+        for name, p, img in (("p1", p1, img1), ("p2", p2, img2)):
+            residual = float(np.linalg.norm(img))
+            bound = scale * float(np.linalg.norm(p))
+            if not (math.isfinite(residual) and residual <= bound):
+                raise NumericalError(
+                    f"null direction residual exceeds its bound: |W {name}| = {residual:.3e}"
+                    f" > KERNEL_TOL * ||W||_2 * ||{name}|| = {bound:.3e}"
+                )
     return KernelWitness(
         direction=direction,
         p1=p1,

@@ -29,7 +29,7 @@ from topoclass.cli import MAX_GRID_SIZE, main
 from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
 from topoclass.isomap import graph_components, knn_graph
 from topoclass.network import build_relu_net, load_model, save_model
-from topoclass.numerics import make_rng
+from topoclass.numerics import KERNEL_TOL, make_rng
 from topoclass.topology import urysohn_binary, urysohn_multiclass
 
 # the package's ``isomap`` attribute is the function, not the module
@@ -979,15 +979,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {flags[0]} must")
         assert not (tmp_path / "u").exists()
 
-    def test_witness_residual_over_bound_exits_1(self, tmp_path):
-        # a kernel direction of this huge first layer leaves a residual far
-        # above the witness's 1e-9 bound: NumericalError, a quality failure
+    def test_witness_on_a_huge_layer_is_within_the_relative_bound(self, tmp_path, capsys):
+        # the residuals of this layer's kernel direction, about 2e-4 and 6e-4,
+        # are far below KERNEL_TOL * ||W||_2 * ||p||, about 1.7e2 and 5.2e2
+        w = np.array([[1e12, 3.3e12]])
         model = tmp_path / "huge.json"
         model.write_text(json.dumps({"layers": [
-            {"activation": "relu", "weight": [[1e12, 3.3e12]], "bias": [0.0]},
+            {"activation": "relu", "weight": w.tolist(), "bias": [0.0]},
             {"activation": "softmax", "weight": [[1.0], [-1.0]], "bias": [0.0, 0.0]},
         ]}))
-        assert run(["witness", model]) == 1
+        assert run(["witness", model]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("p1", "p2"):
+            p = np.array(payload[key])
+            residual = np.linalg.norm(w @ p)
+            assert 0.0 < residual <= KERNEL_TOL * np.linalg.norm(w, 2) * np.linalg.norm(p)
+
+    def test_witness_residual_over_bound_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a unit direction off the kernel of [[1, 0, 0], [0, 1, 0]] leaves
+        # |W p1| = 0.3 against a bound of 1e-10 * 1 * 0.5: NumericalError
+        monkeypatch.setattr(topo_mod, "null_space_basis", lambda w: [np.array([0.6, 0.0, 0.8])])
+        model = tmp_path / "narrow.json"
+        model.write_text(json.dumps({"layers": [
+            {"activation": "relu", "weight": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "bias": [0, 0]},
+            {"activation": "softmax", "weight": [[1.0, 0.0], [0.0, 1.0]], "bias": [0, 0]},
+        ]}))
+        assert run(["witness", model, "--out", tmp_path / "w.json"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: null direction residual exceeds its bound: "
+            "|W p1| = 3.000e-01 > KERNEL_TOL * ||W||_2 * ||p1|| = 5.000e-11\n"
+        ))
+        assert not (tmp_path / "w.json").exists()
 
     def test_directory_as_data_exits_2(self, workspace, tmp_path):
         assert run(["check-sep", workspace["model"], tmp_path]) == 2
@@ -1032,8 +1054,8 @@ class TestExitCodes:
     def test_witness_at_the_float64_limit_fails_its_residual_not_its_kernel(
         self, tmp_path, capsys
     ):
-        # the kernel [1, -1]/sqrt(2) is found, but 1e308 times its rounding
-        # error is far past the 1e-9 residual bound
+        # the kernel [1, -1]/sqrt(2) is found, but the norm of 1e308 times its
+        # rounding error overflows: a residual that is not finite fails its bound
         model = tmp_path / "limit.json"
         model.write_text(
             '{"layers": [{"activation": "relu", "weight": [[1e308, 1e308]], "bias": [0]}, '

@@ -461,6 +461,10 @@ class TestMinClassGap:
     def test_one_class_has_no_gap(self):
         assert min_class_gap([np.ones((3, 2))]) == np.inf
 
+    def test_overlapping_classes_have_gap_zero(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert min_class_gap([pts, pts + 3.0, pts[1:]]) == 0.0
+
     @pytest.mark.parametrize("empty_at", [0, 1])
     def test_empty_class_is_refused(self, empty_at):
         classes = [np.ones((3, 2))]
@@ -664,6 +668,87 @@ class TestUrysohnGrid:
         assert peak < 1_500_000
 
 
+FOUR_BANDS = ((0.0, 0.5), (1.0, 1.5), (2.0, 2.5), (3.0, 3.5))
+
+
+def pair_gaps_oracle(classes):
+    """The i < j loop the class table replaced: (i, j, min distance) per pair."""
+    prepared = [np.asarray(pts, dtype=np.float64) for pts in classes]
+    return [
+        (i, j, float(topology._min_dists(a, b).min()))
+        for i, a in enumerate(prepared)
+        for j, b in enumerate(prepared[i + 1 :], start=i + 1)
+    ]
+
+
+class TestClassTable:
+    """One table of distances between the classes serves every Urysohn check."""
+
+    @pytest.mark.parametrize("bands, passes", [(((0.0, 0.9), (1.0, 2.0)), 2), (FOUR_BANDS, 12)])
+    def test_grid_measures_each_ordered_pair_of_classes_once(self, monkeypatch, bands, passes):
+        classes = gen_nested_shells(2, bands, 30, 5).split_by_class()
+        axis = np.linspace(-4.0, 4.0, 9)
+        want = urysohn_grid(classes, axis, axis)
+        min_dists, pairs = topology._min_dists, []
+
+        def counting(xs, pts):
+            pairs.append((len(xs), len(pts)))
+            return min_dists(xs, pts)
+
+        monkeypatch.setattr(topology, "_min_dists", counting)
+        assert urysohn_grid(classes, axis, axis).tobytes() == want.tobytes()
+        assert len(pairs) == passes == len(classes) * (len(classes) - 1)
+
+    @pytest.mark.parametrize("seed, count", [(0, 2), (1, 3), (2, 4), (3, 6)])
+    def test_gaps_match_the_pair_loop_bit_for_bit(self, seed, count):
+        rng = make_rng(seed)
+        classes = [rng.uniform(-3.0, 3.0, size=(rng.integers(1, 30), 2)) for _ in range(count)]
+        prepared, table = topology._prepare_classes(classes)
+        gaps = pair_gaps_oracle(classes)
+        assert [(i, j, float(table[i][:, j].min())) for i, j, _ in gaps] == gaps
+        assert min_class_gap(classes).hex() == min([np.inf] + [g for _, _, g in gaps]).hex()
+        for k, own in enumerate(prepared):
+            assert table[k].shape == (len(own), count)
+            for j, pts in enumerate(prepared):
+                want = np.zeros(len(own)) if j == k else topology._min_dists(own, pts)
+                assert table[k][:, j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "classes, error, text",
+        [
+            (
+                [np.ones((2, 2)), np.zeros((0, 2)), np.array([[np.nan, 0.0]])],
+                EmptyInputError,
+                "class 1 has no points",
+            ),
+            (
+                [np.array([[0.0, 0.0]]), np.array([[5.0, 5.0]]), np.array([[5.0, 5.0], [0, 0]])],
+                SeparationError,
+                "classes 0 and 2 overlap (min distance 0)",
+            ),
+            ([np.array([[0.0, 0.0]])], SeparationError, "need at least 2 classes"),
+            (
+                [np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), np.array([[1e200, 0.0]])],
+                NumericalError,
+                "points too far apart: squared distances overflow float64",
+            ),
+        ],
+        ids=["empty", "overlap", "single", "far-apart"],
+    )
+    def test_refusals_keep_their_type_text_and_order(self, monkeypatch, classes, error, text):
+        def never(xs, ys, pts):
+            raise AssertionError("grid distances formed for refused classes")
+
+        monkeypatch.setattr(topology, "_grid_min_dists", never)
+        axis = np.linspace(-1.0, 1.0, 5)
+        for build in (urysohn_multiclass, lambda c: urysohn_grid(c, axis, axis)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error) as raised:
+                    build(classes)
+            assert str(raised.value) == text
+
+
 class TestKernelWitness:
     def test_explicit_kernel(self):
         w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -712,6 +797,33 @@ class TestKernelWitness:
     def test_no_bottleneck_rejected(self):
         with pytest.raises(SpecError):
             kernel_witness(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "inner_r, outer_r, text",
+        [
+            (0.0, 1.5, "inner radius must lie in (0, 0.9]"),
+            (0.95, 1.5, "inner radius must lie in (0, 0.9]"),
+            (0.5, 0.99, "outer radius must lie in [1, 2]"),
+            (0.5, 2.01, "outer radius must lie in [1, 2]"),
+        ],
+    )
+    def test_radius_refusals_name_the_annulus_bands(self, inner_r, outer_r, text):
+        with pytest.raises(SpecError) as raised:
+            kernel_witness(np.ones((1, 2)), inner_r, outer_r)
+        assert str(raised.value) == text
+
+    @pytest.mark.parametrize(
+        "p1, p2, text",
+        [
+            ([0.95, 0.0], [1.5, 0.0], "p1 must lie in the inner ball (norm <= 0.9)"),
+            ([0.5, 0.0], [0.99, 0.0], "p2 must lie in the outer shell (1 <= norm <= 2)"),
+            ([0.5, 0.0], [2.01, 0.0], "p2 must lie in the outer shell (1 <= norm <= 2)"),
+        ],
+    )
+    def test_witness_points_outside_the_annulus_bands(self, p1, p2, text):
+        with pytest.raises(NumericalError) as raised:
+            KernelWitness(direction=[1.0, 0.0], p1=p1, p2=p2, output_gap=0.0)
+        assert str(raised.value) == text
 
     def test_witness_invariants_enforced(self):
         with pytest.raises(NumericalError):
