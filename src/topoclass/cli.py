@@ -6,7 +6,6 @@ reached, separation not achieved, disconnected graph, a result outside its
 numerical contract, a sweep worker that ended without its result), 2
 usage, schema or unreadable-path error (including a training stack too
 large to hold, a dense Isomap past ``isomap.MAX_ISOMAP_POINTS`` points,
-whose arrays peak at 4.1 n x n float64 by tracemalloc and 7.4 by max RSS,
 and two outputs that name one file), 3 precondition not applicable, 141 a
 pipe it writes to lost its reader.
 Every command is a pure function of its flags; rerunning with the same
@@ -20,8 +19,9 @@ directory, and a closed stdout leaves the files complete.  A process
 killed mid-write can leave a hidden ``.NAME.PID.tmp`` beside an output but
 never a truncated one.  A rerun replaces each file, so an existing file's
 mode and hard links are not kept.  An output that exists and is not a
-regular file (a FIFO, a device) is written in place, and a symlink's
-target is replaced with the link kept.
+regular file (a FIFO, a device) is written in place, an output that is
+stdout's own file (``-o /dev/stdout``) goes to stdout before the printed
+lines, and a symlink's target is replaced with the link kept.
 
 ``sweep-bottleneck`` trains its widths in parallel, one forked process
 per usable core (``_train_stacks``); its rows, files, output and exit
@@ -47,15 +47,7 @@ from . import network as net_mod
 from . import topology as topo_mod
 from . import training as train_mod
 from .errors import DisconnectedError, SpecError, TopoclassError, WorkerError
-from .isomap import (
-    NeighborGraph,
-    classical_mds,
-    embedding_csv,
-    geodesic_distances,
-    graph_components,
-    isomap as isomap_embed,
-    knn_graph,
-)
+from .isomap import embedding_csv, graph_components, isomap as isomap_embed, knn_graph
 from .numerics import make_rng
 from .svg import heatmap_svg, scatter_svg
 
@@ -418,17 +410,13 @@ def cmd_sweep(args):
 
 def cmd_isomap(args):
     cloud = data_mod.load_cloud(args.data)
-    labels = cloud.labels
-    graph = knn_graph(cloud.points, args.knn)
+    points, labels = cloud.points, cloud.labels
     if args.largest_component:
-        # kNN edges never leave a component, so this subgraph is the kNN
-        # graph of the kept points
-        keep = max(graph_components(graph), key=len)
-        graph = NeighborGraph(weights=graph.weights[np.ix_(keep, keep)])
-        labels = labels[keep]
-    geodesics = geodesic_distances(graph)
-    del graph  # freed before MDS, as isomap.isomap frees it
-    result = classical_mds(geodesics, args.target_dim)
+        # a point's k nearest neighbours lie in its own component, so the
+        # kept points' kNN graph is the full graph's subgraph on them
+        keep = max(graph_components(knn_graph(points, args.knn)), key=len)
+        points, labels = points[keep], labels[keep]
+    result = isomap_embed(points, args.knn, args.target_dim)
     if args.format == "json":
         embedding = data_mod.json_text(result.to_jsonable())
     else:

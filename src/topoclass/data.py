@@ -15,6 +15,7 @@ import json
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,17 +252,32 @@ def csv_lines(header, rows):
 
 
 def _write(path, text):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write ``text`` to ``path``; to fd 1's file through ``sys.stdout``, at its offset."""
+    if _is_stdout(path):
+        fh = contextlib.nullcontext(sys.stdout)
+    else:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    with fh as out:
         if isinstance(text, str):
-            fh.write(text)
+            out.write(text)
         else:
-            fh.writelines(text)
+            out.writelines(text)
+        out.flush()
+
+
+def _is_stdout(path):
+    """Whether ``path`` names fd 1's file: the same device and inode."""
+    try:
+        st, out = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
 
 
 def _in_place(path):
-    """Whether ``path`` is written in place: it exists and is not a regular file."""
+    """Whether ``path`` is written in place: it exists and is not a regular file, or is fd 1's."""
     try:
-        return not stat.S_ISREG(os.stat(path).st_mode)
+        return not stat.S_ISREG(os.stat(path).st_mode) or _is_stdout(path)
     except FileNotFoundError:
         return False
 
@@ -285,10 +301,12 @@ def write_files(files):
     they all move into place with ``os.replace``; a rerun thus replaces a
     file, keeping neither its mode nor its hard links.  A path that exists
     and is not a regular file (a FIFO, ``/dev/null``) is written in place,
-    after the temporaries.  If a write fails, the temporaries are removed
-    and the error, naming the path as given, propagates.  No directory is
-    made.  Two paths that name the same file are a SpecError, before any
-    write (``real_paths``).
+    after the temporaries; so is fd 1's file (``/dev/stdout`` under
+    ``> FILE``), through ``sys.stdout``, which shares fd 1's offset, so the
+    lines printed after it follow it.  If a write fails, the temporaries are
+    removed and the error, naming the path as given, propagates.  No
+    directory is made.  Two paths that name the same file are a SpecError,
+    before any write (``real_paths``).
     """
     files = [(os.fspath(path), text) for path, text in files]
     real = real_paths([path for path, _ in files])

@@ -2,9 +2,9 @@
 
 The three stages are exposed separately because each has its own oracle
 (complete graphs reduce geodesics to Euclidean distances, exact Euclidean
-matrices make MDS lossless) and because the trace pipeline wants to reuse
-the MDS stage on its own.  Geodesics are a dense Floyd-Warshall min-plus
-recursion in numpy, and the MDS eigensolve is LAPACK ``eigh``.
+matrices make MDS lossless); ``isomap()`` is the one place that chains
+them.  Geodesics are a dense Floyd-Warshall min-plus recursion in numpy,
+and the MDS eigensolve is LAPACK ``eigh``.
 """
 
 import math

@@ -7,12 +7,19 @@ descending sort and a sign convention; it serves classical MDS only.  Null
 spaces (here) and the rank of a point cloud (``topology.principal_spectrum``)
 come from ``np.linalg.svd``, which does not square the condition number the
 way an eigendecomposition of a Gram or covariance matrix does.  All outputs
-are pure functions of the input for a given numpy/BLAS build and BLAS
-thread count.
+are pure functions of the input for a given numpy/BLAS build.  LAPACK
+``eigh`` rounds differently on different OpenBLAS thread counts, so
+``eigh_symmetric`` runs it on one thread (``_one_blas_thread``); where no
+OpenBLAS thread control is found, its bits also depend on the thread count.
 
 Randomness: ``make_rng(seed)`` returns a ``numpy.random.Generator`` driven by
 the PCG64 bit generator.  Identical seeds give identical streams.
 """
+
+import contextlib
+import ctypes
+import functools
+import itertools
 
 import numpy as np
 
@@ -51,14 +58,58 @@ def as_vector(v, name="vector"):
     return a
 
 
+@functools.cache
+def _blas_thread_controls():
+    """OpenBLAS's ``(get, set)`` thread-count functions in the library numpy loaded, or None.
+
+    The library is found by name in ``/proc/self/maps`` (Linux only) and
+    opened again through ctypes, which returns the loaded copy.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        with contextlib.suppress(OSError):
+            handle = ctypes.CDLL(lib)
+            for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+                get, set_ = (
+                    getattr(handle, f"{prefix}_{verb}_num_threads{suffix}", None)
+                    for verb in ("get", "set")
+                )
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count; a no-op without controls."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def eigh_symmetric(s):
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order (ties keep LAPACK's order) and eigenvectors as
     orthonormal columns.  Each eigenvector is sign-normalized so its first
-    nonzero entry is positive, which makes the output a pure function of the
-    input on a given numpy/BLAS build and BLAS thread count.
+    nonzero entry is positive.  LAPACK runs on one OpenBLAS thread
+    (``_one_blas_thread``), so the output is a pure function of the input on
+    a given numpy/BLAS build, whatever the BLAS thread count.
 
     Raises ShapeError for empty or non-square input, and for input whose
     asymmetry exceeds ``EIGH_TOL`` times its largest entry (or ``EIGH_TOL``
@@ -74,7 +125,8 @@ def eigh_symmetric(s):
     sym = np.subtract(a, a.T)  # one n x n buffer: |a - a.T|, then (a + a.T) / 2.0 bit for bit
     if float(np.abs(sym, out=sym).max()) > EIGH_TOL * max(1.0, scale):
         raise ShapeError("matrix is not symmetric within EIGH_TOL")
-    evals, basis = np.linalg.eigh(np.multiply(np.add(a, a.T, out=sym), 0.5, out=sym))
+    with _one_blas_thread():
+        evals, basis = np.linalg.eigh(np.multiply(np.add(a, a.T, out=sym), 0.5, out=sym))
     del sym  # freed before the reordered copy of the basis
     order = np.argsort(-evals, kind="stable")
     return evals[order], _fix_signs(basis[:, order])

@@ -526,9 +526,7 @@ class TestIsomapCommand:
         payload = json.loads((out / "embedding.json").read_text())
         assert len(payload["coordinates"]) < 60
 
-    def test_largest_component_builds_one_graph_and_matches_kept_points(
-        self, tmp_path, monkeypatch
-    ):
+    def test_largest_component_cuts_the_points_then_embeds_them(self, tmp_path, monkeypatch):
         # bands 0 and 1 are 0.1 apart and band 2 is far: at k=5 the largest
         # component holds classes 0 and 1
         data = tmp_path / "three.json"
@@ -542,9 +540,9 @@ class TestIsomapCommand:
         )
         calls = []
 
-        def counting_knn_graph(*args):
-            calls.append(args)
-            return knn_graph(*args)
+        def counting_knn_graph(points, k):
+            calls.append((len(points), k))
+            return knn_graph(points, k)
 
         monkeypatch.setattr(cli_mod, "knn_graph", counting_knn_graph)
         monkeypatch.setattr(isomap_mod, "knn_graph", counting_knn_graph)
@@ -552,12 +550,30 @@ class TestIsomapCommand:
             calls.clear()
             assert run(["isomap", data, "--knn", 5, "--largest-component", "--format", fmt,
                         "--out-dir", tmp_path / "restricted" / fmt]) == 0
-            assert len(calls) == 1
+            # the cut's graph on every point, then isomap()'s on the kept ones
+            assert calls == [(90, 5), (len(keep), 5)]
             assert run(["isomap", kept, "--knn", 5, "--format", fmt,
                         "--out-dir", tmp_path / "kept" / fmt]) == 0
         for name in ("json/embedding.json", "json/embedding.svg", "csv/embedding.csv"):
             restricted = (tmp_path / "restricted" / name).read_bytes()
             assert restricted == (tmp_path / "kept" / name).read_bytes()
+
+    def test_same_bytes_on_one_and_two_blas_threads(self, tmp_path):
+        # LAPACK eigh on 300 points rounds differently on two OpenBLAS
+        # threads than on one, unless eigh_symmetric pins it to one
+        data = tmp_path / "a.json"
+        assert run(["gen", "--annulus", "--n", 150, "--seed", 0, "-o", data]) == 0
+        src = str(Path(topoclass.__file__).resolve().parent.parent)
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-m", "topoclass.cli", "isomap", str(data), "--out-dir", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            written.append([(out / name).read_bytes() for name in ("embedding.json", "embedding.svg")])
+        assert written[0] == written[1]
 
 
 class TestUrysohn:
@@ -940,6 +956,28 @@ class TestAllOrNone:
         assert run(["gen", "--annulus", "--n", 5, "-o", "b.json"]) == 0
         assert got == [(tmp_path / "b.json").read_bytes()]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json", "b.json"]
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["regular file", "pipe"])
+    def test_output_to_stdout_comes_before_the_printed_lines(self, tmp_path, piped):
+        # -o /dev/stdout with stdout redirected to a file once replaced that
+        # file, and the printed lines went to the old, unlinked one
+        argv = ["gen", "--annulus", "--n", "1", "-o", "/dev/stdout"]
+        files, lines, _ = cli_mod.cmd_gen(cli_mod.build_parser().parse_args(argv))
+        expected = (files[0][1] + "".join(f"{line}\n" for line in lines)).encode()
+        src = str(Path(topoclass.__file__).resolve().parent.parent)
+        command = [sys.executable, "-m", "topoclass.cli", *argv]
+        env = {**os.environ, "PYTHONPATH": src}
+        if piped:
+            done = subprocess.run(command, env=env, capture_output=True)
+            assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
+            return
+        out = tmp_path / "out.txt"
+        out.write_text("to be truncated by the shell's >")
+        with open(out, "wb") as fh:
+            done = subprocess.run(command, env=env, stdout=fh, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
     def test_symlinked_outputs_replace_their_targets(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

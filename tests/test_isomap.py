@@ -1,5 +1,6 @@
 import heapq
 import importlib
+import json
 import tracemalloc
 import warnings
 
@@ -441,7 +442,8 @@ class TestIsomapComposition:
         # the graph is freed.  Measured on this 5-D lift of a 200-per-class
         # annulus (n = 400): isomap() 4.83, cmd_isomap 4.85, _project_stage
         # 4.83; with --largest-component on three bands (n = 402, the far
-        # band cut off at k = 10) 3.22, the kNN graph of every point
+        # band cut off at k = 10) 3.22, the cut's kNN graph of every point;
+        # isomap() on the 268 kept points, after that graph is freed, 2.15
         annulus = gen_annulus2d(200, 0)
         lifted = annulus.points @ make_rng(0).standard_normal((2, 5))
         cloud = LabeledPointCloud(5, lifted, annulus.labels, 2)
@@ -475,6 +477,49 @@ class TestIsomapComposition:
         b = isomap(pts, 6)
         assert np.array_equal(a.coordinates, b.coordinates)
         assert a.stress == b.stress
+
+
+def largest_component_subgraph_oracle(points, k, target_dim):
+    """``isomap --largest-component`` as one kNN graph, cut to its largest component's subgraph."""
+    graph = knn_graph(points, k)
+    keep = max(graph_components(graph), key=len)
+    sub = NeighborGraph(weights=graph.weights[np.ix_(keep, keep)])
+    return keep, classical_mds(geodesic_distances(sub), target_dim)
+
+
+def tie_heavy_lattice():
+    """A 12 x 12 integer lattice, 20 of its points twice, and a far blob of 15."""
+    lattice = np.array([(x, y) for x in range(12) for y in range(12)], dtype=float)
+    blob = 100.0 + make_rng(3).standard_normal((15, 2))
+    points = np.concatenate([lattice, lattice[::7][:20], blob])
+    labels = (np.arange(len(points)) % 2).astype(np.int64)
+    return LabeledPointCloud(2, points, labels, 2)
+
+
+@pytest.mark.parametrize(
+    "cloud, k",
+    [
+        (gen_nested_shells(2, [(0.0, 0.9), (1.0, 2.0), (50.0, 51.0)], 100, 1), 5),
+        (gen_nested_shells(2, [(0.0, 0.9), (1.0, 2.0), (50.0, 51.0)], 100, 1), 8),
+        (tie_heavy_lattice(), 4),
+        (tie_heavy_lattice(), 6),
+    ],
+    ids=["far band k=5", "far band k=8", "lattice k=4", "lattice k=6"],
+)
+def test_largest_component_cut_then_isomap_matches_the_subgraph_oracle(cloud, k, tmp_path):
+    # a point's k nearest neighbours lie in its own component, so the kNN
+    # graph of the kept points is the full graph's subgraph on them, ties
+    # and duplicate weights included
+    save_cloud(cloud, tmp_path / "data.json")
+    argv = ["isomap", str(tmp_path / "data.json"), "--knn", str(k), "--largest-component",
+            "--out-dir", str(tmp_path)]
+    files, _, _ = cli.cmd_isomap(cli.build_parser().parse_args(argv))
+    got = json.loads(files[0][1])
+    keep, expected = largest_component_subgraph_oracle(cloud.points, k, 3)
+    assert len(keep) < len(cloud)
+    assert np.array_equal(np.array(got["coordinates"]), expected.coordinates)
+    assert np.array_equal(np.array(got["eigenvalues"]), expected.eigenvalues)
+    assert got["stress"] == expected.stress
 
 
 def test_knn_graph_past_the_point_limit_raises_before_allocating(monkeypatch):

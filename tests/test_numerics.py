@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from topoclass.errors import ShapeError, SpecError
+from topoclass import numerics
 from topoclass.numerics import (
     EIGH_TOL,
     _fix_signs,
@@ -135,6 +136,31 @@ class TestEighSymmetric:
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * s.size * 8
+
+    def test_lapack_runs_on_one_blas_thread_and_the_count_comes_back(self, monkeypatch):
+        controls = numerics._blas_thread_controls()
+        if controls is None:
+            pytest.skip("no OpenBLAS thread functions found in this process")
+        get, set_ = controls
+        eigh, seen = np.linalg.eigh, []
+
+        def eigh_that_fails_once_seen(a):
+            seen.append(get())
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("refused")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_that_fails_once_seen)
+        before = get()
+        set_(2)
+        try:
+            eigh_symmetric(np.eye(3))
+            assert get() == 2
+            with pytest.raises(np.linalg.LinAlgError):
+                eigh_symmetric(np.eye(3))
+            assert (seen, get()) == ([1, 1], 2)
+        finally:
+            set_(before)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ShapeError):

@@ -1,22 +1,32 @@
 #!/usr/bin/env bash
-# Run the README quick tour (500 points per class), a 4-class leg and an
-# `isomap --largest-component` leg (three bands, the far one cut off) against
-# the source tree SRC/src, logging every command's stdout, stderr and exit code.
+# Run the README quick tour (N points per class, default 500), a 4-class leg
+# (N/2 per class) and an `isomap --largest-component` leg (three bands of 100,
+# the far one cut off) against the source tree SRC/src, logging every
+# command's stdout, stderr and exit code.
 #
-#   tools/readme_tour.sh SRC OUT
+#   tools/readme_tour.sh SRC OUT [N]
 #
 # OUT must be new or empty; the commands run inside it with relative paths,
 # so two runs can be compared with one `diff -r OUT_A OUT_B` (files, stdout,
 # stderr, exit codes and OUT/log/leftover_temporaries, the list of hidden
 # .tmp files left under OUT, empty when every write finished or was undone).
-# BLAS runs on one thread: Isomap's eigensolve may round differently on
-# more.  Set PYTHON to choose the interpreter.
+# BLAS runs on one thread, so that a tree whose Isomap eigensolve does not
+# pin its own thread count (or a BLAS without OpenBLAS's thread control)
+# gives the same bytes on any core count.  Set PYTHON to choose the
+# interpreter.
 set -u
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 SRC OUT" >&2
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 SRC OUT [N]" >&2
     exit 2
 fi
+n=${3:-500}
+case $n in
+    '' | *[!0-9]* | 0* | 1)
+        echo "$0: N must be an integer >= 2, got $n" >&2
+        exit 2
+        ;;
+esac
 src=$(cd "$1" && pwd) || exit 2
 if [ ! -d "$src/src/topoclass" ]; then
     echo "$0: no $1/src/topoclass" >&2
@@ -44,7 +54,7 @@ run() {
     echo "$name $?" >>log/exit_codes
 }
 
-run gen gen --annulus --n 500 --seed 0 -o annulus.json
+run gen gen --annulus --n "$n" --seed 0 -o annulus.json
 run train train annulus.json --paper-net --seed 0 --target-accuracy 1.0 -o model.json
 run check-sep check-sep model.json annulus.json --out report.json
 run trace trace model.json annulus.json --out-dir trace/
@@ -54,7 +64,7 @@ run sweep-bottleneck sweep-bottleneck annulus.json --widths 1,2,3,4,5 --seeds 5 
 run urysohn urysohn annulus.json --out-dir field/
 run isomap isomap annulus.json --knn 10 --out-dir embed/
 
-run gen gen --shells --bands 0:0.5,1:1.5,2:2.5,3:3.5 --n 250 -o shells4.json
+run gen gen --shells --bands 0:0.5,1:1.5,2:2.5,3:3.5 --n $((n / 2)) -o shells4.json
 run train train shells4.json --dims 2,16,16,4 -o model4.json
 run check-sep check-sep model4.json shells4.json --out report4.json
 run urysohn urysohn shells4.json --out-dir field4/
