@@ -1,4 +1,9 @@
-"""Exception types shared by all topoclass modules, each with its CLI exit code."""
+"""Exception types shared by all topoclass modules, each with its CLI exit code.
+
+Bad input is a ``SpecError``, unless it came from a file (``ParseError``,
+``SchemaError``); all three exit 2.  The exit-1 types report a result that
+fails its contract on valid input.
+"""
 
 
 class TopoclassError(Exception):
@@ -7,16 +12,8 @@ class TopoclassError(Exception):
     exit_code = 2  # usage, schema or input; the quality failures below set 1
 
 
-class DimensionError(TopoclassError):
-    """Operands have incompatible shapes or dimensions."""
-
-
-class ShapeError(TopoclassError):
-    """A matrix does not have the structure an operation requires."""
-
-
 class SpecError(TopoclassError):
-    """A generator or graph parameter violates its stated constraints."""
+    """An argument violates its stated constraints: shape, domain, range or configuration."""
 
 
 class ParseError(TopoclassError):
@@ -34,26 +31,10 @@ class SchemaError(TopoclassError):
     """File contents parsed but violate a documented schema invariant."""
 
 
-class ConfigError(TopoclassError):
-    """A training configuration is inconsistent with the net or data."""
-
-
-class EmptyInputError(TopoclassError):
-    """An operation that needs at least one point received none."""
-
-
-class SeparationError(TopoclassError):
-    """Point sets that must be disjoint overlap."""
-
-
 class NumericalError(TopoclassError):
     """A computation produced a result outside its numerical contract."""
 
     exit_code = 1
-
-
-class DomainError(TopoclassError):
-    """An input lies outside the mathematical domain of the operation."""
 
 
 class DisconnectedError(TopoclassError):

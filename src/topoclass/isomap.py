@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import csv_lines
-from .errors import DisconnectedError, DomainError, NumericalError, SpecError
+from .errors import DisconnectedError, NumericalError, SpecError
 from .numerics import as_matrix, eigh_symmetric
 
 DUPLICATE_POINT_WEIGHT = 1e-12
@@ -199,14 +199,14 @@ def classical_mds(d, target_dim):
     d = as_matrix(d, "d")
     n, m = d.shape
     if n != m:
-        raise DomainError(f"distance matrix must be square, got {n}x{m}")
+        raise SpecError(f"distance matrix must be square, got {n}x{m}")
     scale = float(np.abs(d).max()) if d.size else 0.0
     if float(np.abs(d - d.T).max()) > 1e-9 * max(scale, 1.0):
-        raise DomainError("distance matrix must be symmetric")
+        raise SpecError("distance matrix must be symmetric")
     if float(np.abs(np.diagonal(d)).max()) > 1e-12 * max(scale, 1.0):
-        raise DomainError("distance matrix must have a zero diagonal")
+        raise SpecError("distance matrix must have a zero diagonal")
     if (d < 0.0).any():
-        raise DomainError("distances must be nonnegative")
+        raise SpecError("distances must be nonnegative")
     if not 1 <= target_dim <= n:
         raise SpecError(f"target_dim must satisfy 1 <= t <= {n}, got {target_dim}")
 
@@ -221,7 +221,7 @@ def classical_mds(d, target_dim):
         b -= col_mean
         b += total
         b *= -0.5
-        b = (b + b.T) / 2.0
+        b = (b + b.T) / 2.0  # d may be asymmetric by 1e-9, and eigh_symmetric accepts 1e-12
     if not np.isfinite(b).all():
         raise NumericalError("squared distances or their sums overflow float64 in classical MDS")
 

@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 
 from .data import fields, json_text, numbers, read_json, write_files
-from .errors import DimensionError, NumericalError, SchemaError
+from .errors import NumericalError, SchemaError, SpecError
 from .numerics import as_matrix, as_vector
 
 RELU = "relu"
@@ -38,11 +38,11 @@ class LayerSpec:
         weight = as_matrix(self.weight, "weight")
         bias = as_vector(self.bias, "bias")
         if weight.shape[0] != bias.shape[0]:
-            raise DimensionError(
+            raise SpecError(
                 f"weight has {weight.shape[0]} rows but bias has length {bias.shape[0]}"
             )
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise SpecError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
 
@@ -62,16 +62,16 @@ class Mlp:
     def __post_init__(self):
         layers = tuple(self.layers)
         if not layers:
-            raise DimensionError("net must have at least one layer")
+            raise SpecError("net must have at least one layer")
         for i in range(len(layers) - 1):
             if layers[i].out_dim != layers[i + 1].in_dim:
-                raise DimensionError(
+                raise SpecError(
                     f"layer {i + 1} outputs {layers[i].out_dim} values but layer "
                     f"{i + 2} expects {layers[i + 1].in_dim}"
                 )
         for i, layer in enumerate(layers):
             if layer.activation == SOFTMAX and i != len(layers) - 1:
-                raise DimensionError("softmax is allowed only as the final layer")
+                raise SpecError("softmax is allowed only as the final layer")
         object.__setattr__(self, "layers", layers)
 
     def to_jsonable(self):
@@ -207,7 +207,7 @@ def softmax(v):
     """
     v = as_vector(v, "v")
     if v.size == 0:
-        raise DimensionError("softmax needs a nonempty vector")
+        raise SpecError("softmax needs a nonempty vector")
     return _softmax_rows(v[np.newaxis, :])[0]
 
 
@@ -232,7 +232,7 @@ def forward_batch(net, xs):
     """
     acts = as_matrix(xs, "xs")
     if acts.shape[1] != net.input_dim:
-        raise DimensionError(
+        raise SpecError(
             f"net expects inputs of dim {net.input_dim}, got {acts.shape[1]}"
         )
     acts = _forward(net.layers, acts)[1][-1]
@@ -256,7 +256,7 @@ def forward_trace(net, cloud, include_pre=False):
     affine map overflowed float64) raises NumericalError.
     """
     if cloud.dim != net.input_dim:
-        raise DimensionError(
+        raise SpecError(
             f"net expects inputs of dim {net.input_dim}, cloud has dim {cloud.dim}"
         )
     stages = [("input", cloud.points.copy())]
@@ -310,7 +310,7 @@ def build_relu_net(dims, rng):
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise DimensionError("dims must list at least two positive widths")
+        raise SpecError("dims must list at least two positive widths")
     layers = []
     for i in range(len(dims) - 1):
         if i == len(dims) - 2:
@@ -349,9 +349,9 @@ def load_model(path):
         weight, bias = numbers(weight, f"{what} weight"), numbers(bias, f"{what} bias")
         try:
             layers.append(LayerSpec(weight, bias, activation))
-        except (DimensionError, NumericalError, ValueError) as exc:  # ValueError: activation
+        except (SpecError, NumericalError) as exc:
             raise SchemaError(f"{what} is malformed: {exc}") from exc
     try:
         return Mlp(layers=tuple(layers))
-    except DimensionError as exc:
+    except SpecError as exc:
         raise SchemaError(f"model layers are inconsistent: {exc}") from exc

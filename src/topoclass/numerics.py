@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ShapeError, SpecError
+from .errors import NumericalError, SpecError
 
 EIGH_TOL = 1e-12  # eigh_symmetric: the asymmetry it accepts, relative to the largest entry
 KERNEL_TOL = 1e-10  # null_space_basis: the kernel's bound, relative to ||W||
@@ -42,7 +42,7 @@ def as_matrix(a, name="matrix"):
     """Coerce to a finite float64 2-D array, copying only when needed."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
+        raise SpecError(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise NumericalError(f"{name} contains NaN or Inf")
     return m
@@ -52,7 +52,7 @@ def as_vector(v, name="vector"):
     """Coerce to a finite float64 1-D array."""
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got ndim={a.ndim}")
+        raise SpecError(f"{name} must be 1-D, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
         raise NumericalError(f"{name} contains NaN or Inf")
     return a
@@ -111,25 +111,50 @@ def eigh_symmetric(s):
     (``_one_blas_thread``), so the output is a pure function of the input on
     a given numpy/BLAS build, whatever the BLAS thread count.
 
-    Raises ShapeError for empty or non-square input, and for input whose
+    Raises SpecError for empty or non-square input, and for input whose
     asymmetry exceeds ``EIGH_TOL`` times its largest entry (or ``EIGH_TOL``
     when the entries are below 1); the symmetric part is what gets decomposed.
+    A matrix whose largest entry lies outside [2^-257, 2^256) is decomposed
+    scaled by an exact power of 4 (``scaled_by_power_of_4``), and its
+    eigenvalues scaled back; eigenvalues past float64 raise NumericalError.
     """
     a = as_matrix(s, "s")
     n, m = a.shape
     if n != m:
-        raise ShapeError(f"matrix must be square, got {n}x{m}")
+        raise SpecError(f"matrix must be square, got {n}x{m}")
     if n == 0:
-        raise ShapeError("matrix must be non-empty")
+        raise SpecError("matrix must be non-empty")
     scale = float(np.abs(a).max())
-    sym = np.subtract(a, a.T)  # one n x n buffer: |a - a.T|, then (a + a.T) / 2.0 bit for bit
+    with np.errstate(over="ignore"):  # an asymmetry past float64 is inf, and fails the check
+        sym = np.subtract(a, a.T)  # one n x n buffer: |a - a.T|, then (a + a.T) / 2.0 bit for bit
     if float(np.abs(sym, out=sym).max()) > EIGH_TOL * max(1.0, scale):
-        raise ShapeError("matrix is not symmetric within EIGH_TOL")
+        raise SpecError("matrix is not symmetric within EIGH_TOL")
+    a, shift = scaled_by_power_of_4(a, scale)
     with _one_blas_thread():
         evals, basis = np.linalg.eigh(np.multiply(np.add(a, a.T, out=sym), 0.5, out=sym))
     del sym  # freed before the reordered copy of the basis
+    if shift:
+        with np.errstate(over="ignore"):
+            evals = np.ldexp(evals, shift)
+        if not np.isfinite(evals).all():
+            raise NumericalError("eigenvalues overflow float64")
     order = np.argsort(-evals, kind="stable")
     return evals[order], _fix_signs(basis[:, order])
+
+
+def scaled_by_power_of_4(a, largest):
+    """``(a * 2**-shift, shift)`` for the even ``shift`` that brings ``largest`` into [0.5, 2).
+
+    ``largest`` is the largest ``|entry|`` of ``a``.  Where it already lies in
+    [2^-257, 2^256), ``shift`` is 0 and ``a`` comes back as it is: every
+    product or sum of squares of such entries stays inside float64.  A
+    power of 4 is exact, and so is its square root.
+    """
+    _, exponent = np.frexp(largest)
+    if abs(exponent) <= 256:
+        return a, 0
+    shift = 2 * (int(exponent) // 2)
+    return np.ldexp(a, -shift), shift
 
 
 def _fix_signs(columns):
@@ -148,16 +173,14 @@ def null_space_basis(w):
     ||Wv|| are both at most KERNEL_TOL times the largest singular value, ||W||.
     Vectors come back most null first (a stable sort by residual), each
     sign-normalized; the list is empty when the kernel is trivial.
-    A W whose largest entry lies outside [2^-257, 2^256) is first scaled by
-    an exact power of 4, so that ||Wv|| can neither overflow nor underflow.
+    W is first scaled by ``scaled_by_power_of_4``, so that ||Wv|| can
+    neither overflow nor underflow.
     """
     w = as_matrix(w, "w")
     cols = w.shape[1]
     if cols == 0:
         return []
-    _, exponent = np.frexp(np.abs(w).max(initial=0.0))
-    if abs(exponent) > 256:
-        w = np.ldexp(w, -2 * (exponent // 2))
+    w, _ = scaled_by_power_of_4(w, np.abs(w).max(initial=0.0))
     _, sigma, vt = np.linalg.svd(w)
     sigma = np.concatenate([sigma, np.zeros(cols - sigma.size)])
     residuals = np.linalg.norm(w @ vt.T, axis=0)

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, SpecError
 
 # class colors; index by label mod len
 PALETTE = (
@@ -61,7 +61,7 @@ def scatter_svg(points, labels, title, width=640, height=480):
     """Scatter of a 1/2/3-D cloud; 3-D uses the depth-as-radius cue."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
-        raise ValueError("points must be 2-D (n, dim)")
+        raise SpecError("points must be 2-D (n, dim)")
     xs, ys = pts[:, 0], (pts[:, 1] if pts.shape[1] > 1 else np.zeros(len(pts)))
     radii = np.full(len(pts), 3.5)
     if pts.shape[1] >= 3:

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ANNULUS_BANDS
-from .errors import (
-    DimensionError,
-    DomainError,
-    EmptyInputError,
-    NumericalError,
-    SeparationError,
-    SpecError,
-)
+from .errors import NumericalError, SpecError
 from .isomap import (
     TILE_ENTRIES,
     _require_finite_sq_dists,
@@ -46,7 +39,7 @@ from .isomap import (
     knn_graph,
 )
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
-from .numerics import KERNEL_TOL, as_matrix, null_space_basis
+from .numerics import KERNEL_TOL, as_matrix, null_space_basis, scaled_by_power_of_4
 
 SIMPLEX_TOL = 1e-9
 # linear_rank counts the singular values above this fraction of the largest
@@ -153,18 +146,18 @@ def simplex_class(y):
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
-        raise DomainError("simplex point must be a nonempty vector")
+        raise SpecError("simplex point must be a nonempty vector")
     if (y < -SIMPLEX_TOL).any() or abs(float(y.sum()) - 1.0) > SIMPLEX_TOL:
-        raise DomainError("point is not within 1e-9 of the closed simplex")
+        raise SpecError("point is not within 1e-9 of the closed simplex")
     return strict_argmax(y)
 
 
 def _voronoi_violations(net, cloud):
     """The net's outputs on the cloud, and the points its strict argmax misclassifies."""
     if net.layers[-1].activation != SOFTMAX:
-        raise DimensionError("criterion needs a softmax final layer")
+        raise SpecError("criterion needs a softmax final layer")
     if net.output_dim != cloud.class_count:
-        raise DimensionError(
+        raise SpecError(
             f"net has {net.output_dim} outputs but cloud has {cloud.class_count} classes"
         )
     outputs = forward_batch(net, cloud.points)
@@ -266,7 +259,7 @@ def min_enclosing_ball(points):
     """
     pts = as_matrix(points, "points")
     if pts.shape[0] == 0:
-        raise EmptyInputError("min_enclosing_ball needs at least one point")
+        raise SpecError("min_enclosing_ball needs at least one point")
     # twice the squared bounding-box diagonal bounds every squared gap, Gram
     # entry and walk product the pivot forms
     _require_finite_sq_dists(pts, pts)
@@ -288,11 +281,11 @@ def check_disc_separation(clouds_by_class):
     complete decision procedure.
     """
     if not clouds_by_class:
-        raise EmptyInputError("need at least one class")
+        raise SpecError("need at least one class")
     clouds = [as_matrix(c, f"class {k}") for k, c in enumerate(clouds_by_class)]
     dims = sorted({c.shape[1] for c in clouds})
     if len(dims) > 1:
-        raise DimensionError(f"classes differ in dimension: {dims}")
+        raise SpecError(f"classes differ in dimension: {dims}")
     discs = [min_enclosing_ball(c) for c in clouds]
     with np.errstate(over="ignore"):
         gaps = [
@@ -333,7 +326,7 @@ def _class_table(classes):
     for i, pts in enumerate(classes):
         arr = as_matrix(pts, f"class {i}")
         if arr.shape[0] == 0:
-            raise EmptyInputError(f"class {i} has no points")
+            raise SpecError(f"class {i} has no points")
         prepared.append(arr)
     table = [np.zeros((len(own), len(prepared))) for own in prepared]
     for k, j in itertools.permutations(range(len(prepared)), 2):
@@ -346,9 +339,9 @@ def _prepare_classes(classes):
     prepared, table = _class_table(classes)
     for i, j in itertools.combinations(range(len(table)), 2):
         if table[i][:, j].min() <= 0.0:
-            raise SeparationError(f"classes {i} and {j} overlap (min distance 0)")
+            raise SpecError(f"classes {i} and {j} overlap (min distance 0)")
     if len(prepared) < 2:
-        raise SeparationError("need at least 2 classes")
+        raise SpecError("need at least 2 classes")
     return prepared, table
 
 
@@ -443,10 +436,10 @@ def urysohn_grid(classes, xs, ys):
     (xs[i], ys[j]).  The weights are also formed on the classes, from the
     class table, so a field that leaves float64 range there raises
     ``NumericalError``; otherwise it is exactly k on class k (p / p = 1).
-    Classes that are not 2-D raise ``DimensionError`` before any distance.
+    Classes that are not 2-D raise ``SpecError`` before any distance.
     """
     if any(np.shape(pts)[1:] != (2,) for pts in classes):
-        raise DimensionError("a urysohn grid needs 2-D classes")
+        raise SpecError("a urysohn grid needs 2-D classes")
     prepared, table = _prepare_classes(classes)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -479,25 +472,27 @@ def kernel_witness(w, inner_r=0.5, outer_r=1.5):
     direction = basis[0]
     p1 = inner_r * direction
     p2 = outer_r * direction
-    # null_space_basis's bound, ||W p|| <= KERNEL_TOL * ||W||_2 * ||p||; near the
-    # float64 limit a residual may overflow to inf, which fails it
-    with np.errstate(over="ignore"):
-        scale = KERNEL_TOL * float(np.linalg.norm(w, 2))
-        img1 = w @ p1
-        img2 = w @ p2
-        for name, p, img in (("p1", p1, img1), ("p2", p2, img2)):
-            residual = float(np.linalg.norm(img))
-            bound = scale * float(np.linalg.norm(p))
-            if not (math.isfinite(residual) and residual <= bound):
-                raise NumericalError(
-                    f"null direction residual exceeds its bound: |W {name}| = {residual:.3e}"
-                    f" > KERNEL_TOL * ||W||_2 * ||{name}|| = {bound:.3e}"
-                )
+    # null_space_basis's bound, ||W p|| <= KERNEL_TOL * ||W||_2 * ||p||, measured on W
+    # scaled as null_space_basis scales it, so that no norm overflows
+    w, shift = scaled_by_power_of_4(w, np.abs(w).max(initial=0.0))
+    scale = KERNEL_TOL * float(np.linalg.norm(w, 2))
+    img1 = w @ p1
+    img2 = w @ p2
+    for name, p, img in (("p1", p1, img1), ("p2", p2, img2)):
+        residual = float(np.linalg.norm(img))
+        bound = scale * float(np.linalg.norm(p))
+        if not residual <= bound:
+            with np.errstate(over="ignore"):  # reported unscaled: inf past float64
+                residual, bound = np.ldexp([residual, bound], shift)
+            raise NumericalError(
+                f"null direction residual exceeds its bound: |W {name}| = {residual:.3e}"
+                f" > KERNEL_TOL * ||W||_2 * ||{name}|| = {bound:.3e}"
+            )
     return KernelWitness(
         direction=direction,
         p1=p1,
         p2=p2,
-        output_gap=float(np.linalg.norm(img1 - img2)),
+        output_gap=math.ldexp(float(np.linalg.norm(img1 - img2)), shift),
     )
 
 
@@ -505,7 +500,7 @@ def principal_spectrum(points):
     """Singular values of the centered cloud, descending, zero-padded to shape (dim,)."""
     pts = as_matrix(points, "points")
     if 0 in pts.shape:
-        raise EmptyInputError("need at least one point and one coordinate")
+        raise SpecError("need at least one point and one coordinate")
     centered = pts - pts.mean(axis=0)
     sigma = np.linalg.svd(centered, compute_uv=False)
     return np.concatenate([sigma, np.zeros(pts.shape[1] - sigma.size)])

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import csv_lines
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import NumericalError, SpecError
 from .network import (
     IDENTITY,
     RELU,
@@ -77,13 +77,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.learning_rate > 0.0:
-            raise ConfigError("learning_rate must be positive")
+            raise SpecError("learning_rate must be positive")
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise SpecError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise SpecError("batch_size must be >= 1")
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
-            raise ConfigError("target_accuracy must lie in (0, 1]")
+            raise SpecError("target_accuracy must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ class TrainHistory:
 
     def __post_init__(self):
         if len(self.losses) != len(self.accuracies):
-            raise ConfigError("losses and accuracies must have equal length")
+            raise SpecError("losses and accuracies must have equal length")
         if not all(np.isfinite(v) for v in self.losses):
-            raise ConfigError("losses must be finite")
+            raise SpecError("losses must be finite")
 
     def epochs_run(self):
         return len(self.losses)
@@ -109,17 +109,22 @@ class TrainHistory:
 def cross_entropy(p, label):
     """Negative log probability of the true label."""
     p = as_vector(p, "p")
-    if not isinstance(label, (int, np.integer)) or not 0 <= label < p.size:
-        raise IndexError(f"label {label} out of range for {p.size} classes")
+    _require_label(label, p.size)
     value = p[label]
     if value <= 0.0:
-        raise DomainError("probabilities must be strictly positive")
+        raise SpecError("probabilities must be strictly positive")
     return float(-np.log(value))
+
+
+def _require_label(label, classes):
+    is_index = isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+    if not (is_index and 0 <= label < classes):
+        raise SpecError(f"label {label} out of range for {classes} classes")
 
 
 def _require_softmax(net):
     if net.layers[-1].activation != SOFTMAX:
-        raise ConfigError("training requires a softmax final layer")
+        raise SpecError("training requires a softmax final layer")
 
 
 @dataclass
@@ -222,7 +227,7 @@ def _step_calls(stack, xs, targets, probs, buffers):
                 # sign(max(z, 0)) is 1.0 where z > 0, else 0.0 (NaN for NaN)
                 calls += [(np.sign, (below, below)), (np.multiply, (delta, below, delta))]
             elif prev_act != IDENTITY:
-                raise ConfigError("softmax below the final layer is not differentiable here")
+                raise SpecError("softmax below the final layer is not differentiable here")
     return calls
 
 
@@ -350,8 +355,7 @@ def gradients(net, x, label):
     """Per-layer (weight gradient, bias gradient) of the single-sample loss."""
     _require_softmax(net)
     x = as_vector(x, "x")
-    if not 0 <= label < net.output_dim:
-        raise IndexError(f"label {label} out of range for {net.output_dim} classes")
+    _require_label(label, net.output_dim)
     stack = _NetStack.of([net])
     targets = np.eye(net.output_dim)[np.array([[label]])]
     probs = np.empty_like(targets)
@@ -373,20 +377,20 @@ def accuracy(net, cloud):
 
 def _check_stack(nets, cloud, cfgs):
     if not nets or len(nets) != len(cfgs):
-        raise ConfigError("train_many needs at least one net and one config per net")
+        raise SpecError("train_many needs at least one net and one config per net")
     def shape(net):
         return [(layer.weight.shape, layer.activation) for layer in net.layers]
 
     if any(shape(net) != shape(nets[0]) for net in nets):
-        raise ConfigError("nets trained together must have the same layer shapes and activations")
+        raise SpecError("nets trained together must have the same layer shapes and activations")
     if len({(c.learning_rate, c.epochs, c.batch_size) for c in cfgs}) > 1:
-        raise ConfigError("nets trained together must share learning_rate, epochs and batch_size")
+        raise SpecError("nets trained together must share learning_rate, epochs and batch_size")
     net = nets[0]
     _require_softmax(net)
     if cloud.dim != net.input_dim:
-        raise ConfigError(f"net expects inputs of dim {net.input_dim}, data has dim {cloud.dim}")
+        raise SpecError(f"net expects inputs of dim {net.input_dim}, data has dim {cloud.dim}")
     if net.output_dim != cloud.class_count:
-        raise ConfigError(
+        raise SpecError(
             f"net has {net.output_dim} outputs but data has {cloud.class_count} classes"
         )
 

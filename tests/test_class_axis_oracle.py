@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from topoclass.data import LabeledPointCloud
-from topoclass.errors import ConfigError, NumericalError
+from topoclass.errors import NumericalError, SpecError
 from topoclass.network import (
     IDENTITY,
     RELU,
@@ -102,7 +102,7 @@ def _batch_backward(stack, xs, labels):
                 # subgradient at exactly 0 is 0
                 delta = delta * (zs[i - 1] > 0.0)
             elif prev_act != IDENTITY:
-                raise ConfigError("softmax below the final layer is not differentiable here")
+                raise SpecError("softmax below the final layer is not differentiable here")
     return loss_sums
 
 

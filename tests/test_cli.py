@@ -1089,21 +1089,30 @@ class TestExitCodes:
         )
         assert run(["check-sep", model, workspace["data"]]) == 2
 
-    def test_witness_at_the_float64_limit_fails_its_residual_not_its_kernel(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "weight", [[[1e308, 1e308]], [[1e300, 3.3e300]]], ids=["equal", "skewed"]
+    )
+    def test_witness_at_the_float64_limit_is_within_the_relative_bound(
+        self, weight, tmp_path, capsys
     ):
-        # the kernel [1, -1]/sqrt(2) is found, but the norm of 1e308 times its
-        # rounding error overflows: a residual that is not finite fails its bound
+        # the norm of 1e300 times a kernel's rounding error overflows unless
+        # the residual and its bound are measured on W scaled by a power of two
+        w = np.array(weight)
         model = tmp_path / "limit.json"
-        model.write_text(
-            '{"layers": [{"activation": "relu", "weight": [[1e308, 1e308]], "bias": [0]}, '
-            '{"activation": "softmax", "weight": [[1], [-1]], "bias": [0, 0]}]}'
-        )
+        model.write_text(json.dumps({"layers": [
+            {"activation": "relu", "weight": weight, "bias": [0.0]},
+            {"activation": "softmax", "weight": [[1.0], [-1.0]], "bias": [0.0, 0.0]},
+        ]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["witness", model]) == 1
-        captured = capsys.readouterr()
-        assert "residual exceeds" in captured.out + captured.err
+            assert run(["witness", model]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scaled = np.ldexp(w, -1000)
+        for key in ("p1", "p2"):
+            p = np.array(payload[key])
+            residual = np.linalg.norm(scaled @ p)
+            assert residual <= KERNEL_TOL * np.linalg.norm(scaled, 2) * np.linalg.norm(p)
+        assert payload["net_output_diff"] < 1e-9
 
     def test_isomap_whose_squared_geodesics_overflow_exits_1(self, tmp_path, capsys):
         # a 3-D helix scaled so that its kNN distances are finite but the

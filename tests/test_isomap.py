@@ -9,7 +9,7 @@ import pytest
 
 from topoclass import cli
 from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells, save_cloud
-from topoclass.errors import DisconnectedError, DomainError, NumericalError, SpecError
+from topoclass.errors import DisconnectedError, NumericalError, SpecError
 from topoclass.isomap import (
     DUPLICATE_POINT_WEIGHT,
     TILE_ENTRIES,
@@ -387,11 +387,19 @@ class TestClassicalMds:
         assert (np.diff(result.eigenvalues) <= 1e-9).all()
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(SpecError, match="distance matrix must be symmetric"):
             classical_mds(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
 
+    def test_accepts_asymmetry_within_its_tolerance(self):
+        # 1e-10 of asymmetry in d passes its 1e-9 check, but leaves the centred
+        # matrix past eigh_symmetric's EIGH_TOL unless MDS symmetrises it first
+        d = pairwise_distances(make_rng(9).standard_normal((30, 2)))
+        d[0, 1] *= 1.0 + 1e-10
+        result = classical_mds(d, 2)
+        assert result.clamped == 0 and result.stress < 1e-9
+
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(SpecError, match="distances must be nonnegative"):
             classical_mds(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
 
     def test_non_euclidean_clamps_and_flags(self):

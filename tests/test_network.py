@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topoclass.data import LabeledPointCloud, gen_annulus2d
-from topoclass.errors import DimensionError, NumericalError, SchemaError
+from topoclass.errors import NumericalError, SchemaError, SpecError
 from topoclass.network import (
     PAPER_NET_DIMS,
     RELU,
@@ -73,7 +73,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = Mlp(layers=(identity_layer(2),))
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="net expects inputs of dim 2, got 3"):
             forward(net, np.array([1.0, 2.0, 3.0]))
 
     def test_deterministic(self):
@@ -255,19 +255,19 @@ class TestModelFiles:
 class TestStructureValidation:
     def test_softmax_must_be_final(self):
         sm = LayerSpec(weight=np.eye(2), bias=np.zeros(2), activation="softmax")
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="softmax is allowed only as the final layer"):
             Mlp(layers=(sm, identity_layer(2)))
 
     def test_bias_length_checked(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="weight has 2 rows but bias has length 3"):
             LayerSpec(weight=np.eye(2), bias=np.zeros(3), activation="relu")
 
     def test_chain_compatibility_checked(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="layer 1 outputs 2 values but layer 2 expects 3"):
             Mlp(layers=(identity_layer(2), identity_layer(3)))
 
     def test_build_relu_net_rejects_bad_dims(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="dims must list at least two positive widths"):
             build_relu_net((2,), make_rng(0))
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from topoclass.errors import ShapeError, SpecError
+from topoclass.errors import NumericalError, SpecError
 from topoclass import numerics
 from topoclass.numerics import (
     EIGH_TOL,
@@ -97,7 +97,12 @@ class TestEighSymmetric:
         def oracle(s):  # eigh_symmetric with a fresh array for each step
             a = np.asarray(s, dtype=np.float64)
             assert np.abs(a - a.T).max() <= EIGH_TOL * max(1.0, np.abs(a).max())
+            # a largest entry outside [2^-257, 2^256) is brought into [0.5, 2) by a power of 4
+            exponent = int(np.frexp(np.abs(a).max())[1])
+            shift = 2 * (exponent // 2) if abs(exponent) > 256 else 0
+            a = np.ldexp(a, -shift)
             evals, basis = np.linalg.eigh((a + a.T) / 2.0)
+            evals = np.ldexp(evals, shift)
             order = np.argsort(-evals, kind="stable")
             columns = basis[:, order]
             first = np.argmax(columns != 0.0, axis=0)
@@ -163,12 +168,56 @@ class TestEighSymmetric:
             set_(before)
 
     def test_rejects_non_symmetric(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpecError, match="matrix is not symmetric within EIGH_TOL"):
             eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(SpecError, match="matrix must be square, got 2x3"):
             eigh_symmetric(np.ones((2, 3)))
+
+    def test_entries_at_the_float64_limit(self):
+        # a + a.T overflows for 1e308 unless the matrix is scaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evals, evecs = eigh_symmetric(np.diag([1e308, 1e308]))
+        assert evals.tolist() == [1e308, 1e308]
+        assert evecs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_asymmetry_past_float64_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match="matrix is not symmetric within EIGH_TOL"):
+                eigh_symmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    def test_eigenvalues_past_float64_raise(self):
+        # the entries are finite, the top eigenvalue 2e308 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="eigenvalues overflow float64"):
+                eigh_symmetric(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_scaled_matrix_has_the_scaled_spectrum(self, exponent):
+        m = make_rng(13).uniform(-1, 1, (6, 6))
+        m = m + m.T
+        want_evals, want_evecs = eigh_symmetric(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evals, evecs = eigh_symmetric(np.ldexp(m, exponent))
+        np.testing.assert_allclose(evals, np.ldexp(want_evals, exponent), rtol=1e-12)
+        np.testing.assert_allclose(evecs, want_evecs, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("largest", [2.0**-257, 2.0**256 * (1 - 2.0**-53), 1.0])
+    def test_matrices_in_range_are_not_scaled(self, largest):
+        m = np.diag([largest, largest / 3])
+        scaled, shift = numerics.scaled_by_power_of_4(m, largest)
+        assert scaled is m and shift == 0
+
+    @pytest.mark.parametrize("largest", [2.0**-258, 2.0**256, 1e308, 5e-324])
+    def test_matrices_out_of_range_are_scaled_by_a_power_of_4(self, largest):
+        scaled, shift = numerics.scaled_by_power_of_4(np.array([[largest]]), largest)
+        assert shift % 2 == 0 and 0.5 <= scaled[0, 0] < 2.0
+        assert np.ldexp(scaled, shift)[0, 0] == largest
 
 
 class TestNullSpace:

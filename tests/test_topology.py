@@ -8,16 +8,9 @@ from hypothesis import strategies as st
 
 from topoclass import topology
 from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells
-from topoclass.errors import (
-    DimensionError,
-    DomainError,
-    EmptyInputError,
-    NumericalError,
-    SeparationError,
-    SpecError,
-)
+from topoclass.errors import NumericalError, SpecError
 from topoclass.network import LayerSpec, Mlp, build_relu_net, forward, forward_batch
-from topoclass.numerics import make_rng
+from topoclass.numerics import KERNEL_TOL, make_rng
 from topoclass.topology import (
     KernelWitness,
     check_disc_separation,
@@ -68,9 +61,9 @@ class TestSimplexClass:
             assert simplex_class(y) == nearest_vertex_oracle(y)
 
     def test_rejects_non_simplex(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(SpecError, match="not within 1e-9 of the closed simplex"):
             simplex_class(np.array([0.9, 0.3]))
-        with pytest.raises(DomainError):
+        with pytest.raises(SpecError, match="not within 1e-9 of the closed simplex"):
             simplex_class(np.array([-0.2, 1.2]))
 
 
@@ -143,7 +136,7 @@ class TestMinEnclosingBall:
         assert np.abs(disc.center).max() <= 1e-12
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(SpecError, match="min_enclosing_ball needs at least one point"):
             min_enclosing_ball(np.zeros((0, 2)))
 
     @pytest.mark.parametrize(
@@ -385,7 +378,7 @@ class TestDiscSeparation:
             raise AssertionError("a ball was computed")
 
         monkeypatch.setattr(topology, "min_enclosing_ball", no_ball)
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="classes differ in dimension"):
             check_disc_separation([np.zeros((3, 2)), np.ones((3, 3))])
 
     def test_far_apart_discs_raise_without_warning(self):
@@ -427,7 +420,7 @@ class TestUrysohnBinary:
 
     def test_overlap_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(SeparationError):
+        with pytest.raises(SpecError, match=r"classes 0 and 1 overlap \(min distance 0\)"):
             urysohn_binary(pts, pts[:1])
 
     def test_matches_closed_form_reference(self):
@@ -469,9 +462,9 @@ class TestMinClassGap:
     def test_empty_class_is_refused(self, empty_at):
         classes = [np.ones((3, 2))]
         classes.insert(empty_at, np.zeros((0, 2)))
-        with pytest.raises(EmptyInputError, match=f"class {empty_at} has no points"):
+        with pytest.raises(SpecError, match=f"class {empty_at} has no points"):
             min_class_gap(classes)
-        with pytest.raises(EmptyInputError, match=f"class {empty_at} has no points"):
+        with pytest.raises(SpecError, match=f"class {empty_at} has no points"):
             urysohn_multiclass(classes)
 
 
@@ -495,7 +488,7 @@ class TestUrysohnMulticlass:
         assert f(np.array([1.0])) == 1.0
 
     def test_needs_two_classes(self):
-        with pytest.raises(SeparationError):
+        with pytest.raises(SpecError, match="need at least 2 classes"):
             urysohn_multiclass([np.array([[0.0]])])
 
     @pytest.mark.parametrize("far", [[1e308, 1e308], [1e200, 0.0]])
@@ -644,14 +637,14 @@ class TestUrysohnGrid:
     def test_overlap_and_single_class_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
         axis = np.linspace(-1.0, 1.0, 5)
-        with pytest.raises(SeparationError):
+        with pytest.raises(SpecError, match=r"classes 0 and 1 overlap \(min distance 0\)"):
             urysohn_grid([pts, pts[1:]], axis, axis)
-        with pytest.raises(SeparationError):
+        with pytest.raises(SpecError, match="need at least 2 classes"):
             urysohn_grid([pts], axis, axis)
 
     def test_classes_must_be_planar(self):
         axis = np.linspace(-1.0, 1.0, 5)
-        with pytest.raises(DimensionError):
+        with pytest.raises(SpecError, match="a urysohn grid needs 2-D classes"):
             urysohn_grid([np.zeros((1, 3)), np.ones((1, 3))], axis, axis)
 
     def test_distance_tables_do_not_grow_with_grid_times_points(self):
@@ -718,15 +711,15 @@ class TestClassTable:
         [
             (
                 [np.ones((2, 2)), np.zeros((0, 2)), np.array([[np.nan, 0.0]])],
-                EmptyInputError,
+                SpecError,
                 "class 1 has no points",
             ),
             (
                 [np.array([[0.0, 0.0]]), np.array([[5.0, 5.0]]), np.array([[5.0, 5.0], [0, 0]])],
-                SeparationError,
+                SpecError,
                 "classes 0 and 2 overlap (min distance 0)",
             ),
-            ([np.array([[0.0, 0.0]])], SeparationError, "need at least 2 classes"),
+            ([np.array([[0.0, 0.0]])], SpecError, "need at least 2 classes"),
             (
                 [np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), np.array([[1e200, 0.0]])],
                 NumericalError,
@@ -797,6 +790,25 @@ class TestKernelWitness:
     def test_no_bottleneck_rejected(self):
         with pytest.raises(SpecError):
             kernel_witness(np.eye(3))
+
+    @pytest.mark.parametrize("w", [[[1e300, 3.3e300]], [[1e308, 1e308]], [[1e-300, 3.3e-300]]])
+    def test_residual_at_the_float64_limits_is_measured_scaled(self, w):
+        # ||W p|| overflows for 1e300 entries and underflows for 1e-300 ones,
+        # unless W is first scaled by a power of two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            witness = kernel_witness(w)
+        exponent = int(np.frexp(np.max(w))[1])
+        scaled = np.ldexp(np.array(w), -exponent)
+        tol = KERNEL_TOL * np.linalg.norm(scaled, 2)
+        for p in (witness.p1, witness.p2):
+            assert np.linalg.norm(scaled @ p) <= tol * np.linalg.norm(p)
+        assert 0.0 <= witness.output_gap <= np.ldexp(tol * 2.0, exponent)
+
+    def test_residual_in_range_is_measured_unscaled(self):
+        w = np.array([[1e12, 3.3e12]])
+        witness = kernel_witness(w)
+        assert witness.output_gap == float(np.linalg.norm(w @ witness.p1 - w @ witness.p2))
 
     @pytest.mark.parametrize(
         "inner_r, outer_r, text",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoclass.data import LabeledPointCloud, gen_annulus2d, write_files
-from topoclass.errors import ConfigError, NumericalError
+from topoclass.errors import NumericalError, SpecError
 from topoclass.network import LayerSpec, Mlp, build_relu_net, forward
 from topoclass.numerics import make_rng
 from topoclass.training import (
@@ -49,8 +49,18 @@ class TestCrossEntropy:
             assert cross_entropy(p, int(rng.integers(4))) >= 0.0
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(SpecError, match="label 2 out of range for 2 classes"):
             cross_entropy(np.array([0.5, 0.5]), 2)
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, True, "1"])
+    def test_label_that_is_not_a_class_index(self, label):
+        # gradients checked only the range: 0.5 and True reached numpy's indexing
+        net = build_relu_net((2, 3, 2), make_rng(0))
+        text = f"label {label} out of range for 2 classes"
+        with pytest.raises(SpecError, match=text):
+            cross_entropy(np.array([0.5, 0.5]), label)
+        with pytest.raises(SpecError, match=text):
+            gradients(net, np.zeros(2), label)
 
 
 class TestGradients:
@@ -108,7 +118,7 @@ class TestGradients:
 
 class TestTrain:
     def test_zero_epochs_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="epochs must be >= 1"):
             TrainConfig(epochs=0)
 
     def test_blobs_reach_perfect_accuracy(self):
@@ -137,13 +147,13 @@ class TestTrain:
     def test_dimension_mismatch_rejected(self):
         cloud = blob_cloud(10, 7)
         net = build_relu_net((3, 4, 2), make_rng(3))
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="net expects inputs of dim 3, data has dim 2"):
             train(net, cloud, TrainConfig(epochs=1))
 
     def test_class_count_mismatch_rejected(self):
         cloud = blob_cloud(10, 8)
         net = build_relu_net((2, 4, 3), make_rng(3))
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="net has 3 outputs but data has 2 classes"):
             train(net, cloud, TrainConfig(epochs=1))
 
 
@@ -188,7 +198,7 @@ class TestTrainMany:
     def test_mismatched_layer_shapes_rejected(self):
         cloud = blob_cloud(10, 13)
         nets = [build_relu_net((2, 3, 2), make_rng(0)), build_relu_net((2, 4, 2), make_rng(1))]
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="must have the same layer shapes and activations"):
             train_many(nets, cloud, [TrainConfig(seed=0), TrainConfig(seed=1)])
 
     @pytest.mark.parametrize(
@@ -200,15 +210,15 @@ class TestTrainMany:
         cloud = blob_cloud(10, 14)
         nets = [build_relu_net((2, 3, 2), make_rng(seed)) for seed in range(2)]
         cfgs = [TrainConfig(epochs=5, seed=0), TrainConfig(**{"epochs": 5, "seed": 1, **other})]
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="must share learning_rate, epochs and batch_size"):
             train_many(nets, cloud, cfgs)
 
     def test_config_count_must_match(self):
         cloud = blob_cloud(10, 15)
         net = build_relu_net((2, 3, 2), make_rng(0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="needs at least one net and one config per net"):
             train_many([net, net], cloud, [TrainConfig()])
-        with pytest.raises(ConfigError):
+        with pytest.raises(SpecError, match="needs at least one net and one config per net"):
             train_many([], cloud, [])
 
     @settings(max_examples=20, deadline=None)
