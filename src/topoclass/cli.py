@@ -47,7 +47,7 @@ from . import network as net_mod
 from . import topology as topo_mod
 from . import training as train_mod
 from .errors import DisconnectedError, SpecError, TopoclassError, WorkerError
-from .isomap import embedding_csv, graph_components, isomap as isomap_embed, knn_graph
+from .isomap import graph_components, isomap as isomap_embed, knn_graph
 from .numerics import make_rng
 from .svg import heatmap_svg, scatter_svg
 
@@ -130,7 +130,8 @@ def cmd_gen(args):
     cloud = data_mod.gen_nested_shells(dim, bands, args.n, args.seed)
     files = [(args.out, data_mod.json_text(cloud.to_jsonable()))]
     if args.csv:
-        files.append((args.csv, data_mod.cloud_csv(cloud)))
+        names = [f"x{i}" for i in range(cloud.dim)]
+        files.append((args.csv, data_mod.points_csv(names, cloud.points, cloud.labels)))
     lines = [f"wrote {args.out}: {len(cloud)} points in R^{cloud.dim}, {cloud.class_count} classes"]
     for k, points in enumerate(cloud.split_by_class()):
         norms = np.sqrt((points * points).sum(axis=1))
@@ -420,7 +421,8 @@ def cmd_isomap(args):
     if args.format == "json":
         embedding = data_mod.json_text(result.to_jsonable())
     else:
-        embedding = embedding_csv(result, labels)
+        names = ["x", "y", "z"] + [f"c{i}" for i in range(3, args.target_dim)]
+        embedding = data_mod.points_csv(names[: args.target_dim], result.coordinates, labels)
     svg = scatter_svg(result.coordinates, labels, f"isomap k={args.knn} (stress {result.stress:.3g})")
     out_dir = Path(args.out_dir)
     files = [(out_dir / f"embedding.{args.format}", embedding), (out_dir / "embedding.svg", svg)]

@@ -355,8 +355,7 @@ def load_cloud(path):
     )
 
 
-def cloud_csv(cloud):
-    """CSV lines, one row per point: coordinates then label, with a header row."""
-    header = [f"x{i}" for i in range(cloud.dim)] + ["label"]
-    rows = zip(cloud.points.tolist(), cloud.labels.tolist())
-    return csv_lines(header, ([*map(repr, row), repr(lab)] for row, lab in rows))
+def points_csv(names, points, labels):
+    """CSV lines, one row per point: its coordinates under ``names``, then its label."""
+    rows = zip(points.tolist(), labels.tolist())
+    return csv_lines([*names, "label"], ([*map(repr, row), repr(lab)] for row, lab in rows))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import csv_lines
 from .errors import DisconnectedError, NumericalError, SpecError
 from .numerics import as_matrix, eigh_symmetric
 
@@ -245,12 +244,3 @@ def classical_mds(d, target_dim):
 def isomap(points, k, target_dim=3):
     """knn_graph -> geodesic_distances -> classical_mds, composed; the graph is freed before MDS."""
     return classical_mds(geodesic_distances(knn_graph(points, k)), target_dim)
-
-
-def embedding_csv(result, labels):
-    """CSV lines: coordinate columns (x, y, z, ...) and then the label column."""
-    coords = result.coordinates
-    names = ["x", "y", "z"] + [f"c{i}" for i in range(3, coords.shape[1])]
-    header = names[: coords.shape[1]] + ["label"]
-    rows = zip(coords.tolist(), np.asarray(labels).tolist())
-    return csv_lines(header, ([*map(repr, row), repr(lab)] for row, lab in rows))

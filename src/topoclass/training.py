@@ -15,26 +15,26 @@ left in one buffer, with the same sums in the same order as per batch.
 
 A step's cost is numpy call overhead, not arithmetic: a ``2,1,2`` step is
 20 ufunc calls on arrays of 32-64 floats, a paper-net step 52.  So each
-stack builds its epoch once (``_Epoch``, rebuilt when nets leave) as a flat
-list of ``(ufunc, args)`` calls on buffers allocated once: the shuffled
-points, one-hot targets and probabilities of ``CHUNK_BATCHES`` batches,
-which ``np.take`` refills, and one set of step buffers per batch size,
-shared by all batches of that size.  Every view is made when the list is
-built, and a chunk is ``for f, args in calls: f(*args)``; a longer epoch
-runs one list for all its full chunks and one for the last, so the lists
-do not grow with the number of batches.  The forward calls come from
-``network._chain_calls``, which evaluation runs too.  ``gradients`` runs
-the same step calls on one point, without the update.
-
-The rest of an epoch runs on buffers allocated once per stack too.  Each
-net shuffles an ``arange(n)`` copied into its row of an (S, n) order
-buffer, which is what ``Generator.permutation(n)`` does.  The accuracy
-after the updates (``_Accuracy``) runs the same forward calls on
-(S, n, width) buffers, then ``strict_argmax_batch`` on all S·n rows at
-once: the tie rule is written once, in ``network``.  Its temporaries are
-(S·n)-sized, so an epoch after the first allocates no (S, n, width) array.
-Constant operands, such as the update's ``lr / B``, are 0-d arrays, which
-numpy does not convert on every call.
+stack has one ``_Epoch``, built once (and again when nets leave), which
+holds everything an epoch touches in buffers allocated then.  Its (S, n)
+order buffer takes each net's shuffle: the stored ``arange(n)`` copied
+into the net's row and shuffled by its generator, which is what
+``Generator.permutation(n)`` does.  Its SGD steps are flat lists of
+``(ufunc, args)`` calls, one ``_Chunk`` per ``CHUNK_BATCHES`` batches, on
+the shuffled points, one-hot targets and probabilities of a chunk, which
+``np.take`` refills, and on one set of step buffers per batch size, shared
+by all batches of that size.  Every view is made when a list is built,
+and a chunk is ``for f, args in calls: f(*args)``; all full chunks run one
+list and the last its own, so the lists do not grow with the number of
+batches.  Its accuracy pass, after the updates, runs the same forward
+calls on (S, n, width) buffers, then ``strict_argmax_batch`` on all S·n
+rows at once: the tie rule is written once, in ``network``.  Its
+temporaries are (S·n)-sized, so an epoch after the first allocates no
+(S, n, width) array.  The forward calls come from
+``network._chain_calls``, which evaluation runs too; ``gradients`` runs
+the same step calls on one point, without the update.  Constant operands,
+such as the update's ``lr / B``, are 0-d arrays, which numpy does not
+convert on every call.
 
 Two choices keep the bits.  The relu mask is ``sign`` of the relu output,
 a float array that ``delta`` multiplies on numpy's same-type fast path (a
@@ -292,33 +292,45 @@ class _Chunk:
 
 
 class _Epoch:
-    """One SGD epoch of a stack over n points, in chunks of ``CHUNK_BATCHES`` batches.
+    """One stack's epoch over a cloud: the shuffle, the SGD chunks and the accuracy pass.
 
-    Every chunk but the last runs the same ``full`` list of calls, so two
-    lists at most serve any n; ``run`` fills a chunk's points before its
-    calls and gathers its batch sums.
+    Every chunk of ``CHUNK_BATCHES`` batches but the last runs the same
+    ``full`` list of calls, so two lists at most serve any n.
     """
 
-    def __init__(self, stack, n, batch_size, lr):
+    def __init__(self, stack, cloud, batch_size, lr):
+        nets, n = len(stack.params), len(cloud)
+        self.points, self.labels = cloud.points, cloud.labels
+        self.one_hot = np.eye(cloud.class_count)[cloud.labels]
+        self.identity = np.arange(n)  # Generator.permutation(n) shuffles this arange
+        self.order = np.empty((nets, n), dtype=self.identity.dtype)
         self.span = batch_size * CHUNK_BATCHES  # points per chunk
         steps = {}
         self.full = _Chunk(stack, self.span, batch_size, lr, steps) if n > self.span else None
         self.last = _Chunk(stack, n - (n - 1) // self.span * self.span, batch_size, lr, steps)
         self.batch_size = batch_size
-        nets = len(stack.params)
         self.sums = np.empty((nets, -(-n // batch_size)))
         self.running = np.empty_like(self.sums)
         self.loss = np.empty(nets)
+        # the accuracy pass: each layer writes its activation over its
+        # pre-activation, and the points broadcast against the stack's weights
+        zs = [np.empty((nets, n, layer.weight.shape[1])) for layer in stack.layers]
+        softmax = _softmax_buffers(zs[-1].shape)
+        self.forward = _chain_calls(stack.layers, cloud.points, zs, zs, softmax)
+        self.probs = zs[-1].reshape(nets * n, -1)  # one row per (net, point)
 
-    def run(self, points, one_hot, order):
-        """Train one epoch on ``points[order]``; returns each net's summed loss."""
-        n = order.shape[1]
+    def run(self, rngs):
+        """Shuffle each net's row from its generator and train; returns each net's mean loss."""
+        for row, rng in zip(self.order, rngs, strict=True):
+            np.copyto(row, self.identity)
+            rng.shuffle(row)
+        n = len(self.identity)
         for start in range(0, n, self.span):
             chunk = self.last if start + self.span >= n else self.full
-            rows = order[:, start : start + self.span]
+            rows = self.order[:, start : start + self.span]
             # rows index in range, so "clip" clips nothing ("raise" copies via a temporary)
-            np.take(points, rows, axis=0, out=chunk.xs, mode="clip")
-            np.take(one_hot, rows, axis=0, out=chunk.targets, mode="clip")
+            np.take(self.points, rows, axis=0, out=chunk.xs, mode="clip")
+            np.take(self.one_hot, rows, axis=0, out=chunk.targets, mode="clip")
             _run(chunk.calls)
             first = start // self.batch_size
             self.sums[:, first : first + chunk.sums.shape[1]] = chunk.sums
@@ -326,26 +338,12 @@ class _Epoch:
         # 0.0 - s1 - s2 - ... bit for bit, with a zero loss +0.0 either way
         # (-(...) would make it -0.0)
         np.add.accumulate(self.sums, axis=1, out=self.running)
-        return np.subtract(0.0, self.running[:, -1], out=self.loss)
+        np.subtract(0.0, self.running[:, -1], out=self.loss)
+        return np.divide(self.loss, n, out=self.loss)
 
-
-class _Accuracy:
-    """Each net's training accuracy: its ``strict_argmax_batch`` hits, averaged.
-
-    The forward calls run on (S, n, width) buffers allocated once, each
-    layer writing its activation over its pre-activation.
-    """
-
-    def __init__(self, stack, points, labels):
-        nets, n = len(stack.params), len(points)
-        zs = [np.empty((nets, n, layer.weight.shape[1])) for layer in stack.layers]
-        # the points broadcast against the stack's weights
-        self.calls = _chain_calls(stack.layers, points, zs, zs, _softmax_buffers(zs[-1].shape))
-        self.probs = zs[-1].reshape(nets * n, -1)  # one row per (net, point)
-        self.labels = labels
-
-    def run(self):
-        _run(self.calls)
+    def accuracy(self):
+        """Each net's training accuracy: its ``strict_argmax_batch`` hits, averaged."""
+        _run(self.forward)
         preds, _ = strict_argmax_batch(self.probs)
         hits = preds.reshape(-1, len(self.labels)) == self.labels
         return hits.sum(axis=1) / len(self.labels)
@@ -417,21 +415,11 @@ def train_many(nets, cloud, cfgs):
     """
     nets, cfgs = list(nets), list(cfgs)
     _check_stack(nets, cloud, cfgs)
-    points, labels = cloud.points, cloud.labels
-    one_hot = np.eye(cloud.class_count)[labels]
-    n = len(cloud)
     # one batch of all n points has the bits of any larger batch size
-    lr, epochs, batch_size = cfgs[0].learning_rate, cfgs[0].epochs, min(cfgs[0].batch_size, n)
-
-    identity = np.arange(n)  # Generator.permutation(n) shuffles this arange
-
-    def buffers(stack):
-        # one SGD epoch, one accuracy pass and one (S, n) shuffle per stack
-        order = np.empty((len(stack.params), n), dtype=identity.dtype)
-        return _Epoch(stack, n, batch_size, lr), _Accuracy(stack, points, labels), order
-
+    lr, epochs = cfgs[0].learning_rate, cfgs[0].epochs
+    batch_size = min(cfgs[0].batch_size, len(cloud))
     stack = _NetStack.of(nets)
-    sgd, evaluate, order = buffers(stack)
+    trainer = _Epoch(stack, cloud, batch_size, lr)
     live = list(range(len(nets)))  # the net behind each row of the stack
     rngs = [make_rng(cfg.seed) for cfg in cfgs]
     losses = [[] for _ in nets]
@@ -441,12 +429,9 @@ def train_many(nets, cloud, cfgs):
     # that into a NumericalError at the end of the epoch
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
-            for row, k in zip(order, live):
-                np.copyto(row, identity)
-                rngs[k].shuffle(row)
-            epoch_loss = sgd.run(points, one_hot, order) / n
+            epoch_loss = trainer.run([rngs[k] for k in live])
             _require_finite(epoch, epoch_loss, stack, live, cfgs)
-            accs = evaluate.run().tolist()
+            accs = trainer.accuracy().tolist()
 
             keep = []
             for row, (k, loss, acc) in enumerate(zip(live, epoch_loss.tolist(), accs)):
@@ -463,7 +448,7 @@ def train_many(nets, cloud, cfgs):
             if len(keep) < len(live):
                 live = [live[row] for row in keep]
                 stack = stack.keep(keep)
-                sgd, evaluate, order = buffers(stack)
+                trainer = _Epoch(stack, cloud, batch_size, lr)
     return results
 
 

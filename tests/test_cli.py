@@ -713,6 +713,30 @@ class TestCsvFiles:
         sweep = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text(), newline="")))
         assert sweep[1][2] != "" and sweep[2][2:] == ["", "", ""]
 
+    def test_point_csvs_of_a_three_point_cloud_keep_their_text(self, tmp_path):
+        # gen --csv and isomap --format csv write one labeled-points table
+        data = tmp_path / "d.json"
+        gen = ["gen", "--shells", "--bands", "0:1,2:3,4:5", "--n", 1, "--seed", 0, "-o", data]
+        assert run(gen + ["--csv", tmp_path / "d.csv"]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == (
+            b"x0,x1,label\r\n"
+            b"0.2739233746429086,-0.4604265724722594,0\r\n"
+            b"1.9963070962813854,0.9140937941341267,1\r\n"
+            b"-4.093477665750412,-1.6665658597022173,2\r\n"
+        )
+        for target_dim in (2, 3):
+            out = tmp_path / f"iso{target_dim}"
+            iso = ["isomap", data, "--knn", 2, "--target-dim", target_dim, "--format", "csv"]
+            assert run(iso + ["--out-dir", out]) == 0
+        assert (tmp_path / "iso2" / "embedding.csv").read_bytes() == (
+            b"x,y,label\r\n"
+            b"0.7979326619509292,0.37920970559136175,0\r\n"
+            b"2.9073321269966153,-0.25824289629048724,1\r\n"
+            b"-3.7052647889475447,-0.12096680930086978,2\r\n"
+        )
+        # the third coordinate of three points is rounding noise: only its name is pinned
+        assert (tmp_path / "iso3" / "embedding.csv").read_bytes().startswith(b"x,y,z,label\r\n")
+
 
 class TestAllOrNone:
     """Every command writes all of its files or none, through ``data.write_files``."""

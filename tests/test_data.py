@@ -8,12 +8,12 @@ from topoclass.data import (
     ANNULUS_BANDS,
     LabeledPointCloud,
     MAX_DRAW_COORDINATES,
-    cloud_csv,
     fields,
     gen_annulus2d,
     gen_nested_shells,
     load_cloud,
     numbers,
+    points_csv,
     save_cloud,
     write_files,
 )
@@ -240,7 +240,7 @@ class TestCloudInvariants:
 def test_csv_export(tmp_path):
     cloud = gen_annulus2d(5, 3)
     path = tmp_path / "cloud.csv"
-    write_files([(path, cloud_csv(cloud))])
+    write_files([(path, points_csv(["x0", "x1"], cloud.points, cloud.labels))])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x0,x1,label"
     assert len(lines) == 11

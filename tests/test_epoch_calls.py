@@ -86,7 +86,7 @@ def test_divergence_raises_in_the_oracle_epoch(lr):
 @pytest.mark.parametrize("dims, count", [((2, 1, 2), 20), (PAPER_NET_DIMS, 52)])
 def test_one_step_is_a_fixed_number_of_calls(dims, count):
     stack = _NetStack.of([build_relu_net(dims, make_rng(0))])
-    one_batch, two_batches = _Epoch(stack, 32, 32, 0.05), _Epoch(stack, 64, 32, 0.05)
+    one_batch, two_batches = (_Epoch(stack, blobs(2, n, 19), 32, 0.05) for n in (16, 32))
     assert len(two_batches.last.calls) - len(one_batch.last.calls) == count
 
 
@@ -113,34 +113,37 @@ def test_epochs_of_several_chunks_match_the_oracle(per_class, batch_size):
 
 def test_call_lists_do_not_grow_with_the_number_of_batches():
     stack = _NetStack.of([build_relu_net(PAPER_NET_DIMS, make_rng(s)) for s in range(5)])
-    n = 200_000
+    cloud = blobs(2, 100_000, 20)
+    n = len(cloud)
     tracemalloc.start()
     try:
-        epoch = _Epoch(stack, n, 1, 0.05)
+        epoch = _Epoch(stack, cloud, 1, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     lists = [epoch.full.calls, epoch.last.calls]
     assert all(len(calls) <= CHUNK_BATCHES * 52 + 10 for calls in lists)
-    # the (S, batches) loss sums and their running sum (16 MB here) are the
+    # beside the per-point arrays of the shuffle and the accuracy pass, the
+    # (S, batches) loss sums and their running sum (16 MB here) are the
     # only arrays that grow with n; a list per batch would take gigabytes
-    assert peak < 2 * 5 * n * 8 + 2_000_000
+    widths, classes = sum(PAPER_NET_DIMS[1:]), PAPER_NET_DIMS[-1]
+    order, arange, one_hot = 5 * n * 8, n * 8, n * classes * 8
+    accuracy = 5 * n * (widths + 1 + classes + 1) * 8  # (S, n, width) and softmax scratch
+    assert peak < 2 * 5 * n * 8 + 2_000_000 + order + arange + one_hot + accuracy
 
 
 def test_later_epochs_allocate_no_batch_arrays():
     nets = [build_relu_net((2, 64, 64, 2), make_rng(s)) for s in range(2)]
     cloud = blobs(2, 300, 15)
     stack = _NetStack.of(nets)
-    epoch = _Epoch(stack, len(cloud), 256, 0.01)  # batches of 256, 256 and 88 points
-    one_hot = np.eye(2)[cloud.labels]
-    rng = make_rng(16)
-    order = np.stack([rng.permutation(len(cloud)) for _ in nets])
-    epoch.run(cloud.points, one_hot, order)
+    epoch = _Epoch(stack, cloud, 256, 0.01)  # batches of 256, 256 and 88 points
+    rngs = [make_rng(16)] * len(nets)
+    epoch.run(rngs)
     batch_array = 2 * 256 * 64 * 8  # one (S, B, width) activation: 256 KB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = epoch.run(cloud.points, one_hot, order)
+        loss = epoch.run(rngs)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -23,7 +23,7 @@ from topoclass.network import (
     strict_argmax_batch,
 )
 from topoclass.numerics import make_rng
-from topoclass.training import TrainConfig, _Accuracy, _NetStack, train_many
+from topoclass.training import TrainConfig, _Epoch, _NetStack, train_many
 
 
 def with_live_head(net, rng):
@@ -38,7 +38,7 @@ def test_accuracy_pass_matches_forward_and_strict_argmax(classes):
     cloud = blobs(classes, 30, 40 + classes)
     nets = [with_live_head(build_relu_net((2, 6, 5, classes), make_rng(s)), make_rng(50 + s))
             for s in range(3)]
-    accs = _Accuracy(_NetStack.of(nets), cloud.points, cloud.labels).run().tolist()
+    accs = _Epoch(_NetStack.of(nets), cloud, 32, 0.05).accuracy().tolist()
     for net, acc in zip(nets, accs, strict=True):
         preds, _ = strict_argmax_batch(forward_batch(net, cloud.points))
         assert acc == float((preds == cloud.labels).mean())
