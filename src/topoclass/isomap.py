@@ -51,23 +51,6 @@ class NeighborGraph:
         return int((self.weights > 0.0).sum()) // 2
 
 
-def _require_finite_sq_dists(xs, pts):
-    """Raise NumericalError when a squared distance from xs to pts may overflow.
-
-    The bound on every squared distance sums, over the coordinates, the
-    square of the largest |x_c - p_c| of any pair (for xs = pts, the
-    squared bounding-box diagonal).  Twice the bound must be finite, which
-    leaves room for rounding and for doubled squares.
-    """
-    if not (xs.size and pts.size):
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.maximum(xs.max(axis=0) - pts.min(axis=0), pts.max(axis=0) - xs.min(axis=0))
-        bound = float((reach * reach).sum())
-    if not math.isfinite(2.0 * bound):
-        raise NumericalError("points too far apart: squared distances overflow float64")
-
-
 def _sq_dist_blocks(xs, pts):
     """Squared Euclidean distances from xs to pts, one tile of xs rows at a time.
 
@@ -78,10 +61,11 @@ def _sq_dist_blocks(xs, pts):
     The first coordinate's squared differences are written into the tile
     and later coordinates are added in place, in coordinate order, so no
     ``(rows, len(pts), dim)`` array exists.  Direct subtraction keeps small
-    distances accurate (no Gram-matrix cancellation).  Distances that would
-    overflow float64 raise ``NumericalError`` before any tile is built.
+    distances accurate (no Gram-matrix cancellation).  A square past float64
+    is inf in the tile, with no warning: each caller refuses (``_too_far``)
+    only an inf among the distances it returns.  The error state covers the
+    arithmetic of one tile and is closed before the ``yield``.
     """
-    _require_finite_sq_dists(xs, pts)
     n, dim = xs.shape
     m = pts.shape[0]
     if dim == 0:
@@ -89,13 +73,21 @@ def _sq_dist_blocks(xs, pts):
     chunk = max(1, TILE_ENTRIES // max(m, 1))
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
-        block = np.subtract.outer(xs[rows, 0], pts[:, 0])
-        np.multiply(block, block, out=block)
-        diff = np.empty_like(block)
-        for c in range(1, xs.shape[1]):
-            np.subtract.outer(xs[rows, c], pts[:, c], out=diff)
-            block += np.multiply(diff, diff, out=diff)
+        with np.errstate(over="ignore"):
+            block = np.subtract.outer(xs[rows, 0], pts[:, 0])
+            np.multiply(block, block, out=block)
+            diff = np.empty_like(block)
+            for c in range(1, xs.shape[1]):
+                np.subtract.outer(xs[rows, c], pts[:, c], out=diff)
+                block += np.multiply(diff, diff, out=diff)
         yield rows, block
+
+
+def _too_far(dists):
+    """``dists``, or NumericalError when one of them is not finite (a square overflowed)."""
+    if not np.isfinite(dists).all():
+        raise NumericalError("points too far apart: squared distances overflow float64")
+    return dists
 
 
 def pairwise_distances(points):
@@ -104,7 +96,7 @@ def pairwise_distances(points):
     out = np.empty((pts.shape[0], pts.shape[0]))
     for rows, sq in _sq_dist_blocks(pts, pts):
         out[rows] = np.sqrt(sq)
-    return out
+    return _too_far(out)
 
 
 def knn_graph(points, k):

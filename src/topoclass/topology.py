@@ -31,13 +31,7 @@ import numpy as np
 
 from .data import ANNULUS_BANDS
 from .errors import NumericalError, SpecError
-from .isomap import (
-    TILE_ENTRIES,
-    _require_finite_sq_dists,
-    _sq_dist_blocks,
-    graph_components,
-    knn_graph,
-)
+from .isomap import TILE_ENTRIES, _sq_dist_blocks, _too_far, graph_components, knn_graph
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
 from .numerics import KERNEL_TOL, as_matrix, null_space_basis, scaled_by_power_of_4
 
@@ -48,9 +42,6 @@ RANK_REL_TOL = 1e-6
 # within this fraction of the radius (its square, for the sphere) a point is
 # on the sphere or in the support's affine hull, and a center at its target
 _MEB_TOL = 1e-12
-# below this spread the squared gaps, and the 1e-12 fractions of them the
-# pivot compares, near float64's underflow (squares of 1e-170 round to 0)
-_TINY_SPREAD = 2.0**-256
 # tested clouds (1-40 dimensions, up to 600 points) took at most 141 pivots;
 # a pivot that stalls in a degenerate position raises instead of looping
 _MAX_PIVOTS = 10_000
@@ -251,25 +242,26 @@ def min_enclosing_ball(points):
     """Smallest ball containing the points, exact in every dimension.
 
     The pivot runs on the points less the first one, so the center keeps
-    the digits of the points' spread, not of their offset; a spread below
-    ``_TINY_SPREAD`` is scaled by a power of two (exactly) for the pivot and
-    the radius.  Containment is guaranteed: the radius is the max distance
-    from the returned center.  Points whose squared distances overflow
-    float64 raise ``NumericalError``.
+    the digits of the points' spread, not of their offset.  The pivot and
+    the radius run on that spread scaled by ``scaled_by_power_of_4``
+    (exact), so their squares neither overflow nor underflow; a spread, gap
+    or radius past float64 raises ``NumericalError``.  Containment is
+    guaranteed: the radius is the max distance from the returned center.
     """
     pts = as_matrix(points, "points")
     if pts.shape[0] == 0:
         raise SpecError("min_enclosing_ball needs at least one point")
-    # twice the squared bounding-box diagonal bounds every squared gap, Gram
-    # entry and walk product the pivot forms
-    _require_finite_sq_dists(pts, pts)
-    rel = pts - pts[0]
-    spread = float(np.abs(rel).max())
-    shift = -math.frexp(spread)[1] if 0.0 < spread < _TINY_SPREAD else 0
-    center = np.ldexp(_pivot_ball(np.ldexp(rel, shift))[0], -shift) + pts[0]
-    gaps = np.ldexp(pts - center, shift)
-    radius = math.ldexp(float(np.sqrt((gaps * gaps).sum(axis=1).max())), -shift)
-    return Disc(center=center, radius=radius)
+    with np.errstate(over="ignore"):
+        rel = pts - pts[0]
+    spread = float(np.abs(_too_far(rel)).max())
+    rel, shift = scaled_by_power_of_4(rel, spread)
+    offset = _pivot_ball(rel)[0]
+    # a point's gap to the center, and the radius, may pass float64 where the spread does not
+    with np.errstate(over="ignore"):
+        center = np.ldexp(offset, shift) + pts[0]
+        gaps = np.ldexp(_too_far(pts - center), -shift)
+        radius = np.ldexp(np.sqrt((gaps * gaps).sum(axis=1).max()), shift)
+    return Disc(center=center, radius=float(_too_far(radius)))
 
 
 def check_disc_separation(clouds_by_class):
@@ -287,12 +279,14 @@ def check_disc_separation(clouds_by_class):
     if len(dims) > 1:
         raise SpecError(f"classes differ in dimension: {dims}")
     discs = [min_enclosing_ball(c) for c in clouds]
+    gaps = []
     with np.errstate(over="ignore"):
-        gaps = [
-            float(np.linalg.norm(a.center - b.center)) - a.radius - b.radius
-            for k, a in enumerate(discs)
-            for b in discs[k + 1:]
-        ]
+        for k, a in enumerate(discs):
+            for b in discs[k + 1 :]:
+                # the norm of the difference on the power-of-4 scale, scaled back
+                diff = a.center - b.center
+                diff, shift = scaled_by_power_of_4(diff, np.abs(diff).max())
+                gaps.append(float(np.ldexp(np.linalg.norm(diff), shift)) - a.radius - b.radius)
     if not all(map(math.isfinite, gaps)):
         raise NumericalError("class discs too far apart: center distances overflow float64")
     return all(gap > 0.0 for gap in gaps), discs, min(gaps, default=None)
@@ -317,7 +311,7 @@ def _min_dists(xs, pts):
     out = np.empty(xs.shape[0])
     for rows, sq in _sq_dist_blocks(xs, pts):
         out[rows] = np.sqrt(sq.min(axis=1))
-    return out
+    return _too_far(out)
 
 
 def _class_table(classes):
@@ -410,23 +404,22 @@ def _grid_min_dists(xs, ys, pts):
     The points go in chunks that keep each per-axis table near
     ``TILE_ENTRIES`` entries; a running minimum over the chunks is exact.
     """
-    # the bound on squared gaps reads only the per-axis extremes of the nodes
-    _require_finite_sq_dists(np.array([[xs.min(), ys.min()], [xs.max(), ys.max()]]), pts)
     by_column = np.full((len(xs), len(ys)), np.inf)
     nearest = np.empty(len(ys))
     chunk = min(len(pts), max(1, TILE_ENTRIES // max(len(xs), len(ys))))
     tables = np.empty((len(xs), chunk)), np.empty((len(ys), chunk)), np.empty((len(ys), chunk))
-    for start in range(0, len(pts), chunk):
-        part = pts[start : start + chunk]
-        dx, dy, sq = (table[:, : len(part)] for table in tables)
-        np.subtract.outer(xs, part[:, 0], out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract.outer(ys, part[:, 1], out=dy)
-        np.multiply(dy, dy, out=dy)
-        for column, row in zip(by_column, dx):
-            np.add(dy, row, out=sq)
-            np.minimum(column, sq.min(axis=1, out=nearest), out=column)
-    return np.sqrt(by_column.T)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(pts), chunk):
+            part = pts[start : start + chunk]
+            dx, dy, sq = (table[:, : len(part)] for table in tables)
+            np.subtract.outer(xs, part[:, 0], out=dx)
+            np.multiply(dx, dx, out=dx)
+            np.subtract.outer(ys, part[:, 1], out=dy)
+            np.multiply(dy, dy, out=dy)
+            for column, row in zip(by_column, dx):
+                np.add(dy, row, out=sq)
+                np.minimum(column, sq.min(axis=1, out=nearest), out=column)
+    return _too_far(np.sqrt(by_column.T))
 
 
 def urysohn_grid(classes, xs, ys):

@@ -5,6 +5,10 @@ Bad input is a ``SpecError`` (or, from a file, a ``ParseError`` or
 maps every error to its exit code through ``exit_code``.  ``OSError`` is the
 one outside type: ``data.write_files`` re-raises a failed write under the
 caller's path.
+
+No numpy error state is held across a ``yield``: ``np.errstate`` is a
+context variable, so a generator suspended inside one would silence its
+consumer's overflow warnings.
 """
 
 import ast
@@ -78,3 +82,34 @@ def test_every_raise_names_a_package_error_or_oserror(path):
 )
 def test_raised_types_finds_each_form(source, expected):
     assert list(raised_types(source)) == expected
+
+
+def yields_under_errstate(source):
+    """Line of each ``yield`` inside the body of a ``with ...errstate(...)`` block in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call)
+            and ast.unparse(item.context_expr.func).rpartition(".")[2] == "errstate"
+            for item in node.items
+        ):
+            for inner in (sub for stmt in node.body for sub in ast.walk(stmt)):
+                if isinstance(inner, (ast.Yield, ast.YieldFrom)):
+                    yield inner.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_yield_holds_a_numpy_error_state(path):
+    assert not list(yields_under_errstate(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f():\n    with np.errstate(over='ignore'):\n        yield 1", [3]),
+        ("def f():\n    with np.errstate(over='ignore'):\n        x = 1\n    yield x", []),
+        ("def f():\n    with a, errstate():\n        for x in y:\n            yield from x", [4]),
+        ("def f():\n    with open(p) as fh:\n        yield fh", []),
+    ],
+)
+def test_yields_under_errstate_finds_each_form(source, expected):
+    assert list(yields_under_errstate(source)) == expected

@@ -165,10 +165,22 @@ class TestSquaredDistanceBlocks:
     def test_overflowing_distances_raise_without_warning(self, xs, pts):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError):
-                _min_dists(np.array(xs), np.array(pts))
+            if xs == pts:
+                # each point is its own nearest, so no distance _min_dists returns overflows
+                assert _min_dists(np.array(xs), np.array(pts)).tolist() == [0.0, 0.0]
+            else:
+                with pytest.raises(NumericalError):
+                    _min_dists(np.array(xs), np.array(pts))
             with pytest.raises(NumericalError):
                 pairwise_distances(np.array(xs + pts))
+
+    @pytest.mark.parametrize("build", [pairwise_distances, lambda pts: knn_graph(pts, 1)])
+    def test_a_returned_distance_that_overflows_raises_the_one_text(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as raised:
+                build(np.array([[1e154, 0.0], [-1e154, 0.0]]))
+        assert str(raised.value) == "points too far apart: squared distances overflow float64"
 
     def test_empty_rows(self):
         assert _min_dists(np.empty((0, 2)), np.ones((4, 2))).shape == (0,)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -139,18 +141,48 @@ class TestMinEnclosingBall:
         with pytest.raises(SpecError, match="min_enclosing_ball needs at least one point"):
             min_enclosing_ball(np.zeros((0, 2)))
 
-    @pytest.mark.parametrize(
-        "points",
-        [
-            [[1e308, 0.0], [-1e308, 0.0]],  # 2-D
-            [[1e200, 0.0, 0.0, 0.0], [0.0, 1e200, 0.0, 0.0]],  # 4-D
-        ],
-    )
+    @pytest.mark.parametrize("points", [[[1e308, 0.0], [-1e308, 0.0]]])  # the gap is inf
     def test_overflowing_distances_raise_without_warning(self, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
                 min_enclosing_ball(np.array(points))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 0.0], [1.5e308, 1.5e308], [-1.5e308, -1.5e308]],  # radius ~2.1e308
+            # a finite spread from the first point, but 1.21 x 1.7e308 from the center
+            [[0.0, 0.0], [1.7e308, 0.0], [-1.53e308, 1.7e308], [-1.53e308, -1.7e308]],
+        ],
+        ids=["radius", "gap-to-center"],
+    )
+    def test_finite_spread_whose_ball_overflows_raises_without_warning(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="points too far apart"):
+                min_enclosing_ball(np.array(points))
+
+    def test_squares_past_float64_give_the_exact_ball(self):
+        # the squared gaps of 1e200 overflow, the gaps and the ball do not
+        points = np.array([[1e200, 0.0, 0.0, 0.0], [0.0, 1e200, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disc = min_enclosing_ball(points)
+        small = min_enclosing_ball(np.ldexp(points, -600))
+        assert disc.center.tobytes() == np.ldexp(small.center, 600).tobytes()
+        assert disc.radius == math.ldexp(small.radius, 600)
+
+    @pytest.mark.parametrize("k", [-600, -300, -257, -256, -100, 0, 100, 254, 256, 300, 500])
+    def test_scaling_by_a_power_of_two_scales_the_ball_bit_for_bit(self, k):
+        # spreads outside [2^-257, 2^256) are scaled by a power of 4 for the
+        # pivot; the ball of the scaled points must be the scaled ball
+        for dim, n in itertools.product((2, 3, 4, 7), (5, 40, 200)):
+            points = make_rng(100 * dim + n).standard_normal((n, dim))
+            disc = min_enclosing_ball(points)
+            scaled = min_enclosing_ball(np.ldexp(points, k))
+            assert scaled.center.tobytes() == np.ldexp(disc.center, k).tobytes()
+            assert scaled.radius == math.ldexp(disc.radius, k)
 
     @pytest.mark.parametrize(
         "points",
@@ -387,6 +419,17 @@ class TestDiscSeparation:
             with pytest.raises(NumericalError):
                 check_disc_separation([[[1e308, 0.0]], [[-1e308, 0.0]]])
 
+    def test_gap_whose_square_overflows_is_exact(self):
+        # the centers' difference is measured on the power-of-4 scale; only
+        # a difference that is itself inf is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, _, gap = check_disc_separation([[[0.0, 0.0]], [[1e200, 1e200]]])
+            with pytest.raises(NumericalError, match="class discs too far apart"):
+                check_disc_separation([[[1e308, 1e308]], [[-1e308, -1e308]]])
+        assert ok
+        assert gap == math.hypot(1e200, 1e200)
+
     def test_one_dimensional_intervals(self):
         a = np.linspace(0.0, 0.4, 9).reshape(-1, 1)
         b = np.linspace(0.6, 1.0, 9).reshape(-1, 1)
@@ -499,6 +542,19 @@ class TestUrysohnMulticlass:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError):
                 urysohn_multiclass(classes)
+
+    def test_class_whose_own_squared_spread_overflows(self):
+        # the squared gap between the two points of class 0 overflows, but
+        # each is its own nearest, so the field is exact on it
+        classes = [np.array([[-7e153, 0.0], [7e153, 0.0]]), np.array([[0.0, 0.0]])]
+        axis = np.array([-7e153, 0.0, 7e153])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = urysohn_multiclass(classes)
+            on_class = [f(pts) for pts in classes]
+            grid = urysohn_grid(classes, axis, [0.0])
+        assert [values.tolist() for values in on_class] == [[0.0, 0.0], [1.0]]
+        assert grid.tolist() == [[0.0, 1.0, 0.0]]
 
     def test_far_probe_raises_without_warning(self):
         f = urysohn_multiclass([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])])
