@@ -276,13 +276,13 @@ def strict_argmax(y):
     return None if ties[0] else int(preds[0])
 
 
-def strict_argmax_batch(ys, tol=TIE_TOL):
+def strict_argmax_batch(ys):
     """Batched strict_argmax: (predictions, tie mask); prediction -1 on ties.
 
-    A row ties unless exactly one entry is within tol of its max (NaN: none).
+    A row ties unless exactly one entry is within TIE_TOL of its max (NaN: none).
     """
     cols = np.asarray(ys, dtype=np.float64).T
-    floor = reduce(np.maximum, cols) - tol
+    floor = reduce(np.maximum, cols) - TIE_TOL
     near = [col >= floor for col in cols]
     ties = sum(near) != 1
     preds = np.where(ties, -1, sum(j * hit for j, hit in enumerate(near)))

@@ -25,6 +25,7 @@ PALETTE = (
     "#b5179e",
 )
 
+_WIDTH, _HEIGHT = 640, 480  # the page
 _MARGIN = 40.0
 _MIN_RADIUS = 2.0
 _MAX_RADIUS = 6.0
@@ -40,16 +41,16 @@ def _spans(lo, hi):
     return lo, span
 
 
-def _document(width, height, title, body, frame=()):
+def _document(title, body, frame=()):
     """SVG text: prolog, white page, the ``frame`` lines, the title, ``body``."""
     title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as saxutils
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         *frame,
-        f'<text x="{width / 2:.1f}" y="{_MARGIN / 2 + 5:.1f}" text-anchor="middle" '
+        f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN / 2 + 5:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
         *body,
         "</svg>",
@@ -57,7 +58,7 @@ def _document(width, height, title, body, frame=()):
     return "\n".join(lines) + "\n"
 
 
-def scatter_svg(points, labels, title, width=640, height=480):
+def scatter_svg(points, labels, title):
     """Scatter of a 1/2/3-D cloud; 3-D uses the depth-as-radius cue."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -72,10 +73,10 @@ def scatter_svg(points, labels, title, width=640, height=480):
     x_list, y_list = xs.tolist() or [0.0], ys.tolist() or [0.0]
     x0, xspan = _spans(min(x_list), max(x_list))
     y0, yspan = _spans(min(y_list), max(y_list))
-    plot_w = width - 2 * _MARGIN
-    plot_h = height - 2 * _MARGIN
+    plot_w = _WIDTH - 2 * _MARGIN
+    plot_h = _HEIGHT - 2 * _MARGIN
     px = _MARGIN + (xs - x0) / xspan * plot_w
-    py = height - _MARGIN - (ys - y0) / yspan * plot_h
+    py = _HEIGHT - _MARGIN - (ys - y0) / yspan * plot_h
     colors = np.asarray(labels).astype(np.intp) % len(PALETTE)
     frame = [
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
@@ -83,11 +84,11 @@ def scatter_svg(points, labels, title, width=640, height=480):
     ]
     body = [
         # corner annotations of the data ranges
-        f'<text x="{_MARGIN:.1f}" y="{height - _MARGIN / 4:.1f}" text-anchor="start" '
+        f'<text x="{_MARGIN:.1f}" y="{_HEIGHT - _MARGIN / 4:.1f}" text-anchor="start" '
         f'font-family="sans-serif" font-size="10">{x0:.3g}</text>',
-        f'<text x="{width - _MARGIN:.1f}" y="{height - _MARGIN / 4:.1f}" text-anchor="end" '
+        f'<text x="{_WIDTH - _MARGIN:.1f}" y="{_HEIGHT - _MARGIN / 4:.1f}" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">{x0 + xspan:.3g}</text>',
-        f'<text x="{_MARGIN / 4:.1f}" y="{height - _MARGIN:.1f}" '
+        f'<text x="{_MARGIN / 4:.1f}" y="{_HEIGHT - _MARGIN:.1f}" '
         f'font-family="sans-serif" font-size="10">{y0:.3g}</text>',
         f'<text x="{_MARGIN / 4:.1f}" y="{_MARGIN + 10:.1f}" '
         f'font-family="sans-serif" font-size="10">{y0 + yspan:.3g}</text>',
@@ -97,23 +98,23 @@ def scatter_svg(points, labels, title, width=640, height=480):
         f'fill="{PALETTE[c]}" fill-opacity="0.75"/>'
         for x, y, r, c in zip(px.tolist(), py.tolist(), radii.tolist(), colors.tolist())
     )
-    return _document(width, height, title, body, frame)
+    return _document(title, body, frame)
 
 
-def heatmap_svg(xs, ys, values, title, width=640, height=480):
+def heatmap_svg(xs, ys, values, title):
     """Grid heatmap of a scalar field on xs (columns) and ys (rows), min to max color."""
     values = np.asarray(values, dtype=np.float64)
     rows, cols = values.shape
     vlo, vspan = _spans(float(values.min()), float(values.max()))
-    plot_w = width - 2 * _MARGIN
-    plot_h = height - 2 * _MARGIN
+    plot_w = _WIDTH - 2 * _MARGIN
+    plot_h = _HEIGHT - 2 * _MARGIN
     cell_w = plot_w / cols
     cell_h = plot_h / rows
     lo, hi = (np.array([int(c[i : i + 2], 16) for i in (1, 3, 5)]) for c in PALETTE[:2])
     t = np.clip((values - vlo) / vspan, 0.0, 1.0)
     rgb = np.rint(lo + (hi - lo) * t[..., np.newaxis]).astype(np.intp).tolist()
     columns = [f"{_MARGIN + c * cell_w:.2f}" for c in range(cols)]
-    row_ys = [f"{height - _MARGIN - (r + 1) * cell_h:.2f}" for r in range(rows)]
+    row_ys = [f"{_HEIGHT - _MARGIN - (r + 1) * cell_h:.2f}" for r in range(rows)]
     size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
     cells = (
         f'<rect x="{px}" y="{py}" {size} fill="#{_HEX[red]}{_HEX[green]}{_HEX[blue]}"/>'
@@ -121,8 +122,8 @@ def heatmap_svg(xs, ys, values, title, width=640, height=480):
         for px, (red, green, blue) in zip(columns, row)
     )
     footer = (
-        f'<text x="{_MARGIN:.1f}" y="{height - _MARGIN / 4:.1f}" '
+        f'<text x="{_MARGIN:.1f}" y="{_HEIGHT - _MARGIN / 4:.1f}" '
         f'font-family="sans-serif" font-size="10">x in [{xs[0]:.3g}, {xs[-1]:.3g}], '
         f'y in [{ys[0]:.3g}, {ys[-1]:.3g}]</text>'
     )
-    return _document(width, height, title, chain(cells, [footer]))
+    return _document(title, chain(cells, [footer]))

@@ -54,31 +54,28 @@ class Disc:
     center: np.ndarray
     radius: float
 
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64)
-        if not np.isfinite(center).all() or not np.isfinite(self.radius):
-            raise NumericalError("disc center/radius must be finite")
-        if self.radius < 0.0:
-            raise NumericalError("disc radius must be nonnegative")
-        object.__setattr__(self, "center", center)
-
     def to_jsonable(self):
         return {"center": self.center.tolist(), "radius": self.radius}
 
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Voronoi verdict with witnesses, optionally plus the disc certificate."""
+    """Voronoi violations, optionally plus the class discs; the verdicts derive from them."""
 
-    voronoi_ok: bool
     violating_points: tuple  # ((index, assigned or None, true label), ...)
-    disc_ok: bool = None
     discs: tuple = None
     min_inter_disc_gap: float = None  # also None for a single class: no pair
 
-    def __post_init__(self):
-        if self.voronoi_ok != (len(self.violating_points) == 0):
-            raise NumericalError("voronoi_ok must match emptiness of violations")
+    @property
+    def voronoi_ok(self):
+        return not self.violating_points
+
+    @property
+    def disc_ok(self):
+        """None without discs; else whether every pair of discs is apart."""
+        if self.discs is None:
+            return None
+        return self.min_inter_disc_gap is None or self.min_inter_disc_gap > 0.0
 
     def to_jsonable(self):
         out = {
@@ -87,7 +84,7 @@ class SeparabilityReport:
                 {"index": i, "assigned": a, "true": t} for i, a, t in self.violating_points
             ],
         }
-        if self.disc_ok is not None:
+        if self.discs is not None:
             out["disc_ok"] = self.disc_ok
             out["discs"] = [d.to_jsonable() for d in self.discs]
             out["min_inter_disc_gap"] = self.min_inter_disc_gap
@@ -102,22 +99,6 @@ class KernelWitness:
     p1: np.ndarray  # inside the inner ball (class 0 region)
     p2: np.ndarray  # inside the outer shell (class 1 region)
     output_gap: float
-
-    def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=np.float64)
-        p1 = np.asarray(self.p1, dtype=np.float64)
-        p2 = np.asarray(self.p2, dtype=np.float64)
-        if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-12:
-            raise NumericalError("witness direction must be a unit vector")
-        if float(np.linalg.norm(p1)) > _INNER[1] + 1e-12:
-            raise NumericalError(f"p1 must lie in the inner ball (norm <= {_INNER[1]:g})")
-        if not (_OUTER[0] - 1e-12 <= float(np.linalg.norm(p2)) <= _OUTER[1] + 1e-12):
-            raise NumericalError(
-                f"p2 must lie in the outer shell ({_OUTER[0]:g} <= norm <= {_OUTER[1]:g})"
-            )
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
 
     def to_jsonable(self):
         return {
@@ -162,8 +143,7 @@ def _voronoi_violations(net, cloud):
 
 def check_thm3(net, cloud):
     """Voronoi criterion: every point's strict-argmax class equals its label."""
-    _, violations = _voronoi_violations(net, cloud)
-    return SeparabilityReport(voronoi_ok=not violations, violating_points=violations)
+    return SeparabilityReport(violating_points=_voronoi_violations(net, cloud)[1])
 
 
 def _circumball(support):
@@ -296,14 +276,8 @@ def full_separability_report(net, cloud):
     """Voronoi criterion plus the disc certificate on the net's output clouds."""
     outputs, violations = _voronoi_violations(net, cloud)
     by_class = [outputs[cloud.labels == k] for k in range(cloud.class_count)]
-    disc_ok, discs, gap = check_disc_separation(by_class)
-    return SeparabilityReport(
-        voronoi_ok=not violations,
-        violating_points=violations,
-        disc_ok=disc_ok,
-        discs=tuple(discs),
-        min_inter_disc_gap=gap,
-    )
+    _, discs, gap = check_disc_separation(by_class)
+    return SeparabilityReport(violations, discs=tuple(discs), min_inter_disc_gap=gap)
 
 
 def _min_dists(xs, pts):

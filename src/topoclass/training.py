@@ -91,12 +91,6 @@ class TrainHistory:
     losses: tuple  # mean per-sample loss, one entry per epoch run
     accuracies: tuple  # training accuracy after the epoch's updates
 
-    def __post_init__(self):
-        if len(self.losses) != len(self.accuracies):
-            raise SpecError("losses and accuracies must have equal length")
-        if not all(np.isfinite(v) for v in self.losses):
-            raise SpecError("losses must be finite")
-
     def epochs_run(self):
         return len(self.losses)
 

@@ -14,6 +14,7 @@ loss of every batch once per epoch; the histories still match bit for bit.
 import numpy as np
 import pytest
 
+from topoclass import network
 from topoclass.data import LabeledPointCloud
 from topoclass.errors import NumericalError, SpecError
 from topoclass.network import (
@@ -359,10 +360,11 @@ def _argmax_rows():
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.3])
-def test_strict_argmax_batch_matches_the_oracle(tol):
+def test_strict_argmax_batch_matches_the_oracle(tol, monkeypatch):
+    monkeypatch.setattr(network, "TIE_TOL", tol)
     with np.errstate(invalid="ignore"):
         for ys in _argmax_rows():
-            got_preds, got_ties = new_strict_argmax_batch(ys, tol)
+            got_preds, got_ties = new_strict_argmax_batch(ys)
             want_preds, want_ties = strict_argmax_batch(ys, tol)
             assert got_preds.dtype == want_preds.dtype and got_ties.dtype == want_ties.dtype
             assert np.array_equal(got_preds, want_preds)

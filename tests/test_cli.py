@@ -197,6 +197,31 @@ class TestTrain:
         )
         assert not out.exists()
 
+    def test_width_past_1024_trains(self, tmp_path):
+        # the README annulus: 1000 points x 1102 units + 5502 parameters, about
+        # 1.1 M floats, inside the stack budget
+        data, out = tmp_path / "a.json", tmp_path / "wide.json"
+        assert run(["gen", "--annulus", "--n", 500, "--seed", 0, "-o", data]) == 0
+        argv = ["train", data, "--dims", "2,1100,2", "--epochs", 1, "--seed", 0, "-o", out]
+        assert run(argv) == 1  # one epoch stays below the target accuracy
+        assert [len(layer.bias) for layer in load_model(out).layers] == [1100, 2]
+
+    def test_width_past_the_stack_budget_exits_2_before_building(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(net_mod, "build_relu_net", None)  # a call would be a TypeError
+        out = tmp_path / "huge.json"
+        width = 9999999999999999999999999
+        argv = ["train", workspace["data"], "--dims", f"2,{width},2", "-o", out]
+        assert run(argv) == 2
+        params = width * 3 + 2 * (width + 1)
+        assert capsys.readouterr().err == (
+            f"error: {200 * (width + 2) + params} floats to hold (1 net x (200 points x "
+            f"{width + 2} units + {params} parameters), 2 layers, the widest {width}): "
+            f"more than MAX_STACK_ENTRIES = {cli_mod.MAX_STACK_ENTRIES}\n"
+        )
+        assert not out.exists()
+
     def test_model_and_history_in_one_file_exit_2_before_building(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
@@ -326,6 +351,17 @@ class TestCheckSep:
         run(["check-sep", workspace["model"], workspace["data"], "--out", out,
              "--format", "csv"])
         assert out.read_text().splitlines()[0] == "index,assigned,true"
+
+    def test_csv_format_without_out_exits_2_before_the_net_runs(
+        self, workspace, monkeypatch, capsys
+    ):
+        # the CSV would be written nowhere while the report is printed
+        monkeypatch.setattr(net_mod, "load_model", None)  # a call would be a TypeError
+        argv = ["check-sep", workspace["model"], workspace["data"], "--format", "csv"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: check-sep --format csv needs --out\n"
 
 
 class TestWitness:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import topoclass
-
+from topoclass import svg
 from topoclass.errors import NumericalError
 from topoclass.numerics import make_rng
 from topoclass.svg import (
@@ -184,10 +184,12 @@ def test_scatter_oracle_edge_clouds(pts):
     assert scatter_svg(pts, labels, "t") == scatter_oracle(pts, labels, "t")
 
 
-def test_scatter_oracle_size():
+def test_scatter_oracle_size(monkeypatch):
     pts = make_rng(4).normal(size=(30, 3))
     labels = [1, 0, 2] * 10
-    got = scatter_svg(pts, labels, "sized", width=700, height=333)
+    monkeypatch.setattr(svg, "_WIDTH", 700)
+    monkeypatch.setattr(svg, "_HEIGHT", 333)
+    got = scatter_svg(pts, labels, "sized")
     assert got == scatter_oracle(pts, labels, "sized", width=700, height=333)
 
 
@@ -246,11 +248,13 @@ def heatmap_oracle(xs, ys, values, title, width=640, height=480):
     return "\n".join(parts) + "\n"
 
 
-def test_heatmap_matches_per_cell_oracle():
+def test_heatmap_matches_per_cell_oracle(monkeypatch):
     xs = np.linspace(-2.5, 2.5, 37)
     ys = np.linspace(-1.0, 3.0, 23)
     values = make_rng(5).uniform(-0.3, 2.7, size=(23, 37))
-    assert heatmap_svg(xs, ys, values, "a < b", width=700, height=333) == heatmap_oracle(
+    monkeypatch.setattr(svg, "_WIDTH", 700)
+    monkeypatch.setattr(svg, "_HEIGHT", 333)
+    assert heatmap_svg(xs, ys, values, "a < b") == heatmap_oracle(
         xs, ys, values, "a < b", width=700, height=333
     )
 

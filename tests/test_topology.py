@@ -14,7 +14,6 @@ from topoclass.errors import NumericalError, SpecError
 from topoclass.network import LayerSpec, Mlp, build_relu_net, forward, forward_batch
 from topoclass.numerics import KERNEL_TOL, make_rng
 from topoclass.topology import (
-    KernelWitness,
     check_disc_separation,
     check_thm3,
     component_count,
@@ -69,25 +68,27 @@ class TestSimplexClass:
             simplex_class(np.array([-0.2, 1.2]))
 
 
-class TestCheckThm3:
-    def constant_net(self, logits):
-        return Mlp(
-            layers=(
-                LayerSpec(
-                    weight=np.zeros((len(logits), 2)),
-                    bias=np.asarray(logits, dtype=np.float64),
-                    activation="softmax",
-                ),
-            )
+def constant_net(logits):
+    """A 2-D input net whose softmax output is the same on every point."""
+    return Mlp(
+        layers=(
+            LayerSpec(
+                weight=np.zeros((len(logits), 2)),
+                bias=np.asarray(logits, dtype=np.float64),
+                activation="softmax",
+            ),
         )
+    )
 
+
+class TestCheckThm3:
     def test_trained_net_separates(self, trained_paper_net, annulus500):
         report = check_thm3(trained_paper_net, annulus500)
         assert report.voronoi_ok
         assert report.violating_points == ()
 
     def test_constant_net_lists_one_class(self, annulus500):
-        report = check_thm3(self.constant_net([1.0, 0.0]), annulus500)
+        report = check_thm3(constant_net([1.0, 0.0]), annulus500)
         assert not report.voronoi_ok
         bad = report.violating_points
         assert len(bad) == 500
@@ -880,28 +881,6 @@ class TestKernelWitness:
             kernel_witness(np.ones((1, 2)), inner_r, outer_r)
         assert str(raised.value) == text
 
-    @pytest.mark.parametrize(
-        "p1, p2, text",
-        [
-            ([0.95, 0.0], [1.5, 0.0], "p1 must lie in the inner ball (norm <= 0.9)"),
-            ([0.5, 0.0], [0.99, 0.0], "p2 must lie in the outer shell (1 <= norm <= 2)"),
-            ([0.5, 0.0], [2.01, 0.0], "p2 must lie in the outer shell (1 <= norm <= 2)"),
-        ],
-    )
-    def test_witness_points_outside_the_annulus_bands(self, p1, p2, text):
-        with pytest.raises(NumericalError) as raised:
-            KernelWitness(direction=[1.0, 0.0], p1=p1, p2=p2, output_gap=0.0)
-        assert str(raised.value) == text
-
-    def test_witness_invariants_enforced(self):
-        with pytest.raises(NumericalError):
-            KernelWitness(
-                direction=np.array([2.0, 0.0]),
-                p1=np.array([0.5, 0.0]),
-                p2=np.array([1.5, 0.0]),
-                output_gap=0.0,
-            )
-
 
 class TestDiagnostics:
     def test_line_has_rank_one(self):
@@ -991,6 +970,24 @@ def test_full_report_combines_criteria(trained_paper_net, annulus500):
     assert report.disc_ok
     assert report.min_inter_disc_gap > 0.0
     payload = report.to_jsonable()
-    assert set(payload) == {
+    assert list(payload) == [
         "voronoi_ok", "violating_points", "disc_ok", "discs", "min_inter_disc_gap",
-    }
+    ]
+    # the verdicts derive from the violations and the gap, and equal the
+    # verdicts of check_thm3 and check_disc_separation
+    one_class = LabeledPointCloud(
+        dim=2, points=annulus500.points[:50], labels=np.zeros(50, dtype=np.int64), class_count=1
+    )
+    cases = [
+        (trained_paper_net, annulus500, True, True),  # separated outputs
+        (constant_net([1.0, 0.0]), annulus500, False, False),  # overlapping: one output for all
+        (constant_net([0.0]), one_class, True, True),  # one class: no pair of discs
+    ]
+    for net, cloud, voronoi_ok, disc_ok in cases:
+        report = full_separability_report(net, cloud)
+        outputs = forward_batch(net, cloud.points)
+        by_class = [outputs[cloud.labels == k] for k in range(cloud.class_count)]
+        voronoi_only = check_thm3(net, cloud)
+        assert report.voronoi_ok is voronoi_only.voronoi_ok is voronoi_ok
+        assert report.disc_ok is check_disc_separation(by_class)[0] is disc_ok
+        assert voronoi_only.disc_ok is None

@@ -187,6 +187,19 @@ class TestTrainMany:
         for net, cfg, got in zip(nets, cfgs, many, strict=True):
             assert_same_result(got, train(net, cloud, cfg))
 
+    def test_width_one_stacks_match_one_net_at_a_time(self, annulus500):
+        # the sweep's width-1 shape: OpenBLAS runs the stack's layer-1
+        # weight-gradient matmul (5,1,32) @ (5,32,2) as a gemv, whose bits
+        # hang on the step buffers' layout
+        nets = [build_relu_net((2, 1, 8, 8, 2), make_rng(seed)) for seed in range(5)]
+        cfgs = [
+            TrainConfig(epochs=3, batch_size=32, seed=seed, target_accuracy=None)
+            for seed in range(5)
+        ]
+        many = train_many(nets, annulus500, cfgs)
+        for net, cfg, got in zip(nets, cfgs, many, strict=True):
+            assert_same_result(got, train(net, annulus500, cfg))
+
     def test_input_nets_are_not_modified(self):
         cloud = blob_cloud(10, 12)
         nets = [build_relu_net((2, 3, 2), make_rng(seed)) for seed in range(2)]
