@@ -24,8 +24,8 @@ stdout's own file (``-o /dev/stdout``) goes to stdout before the printed
 lines, and a symlink's target is replaced with the link kept.
 
 ``sweep-bottleneck`` trains its widths in parallel, one forked process
-per usable core (``_train_stacks``); its rows, files, output and exit
-code are those of training the widths one after another.
+per usable core (``_fork_map``); its rows, files, output and exit code
+are those of training the widths one after another.
 """
 
 import argparse
@@ -251,36 +251,32 @@ def _usable_cores():
     return len(sched_getaffinity(0)) if sched_getaffinity else 1
 
 
-def _train_share(cloud, stacks, cfgs):
-    """Yield each stack's ``train_many`` results, or the exception it raised.
+def _fork_map(fn, items, processes, what):
+    """``[fn(item) for item in items]``, item i run in process i % ``processes``.
 
-    Stops after the first exception.
-    """
-    for _, nets in stacks:
-        try:
-            outcome = train_mod.train_many(nets, cloud, cfgs)
-        except Exception as exc:  # the caller raises the first failure in width order
-            outcome = exc
-        yield outcome
-        if isinstance(outcome, Exception):
-            return
-
-
-def _train_stacks(cloud, stacks, cfgs, processes):
-    """``train_many(nets, cloud, cfgs)`` for each ``(width, nets)`` of ``stacks``.
-
-    Stack i trains in process i % ``processes``: this process takes share
-    0 and ``os.fork`` makes the others.  A worker pickles each outcome into
-    its pipe as soon as it has it and leaves by ``os._exit``; like this
-    process, it stops at its first failure.  Returns the results in stack
-    order, or raises the failure of the first stack that failed; a worker
-    that ended without sending an outcome fails its stack with WorkerError.
+    This process takes share 0 and ``os.fork`` makes the others.  A worker
+    pickles each result into its pipe as soon as it has it and leaves by
+    ``os._exit``; like this process, it stops at its first exception.
+    Returns the results in item order, or raises the exception of the first
+    item that failed; a worker that ended without sending a result fails
+    its item with ``WorkerError("the process {what} {item} ended ...")``.
     Every worker is reaped before this returns or raises, and killed first
     when this process leaves by an exception, such as KeyboardInterrupt.
     With one process this is the plain loop.
     """
-    outcomes = [None] * len(stacks)
-    workers = []  # (pid, read end, first stack of its share), not yet reaped
+
+    def share(first):
+        for item in items[first::processes]:
+            try:
+                outcome = fn(item)
+            except Exception as exc:  # raised below, the first failure in item order
+                outcome = exc
+            yield outcome
+            if isinstance(outcome, Exception):
+                return
+
+    outcomes = [None] * len(items)
+    workers = []  # (pid, read end, first item of its share), not yet reaped
     try:
         for first in range(1, processes):
             read_end, write_end = os.pipe()
@@ -292,7 +288,7 @@ def _train_stacks(cloud, stacks, cfgs, processes):
                     for _, pipe, _ in workers:
                         pipe.close()
                     with os.fdopen(write_end, "wb") as pipe:
-                        for outcome in _train_share(cloud, stacks[first::processes], cfgs):
+                        for outcome in share(first):
                             pickle.dump(outcome, pipe)
                             pipe.flush()
                     code = 0
@@ -300,13 +296,12 @@ def _train_stacks(cloud, stacks, cfgs, processes):
                     os._exit(code)
             os.close(write_end)
             workers.append((pid, os.fdopen(read_end, "rb"), first))
-        own = range(0, len(stacks), processes)
-        for i, outcome in zip(own, _train_share(cloud, stacks[::processes], cfgs)):
+        for i, outcome in zip(range(0, len(items), processes), share(0)):
             outcomes[i] = outcome
         while workers:
             pid, pipe, first = workers[0]
             lost = None
-            for i in range(first, len(stacks), processes):
+            for i in range(first, len(items), processes):
                 try:
                     outcomes[i] = pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):  # the worker ended before sending it
@@ -320,8 +315,7 @@ def _train_stacks(cloud, stacks, cfgs, processes):
             if lost is not None:
                 how = f"exit {code}" if code >= 0 else f"killed by {signal.Signals(-code).name}"
                 outcomes[lost] = WorkerError(
-                    f"the process training width {stacks[lost][0]} ended without "
-                    f"its result ({how})"
+                    f"the process {what} {items[lost]} ended without its result ({how})"
                 )
     finally:
         for pid, pipe, _ in workers:  # left early by an exception: stop them
@@ -338,11 +332,13 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
     """Train first-layer-width variants; per width, keep the best accuracy.
 
     The seeds of one width train together in one stack (train_many), with
-    results identical to training them one by one, and the widths train
-    in parallel, one process per usable core (``_train_stacks``).  Returns
-    one dict per width (ordered by width) with the best accuracy over the
-    seeds and, when the width is an actual bottleneck, a kernel witness
-    from the best net's first layer.
+    results identical to training them one by one, and the widths run in
+    parallel, one process per usable core (``_fork_map``).  Each width's
+    nets are built, trained and witnessed in the process that trains them,
+    and only its row comes back, so each process holds one stack at a time.
+    Returns one dict per width (in ``widths`` order) with the best accuracy
+    over the seeds and, when the width is an actual bottleneck, a kernel
+    witness from the best net's first layer.
     """
     processes = min(len(widths), _usable_cores())
     widest = _sweep_dims(cloud.dim, max(widths), cloud.class_count)
@@ -358,13 +354,11 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
         )
         for seed in run_seeds
     ]
-    stacks = []
-    for width in widths:
+
+    def row(width):
         dims = _sweep_dims(cloud.dim, width, cloud.class_count)
         nets = [net_mod.build_relu_net(dims, make_rng(seed)) for seed in run_seeds]
-        stacks.append((width, nets))
-    rows = []
-    for width, results in zip(widths, _train_stacks(cloud, stacks, cfgs, processes)):
+        results = train_mod.train_many(nets, cloud, cfgs)
         seed_accs = [max(history.accuracies) for _, history in results]
         row = {
             "width": width,
@@ -375,8 +369,9 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
         if width < cloud.dim:
             best_net = results[seed_accs.index(max(seed_accs))][0]
             row["witness"] = topo_mod.kernel_witness(best_net.layers[0].weight)
-        rows.append(row)
-    return rows
+        return row
+
+    return _fork_map(row, widths, processes, "training width")
 
 
 def cmd_sweep(args):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 import xml.etree.ElementTree as ET
@@ -429,6 +430,21 @@ class TestSweep:
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
         assert run(argv) == 0
 
+    def test_sweep_memory_does_not_grow_with_listed_widths(self, monkeypatch):
+        # each width is built, trained and dropped before the next: the
+        # budget's one stack per process bounds the whole sweep
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
+        cloud = data_mod.gen_annulus2d(4, 0)
+        peaks = []
+        for count in (1, 40):
+            tracemalloc.start()
+            try:
+                cli_mod.run_bottleneck_sweep(cloud, [4000] * count, 1, 0, 0.05, 1, 32, 0.99)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
 
 class TestParallelSweep:
     """The widths train in forked processes with the sequential loop's results."""
@@ -451,13 +467,16 @@ class TestParallelSweep:
         assert run(["gen", "--annulus", "--n", 20, "--seed", 0, "-o", data]) == 0
         return data
 
+    # with "2,1,3" the bottleneck width 1, the one witnessed, trains in a
+    # worker, whose witness must have the one-process bits
+    @pytest.mark.parametrize("widths", ["1,2,3,4,5", "2,1,3"])
     def test_one_two_and_three_processes_write_the_same_bytes(
-        self, workspace, tmp_path, monkeypatch
+        self, workspace, tmp_path, monkeypatch, widths
     ):
-        flags = ("--widths", "1,2,3,4,5", "--epochs", 30)
+        flags = ("--widths", widths, "--epochs", 30)
         runs = [self.sweep(monkeypatch, tmp_path, cores, workspace["data"], *flags)
                 for cores in (1, 2, 3)]
-        assert runs[0][0] == 0 and runs[0][3].count(b"\r\n") == 6
+        assert runs[0][0] == 0 and runs[0][3].count(b"\r\n") == len(widths.split(",")) + 1
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     # at --lr 10 widths 1 and 2 train, width 3 diverges with the net of
@@ -533,6 +552,42 @@ class TestParallelSweep:
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkMap:
+    """``_fork_map``'s contract, met at any process count."""
+
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_results_come_in_item_order(self, processes):
+        assert cli_mod._fork_map(lambda x: x * x, range(7), processes, "squaring") == [
+            x * x for x in range(7)
+        ]
+
+    # with 2 processes item 3 fails in the worker and item 4 in this
+    # process; with 3, item 3 fails in this process and item 4 in a worker
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_the_earlier_failing_item_raises(self, processes):
+        def square_or_fail(x):
+            if x in (3, 4):
+                raise ValueError(f"item {x}")
+            return x * x
+
+        with pytest.raises(ValueError, match="^item 3$"):
+            cli_mod._fork_map(square_or_fail, range(7), processes, "squaring")
+
+    def test_a_lost_worker_names_its_item(self):
+        parent = os.getpid()
+
+        def square_or_die(x):
+            if os.getpid() != parent and x == 5:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x * x
+
+        with pytest.raises(errors.WorkerError) as info:
+            cli_mod._fork_map(square_or_die, range(7), 2, "squaring")
+        assert str(info.value) == (
+            "the process squaring 5 ended without its result (killed by SIGKILL)"
+        )
 
 
 class TestIsomapCommand:
