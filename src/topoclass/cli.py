@@ -228,7 +228,7 @@ def cmd_witness(args):
     if rows >= cols:
         line = f"no bottleneck: first layer is {rows}x{cols} (rows >= cols); theorem does not apply"
         return [], [line], EXIT_NOT_APPLICABLE
-    witness = topo_mod.kernel_witness(first.weight, args.inner_r, args.outer_r)
+    witness = topo_mod.kernel_witness(first.weight)
     # one point per call: a two-row batch may round differently in BLAS
     first_net = net_mod.Mlp(layers=(first,))
     f1_p1 = net_mod.forward(first_net, witness.p1)
@@ -503,10 +503,10 @@ def build_parser():
     chk.add_argument("--format", choices=["json", "csv"], default="json")
     chk.set_defaults(func=cmd_check_sep)
 
-    wit = sub.add_parser("witness", help="kernel witness for a bottleneck first layer")
+    wit_help = "kernel witness for a bottleneck first layer, at radii {:g} and {:g}"
+    wit_help = wit_help.format(*topo_mod.WITNESS_RADII)
+    wit = sub.add_parser("witness", help=wit_help, description=wit_help)
     wit.add_argument("model")
-    wit.add_argument("--inner-r", type=float, default=0.5, help="|p1| (default 0.5)")
-    wit.add_argument("--outer-r", type=float, default=1.5, help="|p2| (default 1.5)")
     wit.add_argument("--out", default=None, help="write the witness JSON to this path")
     wit.set_defaults(func=cmd_witness)
 

@@ -68,6 +68,8 @@ def _sq_dist_blocks(xs, pts):
     """
     n, dim = xs.shape
     m = pts.shape[0]
+    if pts.shape[1] != dim:
+        raise SpecError(f"point sets differ in dimension: {dim} and {pts.shape[1]}")
     if dim == 0:
         xs, pts = np.zeros((n, 1)), np.zeros((m, 1))
     chunk = max(1, TILE_ENTRIES // max(m, 1))

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ANNULUS_BANDS
 from .errors import NumericalError, SpecError
 from .isomap import TILE_ENTRIES, _sq_dist_blocks, _too_far, graph_components, knn_graph
 from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
-from .numerics import KERNEL_TOL, as_matrix, null_space_basis, scaled_by_power_of_4
+from .numerics import KERNEL_TOL, as_matrix, as_vector, null_space_basis, scaled_by_power_of_4
 
 SIMPLEX_TOL = 1e-9
 # linear_rank counts the singular values above this fraction of the largest
@@ -45,8 +44,9 @@ _MEB_TOL = 1e-12
 # tested clouds (1-40 dimensions, up to 600 points) took at most 141 pivots;
 # a pivot that stalls in a degenerate position raises instead of looping
 _MAX_PIVOTS = 10_000
-# the canonical two-class geometry a kernel witness's points sit in
-_INNER, _OUTER = ANNULUS_BANDS
+# |p1|, |p2| of a kernel witness: inside the disc and the annulus of
+# data.ANNULUS_BANDS, the canonical two-class geometry
+WITNESS_RADII = (0.5, 1.5)
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def simplex_class(y):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise SpecError("simplex point must be a nonempty vector")
+    y = as_vector(y, "simplex point")
     if (y < -SIMPLEX_TOL).any() or abs(float(y.sum()) - 1.0) > SIMPLEX_TOL:
         raise SpecError("point is not within 1e-9 of the closed simplex")
     return strict_argmax(y)
@@ -417,28 +418,23 @@ def urysohn_grid(classes, xs, ys):
     return values
 
 
-def kernel_witness(w, inner_r=0.5, outer_r=1.5):
+def kernel_witness(w):
     """Two points the first layer cannot tell apart, from its null space.
 
     Requires a bottleneck (rows < cols).  The points sit on the line through
-    the origin along a kernel direction, at radii that put p1 inside the
-    inner ball and p2 inside the outer shell of the canonical two-class
-    geometry.
+    the origin along a kernel direction, at the radii ``WITNESS_RADII``: p1
+    inside the inner ball and p2 inside the outer shell of the canonical
+    two-class geometry.
     """
     w = as_matrix(w, "w")
     rows, cols = w.shape
     if rows >= cols:
         raise SpecError(f"no bottleneck: weight is {rows}x{cols} (needs rows < cols)")
-    if not 0.0 < inner_r <= _INNER[1]:
-        raise SpecError(f"inner radius must lie in (0, {_INNER[1]:g}]")
-    if not _OUTER[0] <= outer_r <= _OUTER[1]:
-        raise SpecError(f"outer radius must lie in [{_OUTER[0]:g}, {_OUTER[1]:g}]")
     basis = null_space_basis(w)
     if not basis:
         raise NumericalError("kernel numerically trivial despite rows < cols")
     direction = basis[0]
-    p1 = inner_r * direction
-    p2 = outer_r * direction
+    p1, p2 = (r * direction for r in WITNESS_RADII)
     # null_space_basis's bound, ||W p|| <= KERNEL_TOL * ||W||_2 * ||p||, measured on W
     # scaled as null_space_basis scales it, so that no norm overflows
     w, shift = scaled_by_power_of_4(w, np.abs(w).max(initial=0.0))

@@ -52,7 +52,6 @@ import numpy as np
 from .data import csv_lines
 from .errors import NumericalError, SpecError
 from .network import (
-    IDENTITY,
     RELU,
     SOFTMAX,
     LayerSpec,
@@ -215,13 +214,11 @@ def _step_calls(stack, xs, targets, probs, buffers):
         if i > 0:
             calls.append((np.matmul, (delta, layers[i].weight, deltas[i - 1])))
             delta = deltas[i - 1]
-            prev_act = layers[i - 1].activation
-            if prev_act == RELU:
+            # an identity layer passes delta on as it is (Mlp refuses a softmax below the top)
+            if layers[i - 1].activation == RELU:
                 # the relu's output, no longer needed, becomes its mask:
                 # sign(max(z, 0)) is 1.0 where z > 0, else 0.0 (NaN for NaN)
                 calls += [(np.sign, (below, below)), (np.multiply, (delta, below, delta))]
-            elif prev_act != IDENTITY:
-                raise SpecError("softmax below the final layer is not differentiable here")
     return calls
 
 
@@ -347,6 +344,8 @@ def gradients(net, x, label):
     """Per-layer (weight gradient, bias gradient) of the single-sample loss."""
     _require_softmax(net)
     x = as_vector(x, "x")
+    if x.shape[0] != net.input_dim:
+        raise SpecError(f"net expects inputs of dim {net.input_dim}, got {x.shape[0]}")
     _require_label(label, net.output_dim)
     stack = _NetStack.of([net])
     targets = np.eye(net.output_dim)[np.array([[label]])]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -1456,3 +1457,33 @@ class TestParserReuse:
         assert names == ["a.json", "m.json", "m_history.csv", "s.json"]
         for name in names:
             assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+# every option string of every subcommand: adding or dropping a flag shows in this table
+OPTION_SET = {
+    "gen": {"-h", "--help", "--annulus", "--shells", "--n", "--seed", "--dim", "--bands",
+            "-o", "--out", "--csv"},
+    "train": {"-h", "--help", "--dims", "--paper-net", "--epochs", "--lr", "--batch-size",
+              "--seed", "--target-accuracy", "-o", "--out", "--history"},
+    "trace": {"-h", "--help", "--out-dir", "--knn", "--include-pre"},
+    "check-sep": {"-h", "--help", "--out", "--format"},
+    "witness": {"-h", "--help", "--out"},
+    "sweep-bottleneck": {"-h", "--help", "--widths", "--seeds", "--seed", "--epochs", "--lr",
+                         "--batch-size", "--target-accuracy", "-o", "--out"},
+    "isomap": {"-h", "--help", "--knn", "--target-dim", "--out-dir", "--format",
+               "--largest-component"},
+    "urysohn": {"-h", "--help", "--grid-size", "--grid-extent", "--out-dir"},
+}
+
+
+def test_each_subcommand_has_exactly_its_option_set():
+    (commands,) = [
+        action.choices
+        for action in cli_mod.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    got = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, sub in commands.items()
+    }
+    assert got == OPTION_SET

@@ -20,10 +20,10 @@ at 2^64 and past.  Each call must return 0, 1 or 2.  Batch sizes past
 int64 train as one batch of every point.
 
 So do the numeric flags of ``urysohn`` (``--grid-size``, ``--grid-extent``)
-and ``witness`` (``--inner-r``, ``--outer-r``) at 0, negative, subnormal,
-1e154, 1e308, inf and nan, and ``check-sep --format`` and ``--out`` with
-unknown formats and paths that cannot be written: each call must return
-0, 1, 2 or 3.
+at 0, negative, subnormal, 1e154, 1e308, inf and nan, and ``check-sep
+--format`` and ``--out`` with unknown formats and paths that cannot be
+written: each call must return 0, 1, 2 or 3.  ``witness`` has no numeric
+flags: its points sit at the fixed radii ``topology.WITNESS_RADII``.
 
 So do the flags of ``gen`` (point counts and dimensions from below 1 to
 past int64, radius bands that are empty, reversed, touching, infinite,
@@ -333,19 +333,6 @@ def test_urysohn_grid_flags_end_in_a_documented_exit_code(files, size, extent, c
     out = files["root"] / "grid"
     argv = ["urysohn", files["clean"], f"--grid-size={size}", f"--grid-extent={extent}"]
     assert _exit_code([*argv, "--out-dir", out]) in DOCUMENTED_EXIT_CODES
-    capsys.readouterr()
-
-
-@FLAG_SETTINGS
-@given(
-    inner=st.none() | st.sampled_from(NUMBERS + ["0.5"]),
-    outer=st.none() | st.sampled_from(NUMBERS + ["1.5"]),
-)
-def test_witness_radius_flags_end_in_a_documented_exit_code(files, inner, outer, capsys):
-    flags = [f"--inner-r={inner}"] * (inner is not None) + [f"--outer-r={outer}"] * (
-        outer is not None
-    )
-    assert _exit_code(["witness", files["bottleneck"], *flags]) in DOCUMENTED_EXIT_CODES
     capsys.readouterr()
 
 

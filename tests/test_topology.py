@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoclass import topology
-from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells
+from topoclass.data import ANNULUS_BANDS, LabeledPointCloud, gen_annulus2d, gen_nested_shells
 from topoclass.errors import NumericalError, SpecError
 from topoclass.network import LayerSpec, Mlp, build_relu_net, forward, forward_batch
 from topoclass.numerics import KERNEL_TOL, make_rng
 from topoclass.topology import (
+    WITNESS_RADII,
     check_disc_separation,
     check_thm3,
     component_count,
@@ -66,6 +67,10 @@ class TestSimplexClass:
             simplex_class(np.array([0.9, 0.3]))
         with pytest.raises(SpecError, match="not within 1e-9 of the closed simplex"):
             simplex_class(np.array([-0.2, 1.2]))
+        # every comparison with NaN is false: without a finiteness check it reads as a tie
+        for y in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
+            with pytest.raises(NumericalError, match="simplex point contains NaN or Inf"):
+                simplex_class(np.array(y))
 
 
 def constant_net(logits):
@@ -798,6 +803,25 @@ class TestClassTable:
                     build(classes)
             assert str(raised.value) == text
 
+    # not among the refusals above: urysohn_grid refuses classes that are not 2-D first
+    @pytest.mark.parametrize(
+        "call, dims",
+        [
+            (lambda: urysohn_multiclass([[[0, 0, 0]], [[3, 0, 10]]])([1, 0]), (2, 3)),
+            (lambda: min_class_gap([[[0, 0]], [[3, 0, 10]]]), (2, 3)),
+            (lambda: min_class_gap([[[3, 0, 10]], [[0, 0]]]), (3, 2)),
+            (lambda: urysohn_multiclass([[[0, 0]], [[3, 0, 10]]]), (2, 3)),
+            (lambda: urysohn_multiclass([[[3, 0, 10]], [[0, 0]]]), (3, 2)),
+        ],
+        ids=["field-at-2d", "gap-2d-3d", "gap-3d-2d", "field-2d-3d", "field-3d-2d"],
+    )
+    def test_point_sets_of_different_dimension_are_refused(self, call, dims):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError) as raised:
+                call()
+        assert str(raised.value) == "point sets differ in dimension: {} and {}".format(*dims)
+
 
 class TestKernelWitness:
     def test_explicit_kernel(self):
@@ -867,19 +891,11 @@ class TestKernelWitness:
         witness = kernel_witness(w)
         assert witness.output_gap == float(np.linalg.norm(w @ witness.p1 - w @ witness.p2))
 
-    @pytest.mark.parametrize(
-        "inner_r, outer_r, text",
-        [
-            (0.0, 1.5, "inner radius must lie in (0, 0.9]"),
-            (0.95, 1.5, "inner radius must lie in (0, 0.9]"),
-            (0.5, 0.99, "outer radius must lie in [1, 2]"),
-            (0.5, 2.01, "outer radius must lie in [1, 2]"),
-        ],
-    )
-    def test_radius_refusals_name_the_annulus_bands(self, inner_r, outer_r, text):
-        with pytest.raises(SpecError) as raised:
-            kernel_witness(np.ones((1, 2)), inner_r, outer_r)
-        assert str(raised.value) == text
+    def test_radii_lie_in_the_annulus_bands(self):
+        # p1 in the disc, p2 in the annulus, and neither at the origin
+        assert len(WITNESS_RADII) == len(ANNULUS_BANDS)
+        for r, (lo, hi) in zip(WITNESS_RADII, ANNULUS_BANDS):
+            assert 0.0 < r and lo <= r <= hi
 
 
 class TestDiagnostics:

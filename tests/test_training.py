@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from topoclass.data import LabeledPointCloud, gen_annulus2d, write_files
 from topoclass.errors import NumericalError, SpecError
-from topoclass.network import LayerSpec, Mlp, build_relu_net, forward
+from topoclass.network import LayerSpec, Mlp, build_paper_net, build_relu_net, forward
 from topoclass.numerics import make_rng
 from topoclass.training import (
     TrainConfig,
@@ -98,6 +98,11 @@ class TestGradients:
                         fd = (loss_at(h) - loss_at(-h)) / (2 * h)
                         ref = got[li][0][r, c]
                         assert abs(fd - ref) <= 1e-4 * max(1.0, abs(fd))
+
+    def test_input_of_the_wrong_dimension_is_refused(self):
+        with pytest.raises(SpecError) as raised:
+            gradients(build_paper_net(make_rng(0)), np.ones(3), 0)
+        assert str(raised.value) == "net expects inputs of dim 2, got 3"
 
     def test_batch_gradient_is_additive(self):
         from topoclass.training import _NetStack, _step_buffers, _step_calls
