@@ -331,8 +331,9 @@ def _fork_map(fn, items, processes, what):
 def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size, target):
     """Train first-layer-width variants; per width, keep the best accuracy.
 
-    The seeds of one width train together in one stack (train_many), with
-    results identical to training them one by one, and the widths run in
+    The seeds of one width train together in one stack under one config
+    (train_many): net i is built and shuffled from seed ``base_seed + i``,
+    with results identical to training it alone, and the widths run in
     parallel, one process per usable core (``_fork_map``).  Each width's
     nets are built, trained and witnessed in the process that trains them,
     and only its row comes back, so each process holds one stack at a time.
@@ -344,21 +345,18 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
     widest = _sweep_dims(cloud.dim, max(widths), cloud.class_count)
     _check_stack_size(seeds, widest, len(cloud), processes)
     run_seeds = range(base_seed, base_seed + seeds)
-    cfgs = [
-        train_mod.TrainConfig(
-            learning_rate=lr,
-            epochs=epochs,
-            batch_size=batch_size,
-            seed=seed,
-            target_accuracy=target,
-        )
-        for seed in run_seeds
-    ]
+    cfg = train_mod.TrainConfig(
+        learning_rate=lr,
+        epochs=epochs,
+        batch_size=batch_size,
+        seed=base_seed,
+        target_accuracy=target,
+    )
 
     def row(width):
         dims = _sweep_dims(cloud.dim, width, cloud.class_count)
         nets = [net_mod.build_relu_net(dims, make_rng(seed)) for seed in run_seeds]
-        results = train_mod.train_many(nets, cloud, cfgs)
+        results = train_mod.train_many(nets, cloud, cfg)
         seed_accs = [max(history.accuracies) for _, history in results]
         row = {
             "width": width,

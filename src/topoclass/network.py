@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import fields, json_text, numbers, read_json, write_files
 from .errors import NumericalError, SchemaError, SpecError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, is_integer
 
 RELU = "relu"
 SOFTMAX = "softmax"
@@ -302,15 +302,15 @@ HIDDEN_BIAS_INIT = 0.1
 def build_relu_net(dims, rng):
     """Relu layers along ``dims`` with a softmax on the last pair.
 
-    ``dims`` is the full width chain including input and output, e.g.
-    (2, 5, 2): a 2->5 relu layer followed by a 5->2 softmax.  Relu layers
+    ``dims`` is the full chain of integer widths, input and output included,
+    e.g. (2, 5, 2): a 2->5 relu layer followed by a 5->2 softmax.  Relu layers
     get He-style uniform weights in +-sqrt(6/fan_in) and bias
     ``HIDDEN_BIAS_INIT``; the softmax head starts at exactly zero, so a fresh
     net outputs the uniform distribution for every input.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise SpecError("dims must list at least two positive widths")
+    dims = tuple(dims)
+    if len(dims) < 2 or not all(is_integer(d) and d >= 1 for d in dims):
+        raise SpecError(f"dims must list at least two positive widths, as integers: got {dims}")
     layers = []
     for i in range(len(dims) - 1):
         if i == len(dims) - 2:

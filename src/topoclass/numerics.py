@@ -29,9 +29,14 @@ EIGH_TOL = 1e-12  # eigh_symmetric: the asymmetry it accepts, relative to the la
 KERNEL_TOL = 1e-10  # null_space_basis: the kernel's bound, relative to ||W||
 
 
+def is_integer(value):
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def make_rng(seed):
     """Deterministic generator (PCG64) for a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)):
+    if not is_integer(seed):
         raise SpecError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= int(seed) < 2**64:
         raise SpecError(f"seed must fit in 64 unsigned bits, got {seed}")

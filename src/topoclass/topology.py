@@ -365,7 +365,7 @@ def urysohn_multiclass(classes):
     def field(x):
         xs = np.asarray(x, dtype=np.float64)
         single = xs.ndim == 1
-        xs2 = xs[np.newaxis, :] if single else xs
+        xs2 = as_vector(xs, "x")[np.newaxis, :] if single else as_matrix(xs, "x")
         dists = np.stack([_min_dists(xs2, pts) for pts in prepared], axis=1)
         vals = _partition_of_unity(dists)
         return float(vals[0]) if single else vals

@@ -2,9 +2,9 @@
 
 Reverse-mode derivatives are exact (the softmax + cross-entropy pair
 collapses to probabilities minus one-hot).  One loop trains a stack of nets
-of one shape in lock-step, each shuffled by its own seeded generator, so a
-(net, cloud, config) triple reproduces the same history bit for bit whether
-it trains alone or in a stack.
+of one shape under one config in lock-step, net i shuffled from seed
+``cfg.seed + i``, so a net trained in a stack has the history it has when
+trained alone under its seed, bit for bit.
 
 A numpy reduction over the short class axis runs one inner loop per row, so
 the softmax, the picked probability and the epoch's strict argmax reduce
@@ -45,6 +45,8 @@ order by ``np.add.accumulate``: ``np.add.reduce`` would sum each net's
 contiguous row of batch sums pairwise, which differs in the last bits.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,11 @@ from .network import (
     forward_batch,
     strict_argmax_batch,
 )
-from .numerics import as_vector, make_rng
+from .numerics import as_vector, is_integer, make_rng
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -75,14 +81,17 @@ class TrainConfig:
     target_accuracy: float = 0.999  # None disables early stopping
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise SpecError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise SpecError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise SpecError("batch_size must be >= 1")
-        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
-            raise SpecError("target_accuracy must lie in (0, 1]")
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise SpecError(f"{name} must be an integer, got {type(value).__name__}")
+            if name != "seed" and value < 1:
+                raise SpecError(f"{name} must be >= 1")
+        lr, target = self.learning_rate, self.target_accuracy
+        if not (_is_real(lr) and math.isfinite(lr) and lr > 0.0):
+            raise SpecError(f"learning_rate must be positive and finite, got {lr!r}")
+        if target is not None and not (_is_real(target) and 0.0 < target <= 1.0):
+            raise SpecError(f"target_accuracy must lie in (0, 1] or be None, got {target!r}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,7 @@ def cross_entropy(p, label):
 
 
 def _require_label(label, classes):
-    is_index = isinstance(label, (int, np.integer)) and not isinstance(label, bool)
-    if not (is_index and 0 <= label < classes):
+    if not (is_integer(label) and 0 <= label < classes):
         raise SpecError(f"label {label} out of range for {classes} classes")
 
 
@@ -366,16 +374,14 @@ def accuracy(net, cloud):
     return float((preds == cloud.labels).mean())
 
 
-def _check_stack(nets, cloud, cfgs):
-    if not nets or len(nets) != len(cfgs):
-        raise SpecError("train_many needs at least one net and one config per net")
+def _check_stack(nets, cloud):
+    if not nets:
+        raise SpecError("train_many needs at least one net")
     def shape(net):
         return [(layer.weight.shape, layer.activation) for layer in net.layers]
 
     if any(shape(net) != shape(nets[0]) for net in nets):
         raise SpecError("nets trained together must have the same layer shapes and activations")
-    if len({(c.learning_rate, c.epochs, c.batch_size) for c in cfgs}) > 1:
-        raise SpecError("nets trained together must share learning_rate, epochs and batch_size")
     net = nets[0]
     _require_softmax(net)
     if cloud.dim != net.input_dim:
@@ -386,35 +392,35 @@ def _check_stack(nets, cloud, cfgs):
         )
 
 
-def _require_finite(epoch, epoch_loss, stack, live, cfgs):
+def _require_finite(epoch, epoch_loss, stack, live, seed):
     finite = np.isfinite(epoch_loss) & np.isfinite(stack.params).all(axis=1)
     if not finite.all():
         k = live[int(np.argmin(finite))]
         raise NumericalError(
-            f"training diverged in epoch {epoch} of the net with seed {cfgs[k].seed}: "
+            f"training diverged in epoch {epoch} of the net with seed {seed + k}: "
             "the loss or a weight is not finite (try a smaller learning rate)"
         )
 
 
-def train_many(nets, cloud, cfgs):
-    """Mini-batch SGD on several nets of one shape at once; one (net, history) per net.
+def train_many(nets, cloud, cfg):
+    """Mini-batch SGD on several nets of one shape under one config; one (net, history) per net.
 
-    Each net shuffles per epoch from its own cfg.seed, updates with the
-    batch-mean gradient, and leaves the stack once its training accuracy
-    reaches its cfg.target_accuracy, so every result is bit-identical to
-    training that net alone.  The configs must share learning_rate, epochs
-    and batch_size.  A loss or weight that stops being finite raises
-    NumericalError at the end of its epoch.
+    Net i shuffles per epoch from ``make_rng(cfg.seed + i)``, updates with
+    the batch-mean gradient, and leaves the stack once its training
+    accuracy reaches cfg.target_accuracy, so its result is bit-identical to
+    ``train(net_i, cloud, replace(cfg, seed=cfg.seed + i))``.  A loss or
+    weight that stops being finite raises NumericalError at the end of its
+    epoch, naming the net's seed.
     """
-    nets, cfgs = list(nets), list(cfgs)
-    _check_stack(nets, cloud, cfgs)
+    nets = list(nets)
+    _check_stack(nets, cloud)
     # one batch of all n points has the bits of any larger batch size
-    lr, epochs = cfgs[0].learning_rate, cfgs[0].epochs
-    batch_size = min(cfgs[0].batch_size, len(cloud))
+    lr, epochs, target = cfg.learning_rate, cfg.epochs, cfg.target_accuracy
+    batch_size = min(cfg.batch_size, len(cloud))
     stack = _NetStack.of(nets)
     trainer = _Epoch(stack, cloud, batch_size, lr)
     live = list(range(len(nets)))  # the net behind each row of the stack
-    rngs = [make_rng(cfg.seed) for cfg in cfgs]
+    rngs = [make_rng(int(cfg.seed) + k) for k in live]  # a numpy seed + k could wrap
     losses = [[] for _ in nets]
     accuracies = [[] for _ in nets]
     results = [None] * len(nets)
@@ -423,14 +429,13 @@ def train_many(nets, cloud, cfgs):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             epoch_loss = trainer.run([rngs[k] for k in live])
-            _require_finite(epoch, epoch_loss, stack, live, cfgs)
+            _require_finite(epoch, epoch_loss, stack, live, cfg.seed)
             accs = trainer.accuracy().tolist()
 
             keep = []
             for row, (k, loss, acc) in enumerate(zip(live, epoch_loss.tolist(), accs)):
                 losses[k].append(loss)
                 accuracies[k].append(acc)
-                target = cfgs[k].target_accuracy
                 if epoch == epochs or (target is not None and acc >= target):
                     history = TrainHistory(tuple(losses[k]), tuple(accuracies[k]))
                     results[k] = (stack.net(row), history)
@@ -449,6 +454,7 @@ def train(net, cloud, cfg):
     """Mini-batch SGD with a fixed learning rate; returns (net, history).
 
     Shuffles per epoch from cfg.seed, updates with the batch-mean gradient,
-    and stops early once training accuracy reaches cfg.target_accuracy.
+    and stops early once training accuracy reaches cfg.target_accuracy:
+    ``train_many`` with one net.
     """
-    return train_many([net], cloud, [cfg])[0]
+    return train_many([net], cloud, cfg)[0]

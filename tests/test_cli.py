@@ -178,6 +178,14 @@ class TestTrain:
         assert code == 1
         assert "diverged in epoch 1" in capsys.readouterr().err
 
+    # a usage error, not a diverged training run (exit 1)
+    def test_infinite_learning_rate_is_a_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run(["train", workspace["data"], "--dims", "2,3,2", "--lr", "inf", "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: learning_rate must be positive and finite, got inf\n"
+        assert not out.exists()
+
     def test_dims_mismatch_exit_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(["train", workspace["data"], "--dims", "3,4,2", "-o", out]) == 2
@@ -504,10 +512,10 @@ class TestParallelSweep:
     def kill_in_worker(self, monkeypatch, width):
         parent, train_many = os.getpid(), train_mod.train_many
 
-        def train_or_die(nets, cloud, cfgs):
+        def train_or_die(nets, cloud, cfg):
             if os.getpid() != parent and nets[0].layers[0].weight.shape[0] == width:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return train_many(nets, cloud, cfgs)
+            return train_many(nets, cloud, cfg)
 
         monkeypatch.setattr(train_mod, "train_many", train_or_die)
 
@@ -538,11 +546,11 @@ class TestParallelSweep:
     def test_interrupt_kills_and_reaps_the_workers(self, small, monkeypatch):
         parent, train_many = os.getpid(), train_mod.train_many
 
-        def interrupt_or_hang(nets, cloud, cfgs):
+        def interrupt_or_hang(nets, cloud, cfg):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
-            return train_many(nets, cloud, cfgs)
+            return train_many(nets, cloud, cfg)
 
         monkeypatch.setattr(train_mod, "train_many", interrupt_or_hang)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 3)

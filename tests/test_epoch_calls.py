@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from test_class_axis_oracle import _batch_backward as oracle_batch_backward
-from test_class_axis_oracle import blobs, oracle_train_many
+from test_class_axis_oracle import blobs, oracle_train_many, per_net
 
 from topoclass.errors import NumericalError
 from topoclass.network import PAPER_NET_DIMS, RELU, SOFTMAX, LayerSpec, Mlp, build_relu_net
@@ -75,11 +75,11 @@ def test_divergence_raises_in_the_oracle_epoch(lr):
     # the sign mask (NaN) and the z > 0 mask (0.0) differ
     nets = [build_relu_net((2, 4, 3, 2), make_rng(s)) for s in range(3)]
     cloud = blobs(2, 12, 14)
-    cfgs = [TrainConfig(epochs=40, batch_size=5, learning_rate=lr, seed=s) for s in range(3)]
+    cfg = TrainConfig(epochs=40, batch_size=5, learning_rate=lr)
     with pytest.raises(NumericalError) as got:
-        train_many(nets, cloud, cfgs)
+        train_many(nets, cloud, cfg)
     with pytest.raises(NumericalError) as want:
-        oracle_train_many(nets, cloud, cfgs)
+        oracle_train_many(nets, cloud, per_net(cfg, len(nets)))
     assert str(got.value) == str(want.value)
 
 
@@ -98,11 +98,8 @@ def test_epochs_of_several_chunks_match_the_oracle(per_class, batch_size):
     assert 2 * per_class > CHUNK_BATCHES * batch_size
     nets = [build_relu_net((2, 4, 3, 2), make_rng(s)) for s in range(3)]
     cloud = blobs(2, per_class, 18)
-    cfgs = [
-        TrainConfig(epochs=6, batch_size=batch_size, learning_rate=0.02, seed=s, target_accuracy=0.8)
-        for s in range(3)
-    ]
-    got, want = train_many(nets, cloud, cfgs), oracle_train_many(nets, cloud, cfgs)
+    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=0.02, target_accuracy=0.8)
+    got, want = train_many(nets, cloud, cfg), oracle_train_many(nets, cloud, per_net(cfg, 3))
     for (net_a, hist_a), (net_b, hist_b) in zip(got, want, strict=True):
         assert np.array(hist_a.losses).tobytes() == np.array(hist_b.losses).tobytes()
         assert hist_a.accuracies == hist_b.accuracies
@@ -159,7 +156,7 @@ def test_batch_size_past_the_point_count_trains_one_batch():
     cloud = blobs(3, 7, 17)
     nets = [build_relu_net((2, 5, 3), make_rng(s)) for s in range(2)]
     runs = [
-        train_many(nets, cloud, [TrainConfig(epochs=4, batch_size=size, seed=s) for s in range(2)])
+        train_many(nets, cloud, TrainConfig(epochs=4, batch_size=size))
         for size in (len(cloud), len(cloud) + 1, 2**64, 10**30)
     ]
     for result in runs[1:]:

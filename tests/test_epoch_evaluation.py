@@ -88,10 +88,10 @@ def test_later_epochs_of_train_many_allocate_no_stack_arrays(monkeypatch):
     monkeypatch.setattr(
         training, "make_rng", lambda seed: _Watched(make_rng(seed), peaks if seed == 0 else [])
     )
-    cfgs = [TrainConfig(epochs=5, batch_size=256, seed=s, target_accuracy=None) for s in range(2)]
+    cfg = TrainConfig(epochs=5, batch_size=256, target_accuracy=None)
     tracemalloc.start()
     try:
-        train_many(nets, cloud, cfgs)
+        train_many(nets, cloud, cfg)
     finally:
         tracemalloc.stop()
     stack_array = 2 * len(cloud) * 64 * 8  # one (S, n, width) activation: 600 KB

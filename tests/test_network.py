@@ -266,9 +266,17 @@ class TestStructureValidation:
         with pytest.raises(SpecError, match="layer 1 outputs 2 values but layer 2 expects 3"):
             Mlp(layers=(identity_layer(2), identity_layer(3)))
 
-    def test_build_relu_net_rejects_bad_dims(self):
+    # a width is an integer: int() would make 1.5 a width of 1 and "3" one of 3
+    @pytest.mark.parametrize("dims", [(2,), (2, 0, 2), (2, 1.5, 2), (2, "3", 2), (2, True, 2)])
+    def test_build_relu_net_rejects_bad_dims(self, dims):
         with pytest.raises(SpecError, match="dims must list at least two positive widths"):
-            build_relu_net((2,), make_rng(0))
+            build_relu_net(dims, make_rng(0))
+
+    def test_build_relu_net_takes_numpy_integer_widths(self):
+        got = build_relu_net(np.array([2, 3, 2]), make_rng(0))
+        want = build_relu_net((2, 3, 2), make_rng(0))
+        for a, b in zip(got.layers, want.layers, strict=True):
+            assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 class TestStrictArgmax:

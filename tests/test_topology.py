@@ -569,6 +569,27 @@ class TestUrysohnMulticlass:
             with pytest.raises(NumericalError):
                 f(np.array([1e300, 1e300]))
 
+    # the field takes a point or a batch of finite points; a NaN or inf
+    # coordinate is the input's fault, not a distance past float64
+    @pytest.mark.parametrize(
+        "x, error, text",
+        [
+            (0.5, SpecError, "x must be 2-D, got ndim=0"),
+            (np.zeros((1, 1, 2)), SpecError, "x must be 2-D, got ndim=3"),
+            ([np.nan, 0.0], NumericalError, "x contains NaN or Inf"),
+            ([[np.inf, 0.0]], NumericalError, "x contains NaN or Inf"),
+        ],
+        ids=["scalar", "3-d", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("build", [urysohn_multiclass, lambda c: urysohn_binary(*c)])
+    def test_field_refuses_points_that_are_not_finite_rows(self, build, x, error, text):
+        f = build([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as raised:
+                f(x)
+        assert str(raised.value) == text
+
     def test_overflowing_distance_products_raise_without_warning(self):
         # squared distances stay finite, but the product of three ~1e150
         # distances does not

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_class_axis_oracle import per_net
 
 from topoclass.data import LabeledPointCloud, gen_annulus2d, write_files
 from topoclass.errors import NumericalError, SpecError
@@ -121,6 +122,36 @@ class TestGradients:
             np.testing.assert_allclose(db2, 2.0 * db1, rtol=1e-12, atol=1e-15)
 
 
+class TestTrainConfig:
+    # a float count would fail inside training, and True would count as 1
+    @pytest.mark.parametrize(
+        "name, value",
+        [("epochs", 2.5), ("batch_size", 4.5), ("epochs", True), ("batch_size", np.True_),
+         ("seed", True), ("seed", 1.0), ("epochs", "3")],
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        kind = type(value).__name__
+        with pytest.raises(SpecError, match=f"^{name} must be an integer, got {kind}$"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.inf, True, "0.1", None])
+    def test_learning_rate_must_be_a_finite_number(self, value):
+        with pytest.raises(SpecError, match="^learning_rate must be positive and finite, got "):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.9"])
+    def test_target_accuracy_must_be_a_number_or_none(self, value):
+        with pytest.raises(SpecError, match=r"^target_accuracy must lie in \(0, 1\] or be None"):
+            TrainConfig(target_accuracy=value)
+
+    def test_numpy_integers_train_as_ints(self):
+        cloud = blob_cloud(10, 6)
+        net = build_relu_net((2, 3, 2), make_rng(0))
+        plain = TrainConfig(epochs=3, batch_size=4, seed=2)
+        numpy = TrainConfig(epochs=np.int64(3), batch_size=np.int32(4), seed=np.uint64(2))
+        assert_same_result(train(net, cloud, numpy), train(net, cloud, plain))
+
+
 class TestTrain:
     def test_zero_epochs_rejected(self):
         with pytest.raises(SpecError, match="epochs must be >= 1"):
@@ -173,43 +204,33 @@ def assert_same_result(got, want):
 
 class TestTrainMany:
     def test_matches_one_net_at_a_time(self):
-        # 46 points in batches of 8 leave a last batch of 6; the net with
-        # seed 2 stops early while the others run every epoch
+        # 46 points in batches of 8 leave a last batch of 6; under one
+        # target four nets leave the stack, each in its own epoch, and one
+        # runs every epoch
         cloud = blob_cloud(23, 11, separation=2.0)
         nets = [build_relu_net((2, 4, 3, 2), make_rng(seed)) for seed in range(5)]
-        cfgs = [
-            TrainConfig(
-                epochs=30,
-                batch_size=8,
-                seed=seed,
-                target_accuracy=0.8 if seed == 2 else None,
-            )
-            for seed in range(5)
-        ]
-        many = train_many(nets, cloud, cfgs)
+        cfg = TrainConfig(epochs=30, batch_size=8, seed=0, target_accuracy=0.85)
+        many = train_many(nets, cloud, cfg)
         runs = [h.epochs_run() for _, h in many]
-        assert runs[2] < 30 and runs[:2] + runs[3:] == [30, 30, 30, 30]
-        for net, cfg, got in zip(nets, cfgs, many, strict=True):
-            assert_same_result(got, train(net, cloud, cfg))
+        assert len(set(runs)) == 5 and max(runs) == 30
+        for net, net_cfg, got in zip(nets, per_net(cfg, 5), many, strict=True):
+            assert_same_result(got, train(net, cloud, net_cfg))
 
     def test_width_one_stacks_match_one_net_at_a_time(self, annulus500):
         # the sweep's width-1 shape: OpenBLAS runs the stack's layer-1
         # weight-gradient matmul (5,1,32) @ (5,32,2) as a gemv, whose bits
         # hang on the step buffers' layout
         nets = [build_relu_net((2, 1, 8, 8, 2), make_rng(seed)) for seed in range(5)]
-        cfgs = [
-            TrainConfig(epochs=3, batch_size=32, seed=seed, target_accuracy=None)
-            for seed in range(5)
-        ]
-        many = train_many(nets, annulus500, cfgs)
-        for net, cfg, got in zip(nets, cfgs, many, strict=True):
-            assert_same_result(got, train(net, annulus500, cfg))
+        cfg = TrainConfig(epochs=3, batch_size=32, seed=0, target_accuracy=None)
+        many = train_many(nets, annulus500, cfg)
+        for net, net_cfg, got in zip(nets, per_net(cfg, 5), many, strict=True):
+            assert_same_result(got, train(net, annulus500, net_cfg))
 
     def test_input_nets_are_not_modified(self):
         cloud = blob_cloud(10, 12)
         nets = [build_relu_net((2, 3, 2), make_rng(seed)) for seed in range(2)]
         before = [[layer.weight.copy() for layer in net.layers] for net in nets]
-        train_many(nets, cloud, [TrainConfig(epochs=3, seed=s) for s in range(2)])
+        train_many(nets, cloud, TrainConfig(epochs=3))
         for net, weights in zip(nets, before):
             assert all(np.array_equal(l.weight, w) for l, w in zip(net.layers, weights))
 
@@ -217,49 +238,39 @@ class TestTrainMany:
         cloud = blob_cloud(10, 13)
         nets = [build_relu_net((2, 3, 2), make_rng(0)), build_relu_net((2, 4, 2), make_rng(1))]
         with pytest.raises(SpecError, match="must have the same layer shapes and activations"):
-            train_many(nets, cloud, [TrainConfig(seed=0), TrainConfig(seed=1)])
+            train_many(nets, cloud, TrainConfig())
 
-    @pytest.mark.parametrize(
-        "other",
-        [{"learning_rate": 0.1}, {"epochs": 7}, {"batch_size": 16}],
-        ids=lambda kw: next(iter(kw)),
-    )
-    def test_differing_shared_settings_rejected(self, other):
-        cloud = blob_cloud(10, 14)
-        nets = [build_relu_net((2, 3, 2), make_rng(seed)) for seed in range(2)]
-        cfgs = [TrainConfig(epochs=5, seed=0), TrainConfig(**{"epochs": 5, "seed": 1, **other})]
-        with pytest.raises(SpecError, match="must share learning_rate, epochs and batch_size"):
-            train_many(nets, cloud, cfgs)
+    def test_empty_stack_rejected(self):
+        with pytest.raises(SpecError, match="^train_many needs at least one net$"):
+            train_many([], blob_cloud(10, 15), TrainConfig())
 
-    def test_config_count_must_match(self):
-        cloud = blob_cloud(10, 15)
-        net = build_relu_net((2, 3, 2), make_rng(0))
-        with pytest.raises(SpecError, match="needs at least one net and one config per net"):
-            train_many([net, net], cloud, [TrainConfig()])
-        with pytest.raises(SpecError, match="needs at least one net and one config per net"):
-            train_many([], cloud, [])
+    def test_seeds_past_64_bits_are_refused_before_training(self):
+        # a numpy seed + i would wrap to 0 instead
+        nets = [build_relu_net((2, 3, 2), make_rng(s)) for s in range(2)]
+        cfg = TrainConfig(seed=np.uint64(2**64 - 1))
+        with pytest.raises(SpecError, match=f"^seed must fit in 64 unsigned bits, got {2**64}$"):
+            train_many(nets, blob_cloud(10, 15), cfg)
 
     @settings(max_examples=20, deadline=None)
     @given(
         hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
         n_per_class=st.integers(10, 30),
         batch_size=st.integers(1, 40),
         data_seed=st.integers(0, 1000),
         target=st.sampled_from([None, 0.6, 0.9]),
     )
     def test_property_matches_one_net_at_a_time(
-        self, hidden, seeds, n_per_class, batch_size, data_seed, target
+        self, hidden, seed, count, n_per_class, batch_size, data_seed, target
     ):
         cloud = blob_cloud(n_per_class, data_seed, separation=2.0)
         dims = (2, *hidden, 2)
-        nets = [build_relu_net(dims, make_rng(seed)) for seed in seeds]
-        cfgs = [
-            TrainConfig(epochs=4, batch_size=batch_size, seed=seed, target_accuracy=target)
-            for seed in seeds
-        ]
-        for net, cfg, got in zip(nets, cfgs, train_many(nets, cloud, cfgs), strict=True):
-            assert_same_result(got, train(net, cloud, cfg))
+        nets = [build_relu_net(dims, make_rng(seed + i)) for i in range(count)]
+        cfg = TrainConfig(epochs=4, batch_size=batch_size, seed=seed, target_accuracy=target)
+        many = train_many(nets, cloud, cfg)
+        for net, net_cfg, got in zip(nets, per_net(cfg, count), many, strict=True):
+            assert_same_result(got, train(net, cloud, net_cfg))
 
 
 class TestDivergence:
@@ -273,7 +284,8 @@ class TestDivergence:
 
     def test_names_the_diverging_seed(self):
         # the second net starts with weights scaled by 1e300, so its first
-        # epoch overflows while the first net trains normally
+        # epoch overflows while the first net trains normally; under seed 4
+        # the second net shuffles with seed 5
         cloud = blob_cloud(20, 16)
         calm = build_relu_net((2, 4, 2), make_rng(0))
         wild = Mlp(
@@ -282,11 +294,10 @@ class TestDivergence:
                 for l in build_relu_net((2, 4, 2), make_rng(1)).layers
             )
         )
-        cfgs = [TrainConfig(epochs=3, seed=4), TrainConfig(epochs=3, seed=9)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="epoch 1 .*seed 9"):
-                train_many([calm, wild], cloud, cfgs)
+            with pytest.raises(NumericalError, match="epoch 1 .*seed 5"):
+                train_many([calm, wild], cloud, TrainConfig(epochs=3, seed=4))
 
 
 class TestAccuracy:
