@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, SchemaError, SpecError
-from .numerics import make_rng
+from .numerics import is_integer, make_rng
 
 # Bands of the default two-class dataset: a solid disc of radius 0.9
 # surrounded by the closed annulus between radii 1 and 2.
@@ -45,6 +45,11 @@ class LabeledPointCloud:
     class_count: int
 
     def __post_init__(self):
+        for key in ("dim", "class_count"):
+            value = getattr(self, key)
+            if not is_integer(value):
+                raise SchemaError(f"{key} must be an integer, got {type(value).__name__}")
+            object.__setattr__(self, key, int(value))
         points = np.asarray(self.points, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         if self.dim < 1:
@@ -344,9 +349,6 @@ def load_cloud(path):
     dim, class_count, points, labels = fields(
         read_json(path), "dataset file", ("dim", "class_count", "points", "labels")
     )
-    for key, value in (("dim", dim), ("class_count", class_count)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError(f"{key} must be an integer, got {type(value).__name__}")
     return LabeledPointCloud(
         dim=dim,
         points=numbers(points, "points"),

@@ -194,9 +194,9 @@ def classical_mds(d, target_dim):
     if n != m:
         raise SpecError(f"distance matrix must be square, got {n}x{m}")
     scale = float(np.abs(d).max()) if d.size else 0.0
-    if float(np.abs(d - d.T).max()) > 1e-9 * max(scale, 1.0):
+    if float(np.abs(d - d.T).max()) > 1e-9 * scale:
         raise SpecError("distance matrix must be symmetric")
-    if float(np.abs(np.diagonal(d)).max()) > 1e-12 * max(scale, 1.0):
+    if float(np.abs(np.diagonal(d)).max()) > 1e-12 * scale:
         raise SpecError("distance matrix must have a zero diagonal")
     if (d < 0.0).any():
         raise SpecError("distances must be nonnegative")
@@ -214,7 +214,7 @@ def classical_mds(d, target_dim):
         b -= col_mean
         b += total
         b *= -0.5
-        b = (b + b.T) / 2.0  # d may be asymmetric by 1e-9, and eigh_symmetric accepts 1e-12
+        b = (b + b.T) / 2.0  # d may be 1e-9 asymmetric; eigh_symmetric accepts 1e-12 (relative)
     if not np.isfinite(b).all():
         raise NumericalError("squared distances or their sums overflow float64 in classical MDS")
 

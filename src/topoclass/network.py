@@ -224,17 +224,31 @@ def _forward(layers, xs):
     return zs, acts
 
 
+def require_fit(net, dim, classes=None):
+    """SpecError unless the net fits data of ``dim`` coordinates and, if given, ``classes`` classes.
+
+    A net fits when it takes ``dim`` inputs and, given ``classes``, ends in
+    a softmax with one output per class.  Evaluation, training and the
+    separability criteria all check a net against its data here.
+    """
+    if dim != net.input_dim:
+        raise SpecError(f"net expects inputs of dim {net.input_dim}, data has dim {dim}")
+    if classes is None:
+        return
+    if net.layers[-1].activation != SOFTMAX:
+        raise SpecError("net needs a softmax final layer")
+    if net.output_dim != classes:
+        raise SpecError(f"net has {net.output_dim} outputs but data has {classes} classes")
+
+
 def forward_batch(net, xs):
-    """Evaluate the net on an (n, input_dim) batch.
+    """Evaluate the net on an (n, input_dim) batch; other widths fail ``require_fit``.
 
     Outputs that are not finite (an affine map overflowed float64) raise
     NumericalError; an overflow that a relu maps to 0 is exact and stays.
     """
     acts = as_matrix(xs, "xs")
-    if acts.shape[1] != net.input_dim:
-        raise SpecError(
-            f"net expects inputs of dim {net.input_dim}, got {acts.shape[1]}"
-        )
+    require_fit(net, acts.shape[1])
     acts = _forward(net.layers, acts)[1][-1]
     if not np.isfinite(acts).all():
         raise NumericalError("net outputs are not finite: activations overflow float64")
@@ -248,17 +262,14 @@ def forward(net, x):
 
 
 def forward_trace(net, cloud, include_pre=False):
-    """Record the image of the cloud after every layer.
+    """Record the image of the cloud after every layer; another dim fails ``require_fit``.
 
     Stage 0 is the input; stage i the post-activation image under layer i.
     With ``include_pre`` the affine pre-activation clouds are interleaved as
     extra stages (named ``layer{i}_pre``).  A stage that is not finite (an
     affine map overflowed float64) raises NumericalError.
     """
-    if cloud.dim != net.input_dim:
-        raise SpecError(
-            f"net expects inputs of dim {net.input_dim}, cloud has dim {cloud.dim}"
-        )
+    require_fit(net, cloud.dim)
     stages = [("input", cloud.points.copy())]
     zs, acts = _forward(net.layers, cloud.points)
     for i, (layer, z, act) in enumerate(zip(net.layers, zs, acts), start=1):

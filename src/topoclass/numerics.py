@@ -117,8 +117,8 @@ def eigh_symmetric(s):
     a given numpy/BLAS build, whatever the BLAS thread count.
 
     Raises SpecError for empty or non-square input, and for input whose
-    asymmetry exceeds ``EIGH_TOL`` times its largest entry (or ``EIGH_TOL``
-    when the entries are below 1); the symmetric part is what gets decomposed.
+    asymmetry exceeds ``EIGH_TOL`` times its largest entry; the symmetric
+    part is what gets decomposed.
     A matrix whose largest entry lies outside [2^-257, 2^256) is decomposed
     scaled by an exact power of 4 (``scaled_by_power_of_4``), and its
     eigenvalues scaled back; eigenvalues past float64 raise NumericalError.
@@ -132,7 +132,7 @@ def eigh_symmetric(s):
     scale = float(np.abs(a).max())
     with np.errstate(over="ignore"):  # an asymmetry past float64 is inf, and fails the check
         sym = np.subtract(a, a.T)  # one n x n buffer: |a - a.T|, then (a + a.T) / 2.0 bit for bit
-    if float(np.abs(sym, out=sym).max()) > EIGH_TOL * max(1.0, scale):
+    if float(np.abs(sym, out=sym).max()) > EIGH_TOL * scale:
         raise SpecError("matrix is not symmetric within EIGH_TOL")
     a, shift = scaled_by_power_of_4(a, scale)
     with _one_blas_thread():

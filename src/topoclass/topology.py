@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, SpecError
 from .isomap import TILE_ENTRIES, _sq_dist_blocks, _too_far, graph_components, knn_graph
-from .network import SOFTMAX, forward_batch, strict_argmax, strict_argmax_batch
+from .network import forward_batch, require_fit, strict_argmax, strict_argmax_batch
 from .numerics import KERNEL_TOL, as_matrix, as_vector, null_space_basis, scaled_by_power_of_4
 
 SIMPLEX_TOL = 1e-9
@@ -126,13 +126,8 @@ def simplex_class(y):
 
 
 def _voronoi_violations(net, cloud):
-    """The net's outputs on the cloud, and the points its strict argmax misclassifies."""
-    if net.layers[-1].activation != SOFTMAX:
-        raise SpecError("criterion needs a softmax final layer")
-    if net.output_dim != cloud.class_count:
-        raise SpecError(
-            f"net has {net.output_dim} outputs but cloud has {cloud.class_count} classes"
-        )
+    """The outputs of a net that fits the cloud (``require_fit``), and the points it gets wrong."""
+    require_fit(net, cloud.dim, cloud.class_count)
     outputs = forward_batch(net, cloud.points)
     preds, ties = strict_argmax_batch(outputs)
     bad = np.nonzero((preds != cloud.labels) | ties)[0]
@@ -404,13 +399,13 @@ def urysohn_grid(classes, xs, ys):
     (xs[i], ys[j]).  The weights are also formed on the classes, from the
     class table, so a field that leaves float64 range there raises
     ``NumericalError``; otherwise it is exactly k on class k (p / p = 1).
-    Classes that are not 2-D raise ``SpecError`` before any distance.
+    Classes that are not 2-D, and axes that are not finite 1-D arrays,
+    raise before any distance.
     """
     if any(np.shape(pts)[1:] != (2,) for pts in classes):
         raise SpecError("a urysohn grid needs 2-D classes")
+    xs, ys = as_vector(xs, "xs"), as_vector(ys, "ys")
     prepared, table = _prepare_classes(classes)
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
     dists = np.stack([_grid_min_dists(xs, ys, pts).ravel() for pts in prepared], axis=1)
     values = _partition_of_unity(dists).reshape(len(ys), len(xs))
     for on_class in table:

@@ -63,6 +63,7 @@ from .network import (
     _run,
     _softmax_buffers,
     forward_batch,
+    require_fit,
     strict_argmax_batch,
 )
 from .numerics import as_vector, is_integer, make_rng
@@ -121,11 +122,6 @@ def cross_entropy(p, label):
 def _require_label(label, classes):
     if not (is_integer(label) and 0 <= label < classes):
         raise SpecError(f"label {label} out of range for {classes} classes")
-
-
-def _require_softmax(net):
-    if net.layers[-1].activation != SOFTMAX:
-        raise SpecError("training requires a softmax final layer")
 
 
 @dataclass
@@ -349,11 +345,9 @@ class _Epoch:
 
 
 def gradients(net, x, label):
-    """Per-layer (weight gradient, bias gradient) of the single-sample loss."""
-    _require_softmax(net)
+    """Per-layer (weight gradient, bias gradient) of the loss at x, for a net that fits x."""
     x = as_vector(x, "x")
-    if x.shape[0] != net.input_dim:
-        raise SpecError(f"net expects inputs of dim {net.input_dim}, got {x.shape[0]}")
+    require_fit(net, x.shape[0], net.output_dim)
     _require_label(label, net.output_dim)
     stack = _NetStack.of([net])
     targets = np.eye(net.output_dim)[np.array([[label]])]
@@ -382,14 +376,7 @@ def _check_stack(nets, cloud):
 
     if any(shape(net) != shape(nets[0]) for net in nets):
         raise SpecError("nets trained together must have the same layer shapes and activations")
-    net = nets[0]
-    _require_softmax(net)
-    if cloud.dim != net.input_dim:
-        raise SpecError(f"net expects inputs of dim {net.input_dim}, data has dim {cloud.dim}")
-    if net.output_dim != cloud.class_count:
-        raise SpecError(
-            f"net has {net.output_dim} outputs but data has {cloud.class_count} classes"
-        )
+    require_fit(nets[0], cloud.dim, cloud.class_count)
 
 
 def _require_finite(epoch, epoch_loss, stack, live, seed):
@@ -410,7 +397,8 @@ def train_many(nets, cloud, cfg):
     accuracy reaches cfg.target_accuracy, so its result is bit-identical to
     ``train(net_i, cloud, replace(cfg, seed=cfg.seed + i))``.  A loss or
     weight that stops being finite raises NumericalError at the end of its
-    epoch, naming the net's seed.
+    epoch, naming the net's seed.  Nets of different shapes, or that do not
+    fit the cloud (``network.require_fit``), raise SpecError.
     """
     nets = list(nets)
     _check_stack(nets, cloud)

@@ -374,6 +374,33 @@ class TestCheckSep:
         assert captured.err == "error: check-sep --format csv needs --out\n"
 
 
+_DIM = "net expects inputs of dim 3, data has dim 2"
+_CLASSES = "net has 3 outputs but data has 2 classes"
+
+
+# every command that runs a net on data refuses a misfit with network.require_fit's text
+@pytest.mark.parametrize(
+    "command, dims, head, text",
+    [
+        ("check-sep", (3, 4, 2), "softmax", _DIM),
+        ("check-sep", (2, 4, 2), "identity", "net needs a softmax final layer"),
+        ("check-sep", (2, 4, 3), "softmax", _CLASSES),
+        ("trace", (3, 4, 2), "softmax", _DIM),
+    ],
+    ids=["check-sep-dim", "check-sep-head", "check-sep-classes", "trace-dim"],
+)
+def test_misfit_exits_2_with_the_fit_text(workspace, tmp_path, capsys, command, dims, head, text):
+    model, out = tmp_path / "misfit.json", tmp_path / "out"
+    *layers, last = build_relu_net(dims, make_rng(0)).layers
+    head = net_mod.LayerSpec(last.weight, last.bias, head)
+    save_model(net_mod.Mlp(layers=(*layers, head)), model)
+    argv = [command, model, workspace["data"]]
+    argv += ["--out", out] if command == "check-sep" else ["--out-dir", out]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+    assert not out.exists()
+
+
 class TestWitness:
     def test_no_bottleneck_exit_3(self, workspace):
         assert run(["witness", workspace["model"]]) == 3

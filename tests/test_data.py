@@ -230,6 +230,27 @@ class TestCloudInvariants:
                 dim=1, points=np.array([[0.0], [1.0]]), labels=np.array([0]), class_count=1
             )
 
+    # save_cloud would write a count that load_cloud refuses
+    @pytest.mark.parametrize(
+        "key, value", [("dim", 2.0), ("dim", True), ("class_count", 2.0), ("class_count", True)]
+    )
+    def test_counts_must_be_integers(self, key, value):
+        counts = {"dim": 2, "class_count": 2, key: value}
+        kind = type(value).__name__
+        with pytest.raises(SchemaError, match=f"^{key} must be an integer, got {kind}$"):
+            LabeledPointCloud(points=np.eye(2), labels=np.array([0, 1]), **counts)
+
+    def test_numpy_integer_counts_round_trip(self, tmp_path):
+        cloud = LabeledPointCloud(
+            dim=np.int64(2), points=np.eye(2), labels=np.array([0, 1]), class_count=np.int64(2)
+        )
+        path = tmp_path / "cloud.json"
+        save_cloud(cloud, path)
+        back = load_cloud(path)
+        assert (type(back.dim), type(back.class_count)) == (int, int)
+        assert (back.dim, back.class_count) == (cloud.dim, cloud.class_count) == (2, 2)
+        assert np.array_equal(back.points, cloud.points)
+
     def test_non_finite_coordinates(self):
         with pytest.raises(SchemaError):
             LabeledPointCloud(

@@ -398,9 +398,24 @@ class TestClassicalMds:
         assert result.eigenvalues.shape == (12,)
         assert (np.diff(result.eigenvalues) <= 1e-9).all()
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(SpecError, match="distance matrix must be symmetric"):
-            classical_mds(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
+    # the tolerances are relative to the largest entry, below 1 too
+    @pytest.mark.parametrize(
+        "d, text",
+        [
+            ([[0.0, 1.0], [2.0, 0.0]], "distance matrix must be symmetric"),
+            ([[0.0, 1e-12], [3e-10, 0.0]], "distance matrix must be symmetric"),
+            ([[5e-13, 1e-12], [1e-12, 0.0]], "distance matrix must have a zero diagonal"),
+        ],
+        ids=["asymmetric", "asymmetric-below-1", "diagonal-below-1"],
+    )
+    def test_rejects_asymmetric_or_nonzero_diagonal(self, d, text):
+        with pytest.raises(SpecError, match=f"^{text}$"):
+            classical_mds(np.array(d), 1)
+
+    def test_all_zero_distances_embed_at_the_origin(self):
+        result = classical_mds(np.zeros((3, 3)), 2)
+        assert result.coordinates.tolist() == [[0.0, 0.0]] * 3
+        assert result.stress == 0.0
 
     def test_accepts_asymmetry_within_its_tolerance(self):
         # 1e-10 of asymmetry in d passes its 1e-9 check, but leaves the centred

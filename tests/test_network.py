@@ -73,8 +73,10 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = Mlp(layers=(identity_layer(2),))
-        with pytest.raises(SpecError, match="net expects inputs of dim 2, got 3"):
+        with pytest.raises(SpecError, match="^net expects inputs of dim 2, data has dim 3$"):
             forward(net, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(SpecError, match="^net expects inputs of dim 2, data has dim 3$"):
+            forward_batch(net, np.ones((4, 3)))
 
     def test_deterministic(self):
         net = build_paper_net(make_rng(5))

@@ -167,9 +167,18 @@ class TestEighSymmetric:
         finally:
             set_(before)
 
-    def test_rejects_non_symmetric(self):
+    # EIGH_TOL is relative to the largest entry, below 1 too
+    @pytest.mark.parametrize(
+        "s", [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1e-14], [5e-13, 0.0]]], ids=["unit", "below-1"]
+    )
+    def test_rejects_non_symmetric(self, s):
         with pytest.raises(SpecError, match="matrix is not symmetric within EIGH_TOL"):
-            eigh_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eigh_symmetric(np.array(s))
+
+    def test_all_zero_matrix(self):
+        evals, vecs = eigh_symmetric(np.zeros((2, 2)))
+        assert evals.tolist() == [0.0, 0.0]
+        assert np.array_equal(np.abs(vecs), np.eye(2))
 
     def test_rejects_non_square(self):
         with pytest.raises(SpecError, match="matrix must be square, got 2x3"):

@@ -730,6 +730,23 @@ class TestUrysohnGrid:
         with pytest.raises(SpecError, match="a urysohn grid needs 2-D classes"):
             urysohn_grid([np.zeros((1, 3)), np.ones((1, 3))], axis, axis)
 
+    @pytest.mark.parametrize(
+        "xs, error, text",
+        [
+            ([0.0, np.nan], NumericalError, "^xs contains NaN or Inf$"),
+            (np.zeros((2, 2)), SpecError, "^xs must be 1-D, got ndim=2$"),
+            (5.0, SpecError, "^xs must be 1-D, got ndim=0$"),
+        ],
+        ids=["nan", "2-d", "scalar"],
+    )
+    def test_axes_must_be_finite_vectors(self, xs, error, text):
+        classes = gen_annulus2d(10, 0).split_by_class()
+        axis = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(error, match=text):
+            urysohn_grid(classes, xs, axis)
+        with pytest.raises(error, match=text.replace("xs", "ys")):
+            urysohn_grid(classes, axis, xs)
+
     def test_distance_tables_do_not_grow_with_grid_times_points(self):
         # per-axis tables of all 5000 points on a 101-node axis would take
         # 4 MB each; chunks of 324 points keep each near 256 KB

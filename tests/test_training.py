@@ -103,7 +103,12 @@ class TestGradients:
     def test_input_of_the_wrong_dimension_is_refused(self):
         with pytest.raises(SpecError) as raised:
             gradients(build_paper_net(make_rng(0)), np.ones(3), 0)
-        assert str(raised.value) == "net expects inputs of dim 2, got 3"
+        assert str(raised.value) == "net expects inputs of dim 2, data has dim 3"
+
+    def test_net_without_a_softmax_head_is_refused(self):
+        net = with_head(build_relu_net((2, 4, 2), make_rng(0)), "identity")
+        with pytest.raises(SpecError, match="^net needs a softmax final layer$"):
+            gradients(net, np.ones(2), 0)
 
     def test_batch_gradient_is_additive(self):
         from topoclass.training import _NetStack, _step_buffers, _step_calls
@@ -180,17 +185,25 @@ class TestTrain:
             _, history = train(net, annulus500, TrainConfig(epochs=1, learning_rate=1e-9, seed=0))
             assert abs(history.losses[0] - np.log(2.0)) < 0.2
 
-    def test_dimension_mismatch_rejected(self):
-        cloud = blob_cloud(10, 7)
-        net = build_relu_net((3, 4, 2), make_rng(3))
-        with pytest.raises(SpecError, match="net expects inputs of dim 3, data has dim 2"):
-            train(net, cloud, TrainConfig(epochs=1))
+    @pytest.mark.parametrize(
+        "dims, head, text",
+        [
+            ((3, 4, 2), "softmax", "net expects inputs of dim 3, data has dim 2"),
+            ((2, 4, 2), "identity", "net needs a softmax final layer"),
+            ((2, 4, 3), "softmax", "net has 3 outputs but data has 2 classes"),
+        ],
+        ids=["dim", "head", "classes"],
+    )
+    def test_misfit_rejected(self, dims, head, text):
+        net = with_head(build_relu_net(dims, make_rng(3)), head)
+        with pytest.raises(SpecError, match=f"^{text}$"):
+            train(net, blob_cloud(10, 7), TrainConfig(epochs=1))
 
-    def test_class_count_mismatch_rejected(self):
-        cloud = blob_cloud(10, 8)
-        net = build_relu_net((2, 4, 3), make_rng(3))
-        with pytest.raises(SpecError, match="net has 3 outputs but data has 2 classes"):
-            train(net, cloud, TrainConfig(epochs=1))
+
+def with_head(net, activation):
+    """The net with its last layer's weights under ``activation``."""
+    last = net.layers[-1]
+    return Mlp(layers=net.layers[:-1] + (LayerSpec(last.weight, last.bias, activation),))
 
 
 def assert_same_result(got, want):
