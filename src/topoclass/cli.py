@@ -61,31 +61,6 @@ MAX_GRID_SIZE = 1024
 MAX_SEEDS = 100
 # gen holds every coordinate and its JSON text in memory: 455 MB max RSS at 3 * 10^6
 MAX_COORDINATES = 10**7
-# a training stack of S nets holds its parameters and every layer's
-# activations on all n points at once: S * (n * (sum of layer widths) +
-# sum of out * (in + 1) over the layers) floats, 2 GiB at this limit
-MAX_STACK_ENTRIES = 2**28
-
-
-def _check_stack_size(nets, dims, n, processes=1):
-    """Refuse, before allocating, stacks of ``nets`` nets of ``dims`` on ``n`` points.
-
-    Each of ``processes`` processes holds one such stack at a time.
-    """
-    units = sum(dims[1:])
-    params = sum(out * (fan_in + 1) for fan_in, out in zip(dims, dims[1:]))
-    entries = processes * nets * (n * units + params)
-    if entries > MAX_STACK_ENTRIES:
-        plural = "s" if nets > 1 else ""
-        stack = f"{nets} net{plural} x ({n} points x {units} units + {params} parameters)"
-        layers = f"{len(dims) - 1} layers, the widest {max(dims[1:])}"
-        each = f", in each of {processes} processes" if processes > 1 else ""
-        raise SpecError(
-            f"{entries} floats to hold ({stack}, {layers}{each}): "
-            f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
-        )
-
-
 def _sweep_dims(in_dim, width, class_count):
     # first-layer width under test, then a tail wide enough that downstream
     # capacity never confounds the bottleneck effect
@@ -110,7 +85,7 @@ def _parse_widths(text, flag):
         widths = tuple(int(d) for d in text.split(","))
     except ValueError as exc:
         raise SpecError(f"{flag} must be a comma list of integers, got {text!r}") from exc
-    if min(widths) < 1:  # _check_stack_size refuses widths too large to hold
+    if min(widths) < 1:  # training.check_stack_size refuses widths too large to hold
         raise SpecError(f"{flag} widths must be >= 1, got {text!r}")
     return widths
 
@@ -144,8 +119,6 @@ def cmd_train(args):
     data_mod.real_paths([args.out, history_path])  # one file for both is refused before training
     cloud = data_mod.load_cloud(args.data)
     dims = net_mod.PAPER_NET_DIMS if args.paper_net else _parse_widths(args.dims, "--dims")
-    _check_stack_size(1, dims, len(cloud))
-    net = net_mod.build_relu_net(dims, make_rng(args.seed))
     cfg = train_mod.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -153,6 +126,8 @@ def cmd_train(args):
         seed=args.seed,
         target_accuracy=args.target_accuracy,
     )
+    train_mod.check_stack_size(1, dims, len(cloud), cfg.batch_size)
+    net = net_mod.build_relu_net(dims, make_rng(args.seed))
     trained, history = train_mod.train(net, cloud, cfg)
     model = data_mod.json_text(trained.to_jsonable())
     files = [(args.out, model), (history_path, history.csv_lines())]
@@ -190,6 +165,11 @@ def cmd_trace(args):
         entry = {"index": i, "name": name, "dim": dim, "projected": dim > 3}
         plotted = points
         if dim > 3:
+            if len(points) < 3:
+                raise SpecError(
+                    f"stage {i} ({name}, dim {dim}): a 3-D projection needs at least 3 points, "
+                    f"the data has {len(points)}"
+                )
             result, k_used = _project_stage(points, args.knn)
             plotted = result.coordinates
             entry["knn"] = k_used
@@ -342,9 +322,6 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
     witness from the best net's first layer.
     """
     processes = min(len(widths), _usable_cores())
-    widest = _sweep_dims(cloud.dim, max(widths), cloud.class_count)
-    _check_stack_size(seeds, widest, len(cloud), processes)
-    run_seeds = range(base_seed, base_seed + seeds)
     cfg = train_mod.TrainConfig(
         learning_rate=lr,
         epochs=epochs,
@@ -352,6 +329,9 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
         seed=base_seed,
         target_accuracy=target,
     )
+    widest = _sweep_dims(cloud.dim, max(widths), cloud.class_count)
+    train_mod.check_stack_size(seeds, widest, len(cloud), cfg.batch_size, processes)
+    run_seeds = range(base_seed, base_seed + seeds)
 
     def row(width):
         dims = _sweep_dims(cloud.dim, width, cloud.class_count)
@@ -456,17 +436,22 @@ def build_parser():
         description="train tracing MLPs, certify separability, build separators and witnesses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sgd = train_mod.TrainConfig()  # the SGD defaults of train and sweep-bottleneck
+    (_, disc), (inner, outer) = data_mod.ANNULUS_BANDS
+    bands = ",".join(f"{lo:g}:{hi:g}" for lo, hi in data_mod.ANNULUS_BANDS)
+    paper_net = ",".join(map(str, net_mod.PAPER_NET_DIMS))
 
     gen = sub.add_parser("gen", help="generate a ball/shell dataset")
     geom = gen.add_mutually_exclusive_group(required=True)
-    geom.add_argument("--annulus", action="store_true", help="2-D disc (r<=0.9) vs annulus (1<=r<=2)")
+    annulus = f"2-D disc (r<={disc:g}) vs annulus ({inner:g}<=r<={outer:g})"
+    geom.add_argument("--annulus", action="store_true", help=annulus)
     geom.add_argument("--shells", action="store_true", help="concentric bands in --dim dimensions")
-    gen.add_argument("--n", type=int, default=500, help="samples per class (default 500)")
+    gen.add_argument("--n", type=int, default=500, help="samples per class (default %(default)s)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--dim", type=int, help="ambient dimension for --shells (default 2)")
     gen.add_argument(
         "--bands",
-        help="radius bands lo:hi,lo:hi,... for --shells; one class per band (default 0:0.9,1:2)",
+        help=f"radius bands lo:hi,lo:hi,... for --shells; one class per band (default {bands})",
     )
     gen.add_argument("-o", "--out", required=True, help="output dataset JSON")
     gen.add_argument("--csv", default=None, help="also export the dataset as CSV")
@@ -475,13 +460,13 @@ def build_parser():
     tr = sub.add_parser("train", help="fit an MLP by SGD on cross-entropy")
     tr.add_argument("data", help="dataset JSON")
     arch = tr.add_mutually_exclusive_group(required=True)
-    arch.add_argument("--paper-net", action="store_true", help="the 2,5,5,2,2,2,2 demo net")
-    arch.add_argument("--dims", help="full width chain, e.g. 2,5,5,2,2,2,2")
-    tr.add_argument("--lr", type=float, default=0.05)
-    tr.add_argument("--epochs", type=int, default=500)
-    tr.add_argument("--batch-size", type=int, default=32)
-    tr.add_argument("--seed", type=int, default=0, help="seeds both init and shuffling")
-    tr.add_argument("--target-accuracy", type=float, default=0.999)
+    arch.add_argument("--paper-net", action="store_true", help=f"the {paper_net} demo net")
+    arch.add_argument("--dims", help=f"full width chain, e.g. {paper_net}")
+    tr.add_argument("--lr", type=float, default=sgd.learning_rate)
+    tr.add_argument("--epochs", type=int, default=sgd.epochs)
+    tr.add_argument("--batch-size", type=int, default=sgd.batch_size)
+    tr.add_argument("--seed", type=int, default=sgd.seed, help="seeds both init and shuffling")
+    tr.add_argument("--target-accuracy", type=float, default=sgd.target_accuracy)
     tr.add_argument("-o", "--out", required=True, help="output model JSON")
     tr.add_argument("--history", default=None, help="history CSV (default <out>_history.csv)")
     tr.set_defaults(func=cmd_train)
@@ -490,7 +475,9 @@ def build_parser():
     trc.add_argument("model")
     trc.add_argument("data")
     trc.add_argument("--out-dir", required=True)
-    trc.add_argument("--knn", type=int, default=10, help="isomap neighborhood size (default 10)")
+    trc.add_argument(
+        "--knn", type=int, default=10, help="isomap neighborhood size (default %(default)s)"
+    )
     trc.add_argument("--include-pre", action="store_true", help="also record pre-activation stages")
     trc.set_defaults(func=cmd_trace)
 
@@ -511,11 +498,11 @@ def build_parser():
     swp = sub.add_parser("sweep-bottleneck", help="accuracy vs first-layer width")
     swp.add_argument("data")
     swp.add_argument("--widths", default="1,2,3,4,5")
-    swp.add_argument("--seeds", type=int, default=5, help="seeds per width (default 5)")
-    swp.add_argument("--seed", type=int, default=0, help="base seed")
-    swp.add_argument("--epochs", type=int, default=500)
-    swp.add_argument("--lr", type=float, default=0.05)
-    swp.add_argument("--batch-size", type=int, default=32)
+    swp.add_argument("--seeds", type=int, default=5, help="seeds per width (default %(default)s)")
+    swp.add_argument("--seed", type=int, default=sgd.seed, help="base seed")
+    swp.add_argument("--epochs", type=int, default=sgd.epochs)
+    swp.add_argument("--lr", type=float, default=sgd.learning_rate)
+    swp.add_argument("--batch-size", type=int, default=sgd.batch_size)
     swp.add_argument("--target-accuracy", type=float, default=0.99)
     swp.add_argument("-o", "--out", required=True, help="output CSV")
     swp.set_defaults(func=cmd_sweep)
@@ -535,10 +522,11 @@ def build_parser():
 
     ury = sub.add_parser("urysohn", help="sample and plot the metric separator field")
     ury.add_argument("data", help="2-D dataset JSON")
-    ury.add_argument("--grid-extent", type=float, default=2.5, help="half-width > 0 (default 2.5)")
     ury.add_argument(
-        "--grid-size", type=int, default=101, help=f"per axis, 1 to {MAX_GRID_SIZE} (default 101)"
+        "--grid-extent", type=float, default=2.5, help="half-width > 0 (default %(default)s)"
     )
+    size_help = f"per axis, 1 to {MAX_GRID_SIZE} (default %(default)s)"
+    ury.add_argument("--grid-size", type=int, default=101, help=size_help)
     ury.add_argument("--out-dir", required=True)
     ury.set_defaults(func=cmd_urysohn)
 

@@ -203,7 +203,7 @@ def read_json(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+            raise ParseError(f"{exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
         except RecursionError as exc:
             raise ParseError("JSON arrays or objects nested too deep") from exc
 

@@ -17,14 +17,7 @@ class SpecError(TopoclassError):
 
 
 class ParseError(TopoclassError):
-    """A file could not be parsed; carries line/column when known."""
-
-    def __init__(self, message, line=None, column=None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """A file could not be parsed; the message names the line and column when known."""
 
 
 class SchemaError(TopoclassError):

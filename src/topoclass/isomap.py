@@ -193,7 +193,9 @@ def classical_mds(d, target_dim):
     n, m = d.shape
     if n != m:
         raise SpecError(f"distance matrix must be square, got {n}x{m}")
-    scale = float(np.abs(d).max()) if d.size else 0.0
+    if n == 0:
+        raise SpecError("distance matrix must be non-empty, got 0x0")
+    scale = float(np.abs(d).max())
     if float(np.abs(d - d.T).max()) > 1e-9 * scale:
         raise SpecError("distance matrix must be symmetric")
     if float(np.abs(np.diagonal(d)).max()) > 1e-12 * scale:

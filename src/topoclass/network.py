@@ -283,21 +283,19 @@ def forward_trace(net, cloud, include_pre=False):
 
 def strict_argmax(y):
     """Index of the strict maximum coordinate, or None on a tie within TIE_TOL."""
-    preds, ties = strict_argmax_batch(np.asarray(y)[np.newaxis])
-    return None if ties[0] else int(preds[0])
+    pred = int(strict_argmax_batch(np.asarray(y)[np.newaxis])[0])
+    return None if pred < 0 else pred
 
 
 def strict_argmax_batch(ys):
-    """Batched strict_argmax: (predictions, tie mask); prediction -1 on ties.
+    """Batched strict_argmax: each row's prediction, -1 on a tie.
 
     A row ties unless exactly one entry is within TIE_TOL of its max (NaN: none).
     """
     cols = np.asarray(ys, dtype=np.float64).T
     floor = reduce(np.maximum, cols) - TIE_TOL
     near = [col >= floor for col in cols]
-    ties = sum(near) != 1
-    preds = np.where(ties, -1, sum(j * hit for j, hit in enumerate(near)))
-    return preds, ties
+    return np.where(sum(near) != 1, -1, sum(j * hit for j, hit in enumerate(near)))
 
 
 def he_uniform_init(rng, out_dim, in_dim):

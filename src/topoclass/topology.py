@@ -129,12 +129,10 @@ def _voronoi_violations(net, cloud):
     """The outputs of a net that fits the cloud (``require_fit``), and the points it gets wrong."""
     require_fit(net, cloud.dim, cloud.class_count)
     outputs = forward_batch(net, cloud.points)
-    preds, ties = strict_argmax_batch(outputs)
-    bad = np.nonzero((preds != cloud.labels) | ties)[0]
-    violations = tuple(
-        (int(i), None if ties[i] else int(preds[i]), int(cloud.labels[i])) for i in bad
-    )
-    return outputs, violations
+    preds = strict_argmax_batch(outputs)
+    bad = np.nonzero(preds != cloud.labels)[0]  # a tie's -1 is no label
+    rows = zip(bad.tolist(), preds[bad].tolist(), cloud.labels[bad].tolist())
+    return outputs, tuple((i, None if pred < 0 else pred, label) for i, pred, label in rows)
 
 
 def check_thm3(net, cloud):

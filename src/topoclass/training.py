@@ -339,9 +339,51 @@ class _Epoch:
     def accuracy(self):
         """Each net's training accuracy: its ``strict_argmax_batch`` hits, averaged."""
         _run(self.forward)
-        preds, _ = strict_argmax_batch(self.probs)
-        hits = preds.reshape(-1, len(self.labels)) == self.labels
+        hits = strict_argmax_batch(self.probs).reshape(-1, len(self.labels)) == self.labels
         return hits.sum(axis=1) / len(self.labels)
+
+
+# a training stack of S nets (check_stack_size) holds at most this many
+# floats, 2 GiB
+MAX_STACK_ENTRIES = 2**28
+
+
+def check_stack_size(nets, dims, n, batch_size, processes=1):
+    """Refuse, before allocating, to train stacks of ``nets`` nets of ``dims`` on ``n`` points.
+
+    Each of ``processes`` processes holds one such stack at a time.
+    Returns the count, in floats, of every array ``train_many`` holds at
+    once: per point the buffers named below, per row of the (at most two)
+    batch sizes an ``_Epoch`` steps with its step buffers, and each net's
+    parameters four times (the stack, its gradient, the nets handed back
+    and the smaller stack made when nets leave).  It leaves out the Python
+    objects of the call lists, 1-2 KB per layer and batch of a ``_Chunk``.
+    """
+    units, classes = sum(dims[1:]), dims[-1]
+    per_point = (
+        units + classes + 2  # the accuracy pass's activations and softmax scratch
+        + classes + 4  # strict_argmax_batch's temporaries
+        + 1  # the shuffle order
+        + dims[0] + 2 * classes + 1  # a chunk's points, targets, probabilities and logs
+        + classes + 1  # the one-hot targets and the arange, held once for the stack
+    )
+    rows = min(2 * batch_size, n)  # a full batch and the last, shorter one
+    per_row = 2 * units + classes + 2  # a step's activations, deltas and softmax scratch
+    params = sum(out * (fan_in + 1) for fan_in, out in zip(dims, dims[1:]))
+    entries = processes * nets * (n * per_point + rows * per_row + 4 * params)
+    if entries > MAX_STACK_ENTRIES:
+        plural = "s" if nets > 1 else ""
+        stack = (
+            f"{nets} net{plural} x ({n} points x {per_point} + {rows} batch rows x {per_row} "
+            f"+ 4 x {params} parameters)"
+        )
+        layers = f"{len(dims) - 1} layers, the widest {max(dims[1:])}"
+        each = f", in each of {processes} processes" if processes > 1 else ""
+        raise SpecError(
+            f"{entries} floats to hold ({stack}, {layers}{each}): "
+            f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
+        )
+    return entries
 
 
 def gradients(net, x, label):
@@ -364,8 +406,7 @@ def accuracy(net, cloud):
     boundary, not in any cell's interior.
     """
     outputs = forward_batch(net, cloud.points)
-    preds, _ = strict_argmax_batch(outputs)
-    return float((preds == cloud.labels).mean())
+    return float((strict_argmax_batch(outputs) == cloud.labels).mean())
 
 
 def _check_stack(nets, cloud):
@@ -433,6 +474,7 @@ def train_many(nets, cloud, cfg):
                 break
             if len(keep) < len(live):
                 live = [live[row] for row in keep]
+                trainer = None  # its buffers go before the smaller stack's are made
                 stack = stack.keep(keep)
                 trainer = _Epoch(stack, cloud, batch_size, lr)
     return results

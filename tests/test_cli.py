@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -195,21 +196,22 @@ class TestTrain:
     def test_stack_past_the_limit_exits_2_before_training(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        # the paper net holds 200 points x (5 + 5 + 2 + 2 + 2 + 2) activations
-        # and 5*3 + 5*6 + 2*6 + 2*3 + 2*3 + 2*3 parameters
-        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 3674)
+        # the paper net on 200 points: 18 units + 21 per point, batches of 32
+        # and a last one (64 rows) of 2 * 18 + 4, and 4 x 75 parameters
+        monkeypatch.setattr(train_mod, "MAX_STACK_ENTRIES", 10659)
         monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
         out = tmp_path / "m.json"
         assert run(["train", workspace["data"], "--paper-net", "-o", out]) == 2
         assert capsys.readouterr().err == (
-            "error: 3675 floats to hold (1 net x (200 points x 18 units + 75 parameters), "
-            "6 layers, the widest 5): more than MAX_STACK_ENTRIES = 3674\n"
+            "error: 10660 floats to hold (1 net x (200 points x 39 + 64 batch rows x 40 "
+            "+ 4 x 75 parameters), 6 layers, the widest 5): more than MAX_STACK_ENTRIES = 10659\n"
         )
         assert not out.exists()
 
     def test_width_past_1024_trains(self, tmp_path):
-        # the README annulus: 1000 points x 1102 units + 5502 parameters, about
-        # 1.1 M floats, inside the stack budget
+        # the README annulus: 1000 points x (1102 units + 21), 64 batch rows x
+        # (2 * 1102 + 4) and 4 x 5502 parameters, about 1.3 M floats, inside
+        # the stack budget
         data, out = tmp_path / "a.json", tmp_path / "wide.json"
         assert run(["gen", "--annulus", "--n", 500, "--seed", 0, "-o", data]) == 0
         argv = ["train", data, "--dims", "2,1100,2", "--epochs", 1, "--seed", 0, "-o", out]
@@ -224,11 +226,12 @@ class TestTrain:
         width = 9999999999999999999999999
         argv = ["train", workspace["data"], "--dims", f"2,{width},2", "-o", out]
         assert run(argv) == 2
-        params = width * 3 + 2 * (width + 1)
+        per_point, per_row, params = width + 23, 2 * width + 8, width * 3 + 2 * (width + 1)
         assert capsys.readouterr().err == (
-            f"error: {200 * (width + 2) + params} floats to hold (1 net x (200 points x "
-            f"{width + 2} units + {params} parameters), 2 layers, the widest {width}): "
-            f"more than MAX_STACK_ENTRIES = {cli_mod.MAX_STACK_ENTRIES}\n"
+            f"error: {200 * per_point + 64 * per_row + 4 * params} floats to hold (1 net x "
+            f"(200 points x {per_point} + 64 batch rows x {per_row} + 4 x {params} parameters), "
+            f"2 layers, the widest {width}): "
+            f"more than MAX_STACK_ENTRIES = {train_mod.MAX_STACK_ENTRIES}\n"
         )
         assert not out.exists()
 
@@ -257,9 +260,9 @@ class TestTrain:
         dims = ",".join(["2"] + ["1024"] * 400 + ["2"])
         assert run(["train", data, "--dims", dims, "-o", out]) == 2
         assert capsys.readouterr().err == (
-            "error: 419614726 floats to hold "
-            "(1 net x (2 points x 409602 units + 418795522 parameters), 401 layers, "
-            f"the widest 1024): more than MAX_STACK_ENTRIES = {cli_mod.MAX_STACK_ENTRIES}\n"
+            "error: 1677639750 floats to hold (1 net x (2 points x 409623 + 2 batch rows x "
+            "819208 + 4 x 418795522 parameters), 401 layers, the widest 1024): "
+            f"more than MAX_STACK_ENTRIES = {train_mod.MAX_STACK_ENTRIES}\n"
         )
         assert not out.exists()
 
@@ -307,6 +310,19 @@ class TestTrace:
         run(["gen", "--annulus", "--n", 10, "-o", data])
         run(["train", data, "--dims", "2,1,2", "--epochs", 1, "-o", model])
         assert run(["trace", model, data, "--knn", knn, "--out-dir", tmp_path / "t"]) == 2
+
+    def test_data_too_small_to_project_exit_2_before_isomap(self, tmp_path, monkeypatch, capsys):
+        data, model = tmp_path / "two.json", tmp_path / "m.json"
+        assert run(["gen", "--annulus", "--n", 1, "-o", data]) == 0
+        run(["train", data, "--paper-net", "--epochs", 3, "-o", model])
+        capsys.readouterr()
+        monkeypatch.setattr(cli_mod, "isomap_embed", None)  # a call would be a TypeError
+        assert run(["trace", model, data, "--out-dir", tmp_path / "t"]) == 2
+        assert capsys.readouterr().err == (
+            "error: stage 1 (layer1_relu, dim 5): a 3-D projection needs at least 3 points, "
+            "the data has 2\n"
+        )
+        assert not (tmp_path / "t").exists()
 
     def test_include_pre_doubles_stages(self, workspace, tmp_path):
         out = tmp_path / "tracepre"
@@ -446,9 +462,9 @@ class TestSweep:
     def test_stack_past_the_limit_exits_2_before_training(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        # 2 seeds x (200 points x (2 + 8 + 8 + 2) + 120 parameters) for the
-        # widest net, once per process
-        monkeypatch.setattr(cli_mod, "MAX_STACK_ENTRIES", 2 * 8240 - 1)
+        # 2 seeds x (200 points x (20 units + 21) + 64 batch rows x (2 * 20 + 4)
+        # + 4 x 120 parameters) for the widest net, once per process
+        monkeypatch.setattr(train_mod, "MAX_STACK_ENTRIES", 2 * 22992 - 1)
         train_many = train_mod.train_many
         monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
@@ -457,11 +473,12 @@ class TestSweep:
                 "--epochs", 2, "-o", out]
         assert run(argv) == 2
         assert capsys.readouterr().err == (
-            "error: 16480 floats to hold (2 nets x (200 points x 20 units + 120 parameters), "
-            "4 layers, the widest 8, in each of 2 processes): more than MAX_STACK_ENTRIES = 16479\n"
+            "error: 45984 floats to hold (2 nets x (200 points x 41 + 64 batch rows x 44 "
+            "+ 4 x 120 parameters), 4 layers, the widest 8, in each of 2 processes): "
+            "more than MAX_STACK_ENTRIES = 45983\n"
         )
         assert not out.exists()
-        # one process holds one stack: 8240 floats fit
+        # one process holds one stack: 22992 floats fit
         monkeypatch.setattr(train_mod, "train_many", train_many)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
         assert run(argv) == 0
@@ -1511,14 +1528,63 @@ OPTION_SET = {
 }
 
 
-def test_each_subcommand_has_exactly_its_option_set():
+def subcommands():
     (commands,) = [
         action.choices
         for action in cli_mod.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
+    return commands
+
+
+def defaults(command):
+    return {
+        action.dest: action.default
+        for action in subcommands()[command]._actions
+        if action.option_strings
+    }
+
+
+def test_sgd_defaults_are_the_train_config_defaults():
+    sgd = train_mod.TrainConfig()
+    want = {
+        "lr": sgd.learning_rate,
+        "epochs": sgd.epochs,
+        "batch_size": sgd.batch_size,
+        "seed": sgd.seed,
+    }
+    train, sweep = defaults("train"), defaults("sweep-bottleneck")
+    assert {name: train[name] for name in want} == want
+    assert {name: sweep[name] for name in want} == want
+    assert train["target_accuracy"] == sgd.target_accuracy
+    assert sweep["target_accuracy"] == 0.99  # the sweep's own target
+
+
+def test_every_stated_default_is_the_default_in_use():
+    stated = {}
+    for command, sub in subcommands().items():
+        formatter = sub._get_formatter()
+        for action in sub._actions:
+            found = action.help and re.search(r"\(default (.*)\)", formatter._expand_help(action))
+            if found:
+                stated[command, action.option_strings[-1]] = (found[1], action.default)
+    # the defaults a command fills in itself, checked by what it does
+    dim, _ = stated.pop(("gen", "--dim"))
+    bands, _ = stated.pop(("gen", "--bands"))
+    history, _ = stated.pop(("train", "--history"))
+    args = cli_mod.build_parser().parse_args(["gen", "--shells", "--n", "1", "-o", "s.json"])
+    ((_, text),), _, _ = cli_mod.cmd_gen(args)
+    assert json.loads(text)["dim"] == int(dim)
+    assert cli_mod._parse_bands(bands) == list(data_mod.ANNULUS_BANDS)
+    assert history == "<out>_history.csv"
+    assert len(stated) == 5  # --n, --knn, --seeds, --grid-extent, --grid-size
+    for (command, flag), (text, default) in stated.items():
+        assert text == str(default), (command, flag)
+
+
+def test_each_subcommand_has_exactly_its_option_set():
     got = {
         name: {flag for action in sub._actions for flag in action.option_strings}
-        for name, sub in commands.items()
+        for name, sub in subcommands().items()
     }
     assert got == OPTION_SET

@@ -140,6 +140,13 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             load_cloud(path)
 
+    def test_parse_error_names_the_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2,\n "points": [[')
+        with pytest.raises(ParseError) as info:
+            load_cloud(path)
+        assert str(info.value) == "Expecting value (line 2, column 14)"
+
     def test_empty_points_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text('{"dim": 2, "class_count": 1, "points": [], "labels": []}')

@@ -40,7 +40,7 @@ def test_accuracy_pass_matches_forward_and_strict_argmax(classes):
             for s in range(3)]
     accs = _Epoch(_NetStack.of(nets), cloud, 32, 0.05).accuracy().tolist()
     for net, acc in zip(nets, accs, strict=True):
-        preds, _ = strict_argmax_batch(forward_batch(net, cloud.points))
+        preds = strict_argmax_batch(forward_batch(net, cloud.points))
         assert acc == float((preds == cloud.labels).mean())
     if classes == 1:
         assert accs == [1.0] * len(nets)

@@ -412,6 +412,10 @@ class TestClassicalMds:
         with pytest.raises(SpecError, match=f"^{text}$"):
             classical_mds(np.array(d), 1)
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(SpecError, match=r"^distance matrix must be non-empty, got 0x0$"):
+            classical_mds(np.zeros((0, 0)), 1)
+
     def test_all_zero_distances_embed_at_the_origin(self):
         result = classical_mds(np.zeros((3, 3)), 2)
         assert result.coordinates.tolist() == [[0.0, 0.0]] * 3

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_class_axis_oracle import per_net
 
-from topoclass.data import LabeledPointCloud, gen_annulus2d, write_files
+from topoclass import training as train_mod
+from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells, write_files
 from topoclass.errors import NumericalError, SpecError
 from topoclass.network import LayerSpec, Mlp, build_paper_net, build_relu_net, forward
 from topoclass.numerics import make_rng
@@ -14,6 +16,7 @@ from topoclass.training import (
     TrainConfig,
     TrainHistory,
     accuracy,
+    check_stack_size,
     cross_entropy,
     gradients,
     train,
@@ -284,6 +287,68 @@ class TestTrainMany:
         many = train_many(nets, cloud, cfg)
         for net, net_cfg, got in zip(nets, per_net(cfg, count), many, strict=True):
             assert_same_result(got, train(net, cloud, net_cfg))
+
+
+def traced_peak(nets, cloud, cfg):
+    """tracemalloc's peak over a train_many call, above what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        train_many(nets, cloud, cfg)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestStackBudget:
+    BANDS = ((0.0, 0.9), (1.0, 2.0), (2.1, 3.0), (3.1, 4.0))
+
+    @pytest.mark.parametrize(
+        "dims, nets, n",
+        [
+            ((2, 5, 5, 2, 2, 2, 2), 1, 20_000),
+            ((2, 1, 2), 1, 20_000),
+            ((2, 16, 16, 4), 1, 20_000),
+            ((2, 3, 8, 8, 2), 5, 20_000),
+            ((2, 400, 400, 2), 1, 5_000),
+        ],
+    )
+    def test_count_bounds_the_traced_peak_of_an_epoch(self, dims, nets, n):
+        classes = dims[-1]
+        cloud = gen_nested_shells(dims[0], self.BANDS[:classes], n // classes, 0)
+        stack = [build_relu_net(dims, make_rng(seed)) for seed in range(nets)]
+        cfg = TrainConfig(epochs=1, target_accuracy=None)
+        entries = check_stack_size(nets, dims, n, cfg.batch_size)
+        assert traced_peak(stack, cloud, cfg) <= 8 * entries
+
+    def test_count_bounds_the_traced_peak_when_nets_leave(self):
+        # nets 0 and 2 reach the target after the first epoch, and the
+        # other three train on in a smaller stack
+        dims, cloud = (2, 8, 2), blob_cloud(2_000, 0)
+        nets = [build_relu_net(dims, make_rng(seed)) for seed in range(5)]
+        cfg = TrainConfig(epochs=3, target_accuracy=0.999)
+        epochs = [history.epochs_run() for _, history in train_many(nets, cloud, cfg)]
+        assert 1 < len(set(epochs)) and min(epochs) < 3, epochs
+        entries = check_stack_size(len(nets), dims, len(cloud), cfg.batch_size)
+        assert traced_peak(nets, cloud, cfg) <= 8 * entries
+
+    def test_past_the_limit_is_refused(self, monkeypatch):
+        # the paper net on 200 points: 18 units + 21 per point, 64 batch
+        # rows of 2 * 18 + 4, and 4 x 75 parameters
+        assert check_stack_size(1, (2, 5, 5, 2, 2, 2, 2), 200, 32) == 10660
+        monkeypatch.setattr(train_mod, "MAX_STACK_ENTRIES", 10659)
+        text = (
+            "21320 floats to hold (1 net x (200 points x 39 + 64 batch rows x 40 "
+            "+ 4 x 75 parameters), 6 layers, the widest 5, in each of 2 processes): "
+            "more than MAX_STACK_ENTRIES = 10659"
+        )
+        with pytest.raises(SpecError) as info:
+            check_stack_size(1, (2, 5, 5, 2, 2, 2, 2), 200, 32, processes=2)
+        assert str(info.value) == text
+
+    def test_batch_rows_are_at_most_the_points(self):
+        # one batch of all 10 points: 10 rows of 2 * 3 + 4, not 64
+        assert check_stack_size(1, (2, 1, 2), 10, 32) == 10 * 24 + 10 * 10 + 4 * 7
 
 
 class TestDivergence:
