@@ -4,10 +4,10 @@ Subcommands: gen, train, trace, check-sep, witness, sweep-bottleneck,
 isomap, urysohn.  Exit codes: 0 success, 1 quality failure (target not
 reached, separation not achieved, disconnected graph, a result outside its
 numerical contract, a sweep worker that ended without its result), 2
-usage, schema or unreadable-path error (including a training stack too
-large to hold, a dense Isomap past ``isomap.MAX_ISOMAP_POINTS`` points,
-and two outputs that name one file), 3 precondition not applicable, 141 a
-pipe it writes to lost its reader.
+usage, schema or unreadable-path error (including an input whose planned
+peak is more than ``numerics.MEMORY_BUDGET`` bytes, and two outputs that
+name one file), 3 precondition not applicable, 141 a pipe it writes to
+lost its reader.
 Every command is a pure function of its flags; rerunning with the same
 flags rewrites byte-identical files.
 
@@ -48,19 +48,20 @@ from . import topology as topo_mod
 from . import training as train_mod
 from .errors import DisconnectedError, SpecError, TopoclassError, WorkerError
 from .isomap import graph_components, isomap as isomap_embed, knn_graph
-from .numerics import make_rng
+from .numerics import make_rng, require_budget
 from .svg import heatmap_svg, scatter_svg
 
+# gen's plan per coordinate or label (array entry, Python object, JSON text twice: 83-85 bytes
+# traced at 10^6), plus the JSON encoder's up to 100,000 pending pieces (6 MB traced)
+GEN_BYTES_PER_NUMBER, GEN_BYTES_FIXED = 100, 2**23
+# urysohn's plan per grid node: the CSV and SVG text (377 bytes traced), or, before it, per node
+# and class point the distances, products and weights (8 x (3 classes + 2) bytes traced at most)
+URYSOHN_TEXT_BYTES, URYSOHN_FIELD_BYTES = 420, 24
 EXIT_OK = 0
 EXIT_QUALITY = 1
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a program a closed pipe ended
-# urysohn writes size**2 cells: at 1024, field.csv and field.svg together take about 140 MB
-MAX_GRID_SIZE = 1024
-MAX_SEEDS = 100
-# gen holds every coordinate and its JSON text in memory: 455 MB max RSS at 3 * 10^6
-MAX_COORDINATES = 10**7
 def _sweep_dims(in_dim, width, class_count):
     # first-layer width under test, then a tail wide enough that downstream
     # capacity never confounds the bottleneck effect
@@ -94,13 +95,10 @@ def cmd_gen(args):
     given = [f"--{name}" for name in ("dim", "bands") if getattr(args, name) is not None]
     if args.annulus and given:  # --annulus is the --shells defaults
         raise SpecError(f"--annulus cannot be combined with {' or '.join(given)}")
-    dim = 2 if args.dim is None else args.dim
+    dim = data_mod.ANNULUS_DIM if args.dim is None else args.dim
     bands = data_mod.ANNULUS_BANDS if args.bands is None else _parse_bands(args.bands)
-    if args.n * len(bands) * dim > MAX_COORDINATES:
-        raise SpecError(
-            f"--n {args.n} points per class, {len(bands)} classes in R^{dim}: more than "
-            f"{MAX_COORDINATES} coordinates"
-        )
+    what = f"gen of {args.n} points per class, {len(bands)} classes in R^{dim}"
+    require_budget(what, GEN_BYTES_FIXED + GEN_BYTES_PER_NUMBER * args.n * len(bands) * (dim + 1))
     cloud = data_mod.gen_nested_shells(dim, bands, args.n, args.seed)
     files = [(args.out, data_mod.json_text(cloud.to_jsonable()))]
     if args.csv:
@@ -126,7 +124,7 @@ def cmd_train(args):
         seed=args.seed,
         target_accuracy=args.target_accuracy,
     )
-    train_mod.check_stack_size(1, dims, len(cloud), cfg.batch_size)
+    train_mod.check_stack_size(1, dims, len(cloud), cfg)
     net = net_mod.build_relu_net(dims, make_rng(args.seed))
     trained, history = train_mod.train(net, cloud, cfg)
     model = data_mod.json_text(trained.to_jsonable())
@@ -330,7 +328,7 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
         target_accuracy=target,
     )
     widest = _sweep_dims(cloud.dim, max(widths), cloud.class_count)
-    train_mod.check_stack_size(seeds, widest, len(cloud), cfg.batch_size, processes)
+    train_mod.check_stack_size(seeds, widest, len(cloud), cfg, processes)
     run_seeds = range(base_seed, base_seed + seeds)
 
     def row(width):
@@ -355,8 +353,8 @@ def run_bottleneck_sweep(cloud, widths, seeds, base_seed, lr, epochs, batch_size
 def cmd_sweep(args):
     cloud = data_mod.load_cloud(args.data)
     widths = _parse_widths(args.widths, "--widths")
-    if not 1 <= args.seeds <= MAX_SEEDS:
-        raise SpecError(f"--seeds must be in [1, {MAX_SEEDS}], got {args.seeds}")
+    if args.seeds < 1:  # training.check_stack_size refuses more seeds than fit
+        raise SpecError(f"--seeds must be >= 1, got {args.seeds}")
     rows = run_bottleneck_sweep(
         cloud,
         widths,
@@ -405,13 +403,15 @@ def cmd_isomap(args):
 
 
 def cmd_urysohn(args):
-    extent = args.grid_extent
-    size = args.grid_size
-    if not 1 <= size <= MAX_GRID_SIZE:
-        raise SpecError(f"--grid-size must be in [1, {MAX_GRID_SIZE}], got {size}")
+    extent, size = args.grid_extent, args.grid_size
+    if size < 1:
+        raise SpecError(f"--grid-size must be >= 1, got {size}")
     if not (math.isfinite(2.0 * extent) and extent > 0.0):
         raise SpecError(f"--grid-extent must be positive with 2 * extent finite, got {extent}")
     cloud = data_mod.load_cloud(args.data)
+    field = URYSOHN_FIELD_BYTES * (cloud.class_count + 2) * (size * size + len(cloud))
+    what = f"urysohn on a {size} x {size} grid, {cloud.class_count} classes of {len(cloud)} points"
+    require_budget(what, max(field, URYSOHN_TEXT_BYTES * size * size))
     xs = ys = np.linspace(-extent, extent, size)
     values = topo_mod.urysohn_grid(cloud.split_by_class(), xs, ys)
     axis_text = [repr(v) for v in xs.tolist()]
@@ -448,7 +448,8 @@ def build_parser():
     geom.add_argument("--shells", action="store_true", help="concentric bands in --dim dimensions")
     gen.add_argument("--n", type=int, default=500, help="samples per class (default %(default)s)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--dim", type=int, help="ambient dimension for --shells (default 2)")
+    dim_help = f"ambient dimension for --shells (default {data_mod.ANNULUS_DIM})"
+    gen.add_argument("--dim", type=int, help=dim_help)
     gen.add_argument(
         "--bands",
         help=f"radius bands lo:hi,lo:hi,... for --shells; one class per band (default {bands})",
@@ -525,7 +526,7 @@ def build_parser():
     ury.add_argument(
         "--grid-extent", type=float, default=2.5, help="half-width > 0 (default %(default)s)"
     )
-    size_help = f"per axis, 1 to {MAX_GRID_SIZE} (default %(default)s)"
+    size_help = "per axis, at least 1 (default %(default)s)"
     ury.add_argument("--grid-size", type=int, default=101, help=size_help)
     ury.add_argument("--out-dir", required=True)
     ury.set_defaults(func=cmd_urysohn)

@@ -24,8 +24,9 @@ from .errors import ParseError, SchemaError, SpecError
 from .numerics import is_integer, make_rng
 
 # Bands of the default two-class dataset: a solid disc of radius 0.9
-# surrounded by the closed annulus between radii 1 and 2.
+# surrounded by the closed annulus between radii 1 and 2, in the plane.
 ANNULUS_BANDS = ((0.0, 0.9), (1.0, 2.0))
+ANNULUS_DIM = 2
 # a band's outer radius lies in this range, so that squared norms neither
 # underflow (a band of radius 1e-320 never accepts a point) nor overflow
 MIN_OUTER_RADIUS = 1e-150
@@ -194,7 +195,7 @@ def gen_nested_shells(dim, bands, samples_per_class, seed):
 
 def gen_annulus2d(samples_per_class, seed):
     """The planar disc-vs-annulus dataset with the canonical radii."""
-    return gen_nested_shells(2, ANNULUS_BANDS, samples_per_class, seed)
+    return gen_nested_shells(ANNULUS_DIM, ANNULUS_BANDS, samples_per_class, seed)
 
 
 def read_json(path):

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedError, NumericalError, SpecError
-from .numerics import as_matrix, eigh_symmetric
+from .numerics import as_matrix, eigh_symmetric, require_budget
 
 DUPLICATE_POINT_WEIGHT = 1e-12
 # entries in one squared-distance tile: 2^15 float64 (256 KB) stays in L2;
 # 4K-entry tiles measured slower again, 16K to 64K about equal
 TILE_ENTRIES = 32_768
-# knn_graph refuses more points: dense Isomap peaks at 4.13 n x n float64 arrays by tracemalloc
-# (n = 1000; 0.55 GB here) and at 7.4 by max RSS, LAPACK's eigh work included (n = 1500; 1.0 GB)
-MAX_ISOMAP_POINTS = 2**12
+# dense Isomap's plan, in n x n float64 arrays: those tracemalloc sees (4.85 at n = 400), and
+# LAPACK eigh's input copy and work arrays (max RSS grows by 7.2-7.5 n x n at n = 1000 and 1500)
+TRACED_ARRAYS, EIGH_ARRAYS = 5, 3
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def knn_graph(points, k):
     """
     pts = as_matrix(points, "points")
     n = pts.shape[0]
-    if n > MAX_ISOMAP_POINTS:
-        raise SpecError(f"Isomap of {n} points: more than MAX_ISOMAP_POINTS = {MAX_ISOMAP_POINTS}")
+    require_budget(f"dense Isomap of {n} points", 8 * (TRACED_ARRAYS + EIGH_ARRAYS) * n * n)
     if not 1 <= k < n:
         raise SpecError(f"k must satisfy 1 <= k < {n}, got {k}")
     dists = pairwise_distances(pts)

@@ -27,6 +27,15 @@ from .errors import NumericalError, SpecError
 
 EIGH_TOL = 1e-12  # eigh_symmetric: the asymmetry it accepts, relative to the largest entry
 KERNEL_TOL = 1e-10  # null_space_basis: the kernel's bound, relative to ||W||
+# bytes a command's planned peak may take: what tracemalloc traces, and LAPACK's work arrays
+MEMORY_BUDGET = 2**31
+
+
+def require_budget(what, planned):
+    """``planned`` bytes, or SpecError (exit 2) naming ``what`` if they pass ``MEMORY_BUDGET``."""
+    if planned > MEMORY_BUDGET:
+        raise SpecError(f"{what} needs {planned} bytes, more than MEMORY_BUDGET = {MEMORY_BUDGET}")
+    return planned
 
 
 def is_integer(value):

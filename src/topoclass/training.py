@@ -66,7 +66,7 @@ from .network import (
     require_fit,
     strict_argmax_batch,
 )
-from .numerics import as_vector, is_integer, make_rng
+from .numerics import as_vector, is_integer, make_rng, require_budget
 
 
 def _is_real(value):
@@ -343,21 +343,17 @@ class _Epoch:
         return hits.sum(axis=1) / len(self.labels)
 
 
-# a training stack of S nets (check_stack_size) holds at most this many
-# floats, 2 GiB
-MAX_STACK_ENTRIES = 2**28
-
-
-def check_stack_size(nets, dims, n, batch_size, processes=1):
+def check_stack_size(nets, dims, n, cfg, processes=1):
     """Refuse, before allocating, to train stacks of ``nets`` nets of ``dims`` on ``n`` points.
 
     Each of ``processes`` processes holds one such stack at a time.
-    Returns the count, in floats, of every array ``train_many`` holds at
-    once: per point the buffers named below, per row of the (at most two)
-    batch sizes an ``_Epoch`` steps with its step buffers, and each net's
-    parameters four times (the stack, its gradient, the nets handed back
-    and the smaller stack made when nets leave).  It leaves out the Python
-    objects of the call lists, 1-2 KB per layer and batch of a ``_Chunk``.
+    Returns the plan, in bytes (``numerics.require_budget``), of all that
+    ``train_many`` holds at once under ``cfg``.  In float64: per point the
+    buffers named below, per row of the (at most two) batch sizes an
+    ``_Epoch`` steps with its step buffers, and each net's parameters four
+    times (the stack, its gradient, the nets handed back and the smaller
+    stack made when nets leave); and each net's objects.  It leaves out the
+    call lists' objects, 1-2 KB per layer and batch of a ``_Chunk``.
     """
     units, classes = sum(dims[1:]), dims[-1]
     per_point = (
@@ -367,23 +363,17 @@ def check_stack_size(nets, dims, n, batch_size, processes=1):
         + dims[0] + 2 * classes + 1  # a chunk's points, targets, probabilities and logs
         + classes + 1  # the one-hot targets and the arange, held once for the stack
     )
-    rows = min(2 * batch_size, n)  # a full batch and the last, shorter one
+    rows = min(2 * cfg.batch_size, n)  # a full batch and the last, shorter one
     per_row = 2 * units + classes + 2  # a step's activations, deltas and softmax scratch
     params = sum(out * (fan_in + 1) for fan_in, out in zip(dims, dims[1:]))
-    entries = processes * nets * (n * per_point + rows * per_row + 4 * params)
-    if entries > MAX_STACK_ENTRIES:
-        plural = "s" if nets > 1 else ""
-        stack = (
-            f"{nets} net{plural} x ({n} points x {per_point} + {rows} batch rows x {per_row} "
-            f"+ 4 x {params} parameters)"
-        )
-        layers = f"{len(dims) - 1} layers, the widest {max(dims[1:])}"
-        each = f", in each of {processes} processes" if processes > 1 else ""
-        raise SpecError(
-            f"{entries} floats to hold ({stack}, {layers}{each}): "
-            f"more than MAX_STACK_ENTRIES = {MAX_STACK_ENTRIES}"
-        )
-    return entries
+    # 1 KB a layer (the built and the returned net), 1 KB (the generator and history), and an
+    # epoch's loss and accuracy in lists and tuples (77.5 bytes traced, 2,000 paper nets)
+    objects = 1024 * len(dims) + 96 * cfg.epochs
+    floats = f"{n} points x {per_point} + {rows} batch rows x {per_row} + 4 x {params} parameters"
+    each = f" in each of {processes} processes" if processes > 1 else ""
+    what = f"training {nets} net{'s' * (nets > 1)} x (8 x ({floats}) + {objects}){each}"
+    per_net = 8 * (n * per_point + rows * per_row + 4 * params) + objects
+    return require_budget(what, processes * nets * per_net)
 
 
 def gradients(net, x, label):

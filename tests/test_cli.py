@@ -26,9 +26,10 @@ from topoclass import cli as cli_mod
 from topoclass import data as data_mod
 from topoclass import errors
 from topoclass import network as net_mod
+from topoclass import numerics as numerics_mod
 from topoclass import topology as topo_mod
 from topoclass import training as train_mod
-from topoclass.cli import MAX_GRID_SIZE, main
+from topoclass.cli import main
 from topoclass.data import LabeledPointCloud, load_cloud, save_cloud
 from topoclass.isomap import graph_components, knn_graph
 from topoclass.network import build_relu_net, load_model, save_model
@@ -41,6 +42,39 @@ isomap_mod = importlib.import_module("topoclass.isomap")
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def record_plans(monkeypatch, module):
+    """The plans ``module`` hands ``require_budget``, in call order; the budget still applies."""
+    plans = []
+
+    def record(what, planned):
+        plans.append(planned)
+        return numerics_mod.require_budget(what, planned)
+
+    monkeypatch.setattr(module, "require_budget", record)
+    return plans
+
+
+def traced_peak(call):
+    """``call()`` and tracemalloc's peak over it, above what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def ring_classes(path, classes, per_class):
+    """Save ``classes`` clusters of ``per_class`` points, spread round the unit circle."""
+    angles = np.repeat(np.arange(classes) * (2 * np.pi / classes), per_class)
+    spread = 1e-3 * make_rng(0).standard_normal((len(angles), 2)) if per_class > 1 else 0.0
+    points = np.stack([np.cos(angles), np.sin(angles)], axis=1) + spread
+    labels = np.repeat(np.arange(classes), per_class)
+    save_cloud(LabeledPointCloud(2, points, labels, classes), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +163,42 @@ class TestGen:
             ["--bands", "0:1e308"],
             ["--bands", "1e-320:2e-320"],
             ["--n", 2**64],
-            ["--dim", 10**6, "--n", 6],
+            ["--dim", 10**6, "--n", 20],
         ],
     )
     def test_out_of_range_sizes_and_radii_exit_2(self, tmp_path, flags):
         code = run(["gen", "--shells", *flags, "-o", tmp_path / "x.json"])
         assert code == 2
+
+    def test_past_the_budget_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # 5 points per class, 2 classes in R^2: 30 numbers, 100 bytes each,
+        # and the JSON encoder's 8 MiB
+        argv = ["gen", "--annulus", "--n", 5, "-o", tmp_path / "at.json"]
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 2**23 + 3000)
+        assert run(argv) == 0
+        capsys.readouterr()
+
+        def never(*args):
+            raise AssertionError("points sampled past MEMORY_BUDGET")
+
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 2**23 + 2999)
+        monkeypatch.setattr(data_mod, "gen_nested_shells", never)
+        out = tmp_path / "past.json"
+        assert run(["gen", "--annulus", "--n", 5, "-o", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: gen of 5 points per class, 2 classes in R^2 needs 8391608 bytes, "
+            "more than MEMORY_BUDGET = 8391607\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim, n", [(1, 200), (2, 200), (5, 200), (1, 20_000), (2, 20_000)])
+    def test_plan_bounds_the_traced_peak(self, tmp_path, monkeypatch, dim, n):
+        plans = record_plans(monkeypatch, cli_mod)
+        argv = ["gen", "--shells", "--dim", dim, "--n", n, "-o", tmp_path / "g.json",
+                "--csv", tmp_path / "g.csv"]
+        code, peak = traced_peak(lambda: run(argv))
+        assert code == 0 and len(plans) == 1
+        assert peak <= plans[0]
 
     def test_tiny_and_far_bands_stay_inside_them(self, tmp_path):
         out = tmp_path / "far.json"
@@ -197,14 +261,15 @@ class TestTrain:
         self, workspace, tmp_path, monkeypatch, capsys
     ):
         # the paper net on 200 points: 18 units + 21 per point, batches of 32
-        # and a last one (64 rows) of 2 * 18 + 4, and 4 x 75 parameters
-        monkeypatch.setattr(train_mod, "MAX_STACK_ENTRIES", 10659)
+        # and a last one (64 rows) of 2 * 18 + 4, and 4 x 75 parameters, in
+        # float64; 1 KB for each of its 7 widths and 96 bytes for each of 500 epochs
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 140447)
         monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
         out = tmp_path / "m.json"
         assert run(["train", workspace["data"], "--paper-net", "-o", out]) == 2
         assert capsys.readouterr().err == (
-            "error: 10660 floats to hold (1 net x (200 points x 39 + 64 batch rows x 40 "
-            "+ 4 x 75 parameters), 6 layers, the widest 5): more than MAX_STACK_ENTRIES = 10659\n"
+            "error: training 1 net x (8 x (200 points x 39 + 64 batch rows x 40 + 4 x 75 "
+            "parameters) + 55168) needs 140448 bytes, more than MEMORY_BUDGET = 140447\n"
         )
         assert not out.exists()
 
@@ -227,11 +292,11 @@ class TestTrain:
         argv = ["train", workspace["data"], "--dims", f"2,{width},2", "-o", out]
         assert run(argv) == 2
         per_point, per_row, params = width + 23, 2 * width + 8, width * 3 + 2 * (width + 1)
+        planned = 8 * (200 * per_point + 64 * per_row + 4 * params) + 1024 * 3 + 96 * 500
         assert capsys.readouterr().err == (
-            f"error: {200 * per_point + 64 * per_row + 4 * params} floats to hold (1 net x "
-            f"(200 points x {per_point} + 64 batch rows x {per_row} + 4 x {params} parameters), "
-            f"2 layers, the widest {width}): "
-            f"more than MAX_STACK_ENTRIES = {train_mod.MAX_STACK_ENTRIES}\n"
+            f"error: training 1 net x (8 x (200 points x {per_point} + 64 batch rows x {per_row} "
+            f"+ 4 x {params} parameters) + 51072) needs {planned} bytes, "
+            f"more than MEMORY_BUDGET = {numerics_mod.MEMORY_BUDGET}\n"
         )
         assert not out.exists()
 
@@ -260,9 +325,9 @@ class TestTrain:
         dims = ",".join(["2"] + ["1024"] * 400 + ["2"])
         assert run(["train", data, "--dims", dims, "-o", out]) == 2
         assert capsys.readouterr().err == (
-            "error: 1677639750 floats to hold (1 net x (2 points x 409623 + 2 batch rows x "
-            "819208 + 4 x 418795522 parameters), 401 layers, the widest 1024): "
-            f"more than MAX_STACK_ENTRIES = {train_mod.MAX_STACK_ENTRIES}\n"
+            "error: training 1 net x (8 x (2 points x 409623 + 2 batch rows x 819208 + 4 x "
+            "418795522 parameters) + 459648) needs 13421577648 bytes, "
+            f"more than MEMORY_BUDGET = {numerics_mod.MEMORY_BUDGET}\n"
         )
         assert not out.exists()
 
@@ -459,12 +524,36 @@ class TestSweep:
     def test_bad_flags_exit_2(self, workspace, tmp_path, flags):
         assert run(["sweep-bottleneck", workspace["data"], *flags, "-o", tmp_path / "s.csv"]) == 2
 
+    def test_more_than_100_seeds_train(self, workspace, tmp_path):
+        # the stack plan counts the seeds; there is no limit on them of its own
+        out = tmp_path / "s.csv"
+        argv = ["sweep-bottleneck", workspace["data"], "--widths", "1", "--seeds", 101,
+                "--epochs", 1, "-o", out]
+        assert run(argv) == 0
+        assert out.read_text().splitlines()[1].startswith("1,")
+
+    def test_plan_bounds_the_traced_peak_of_2000_seeds(self, monkeypatch):
+        # on two points each net's objects (the built and the returned net, its
+        # generator and history) outweigh its floats: the sweep peaked at 1.87
+        # times a plan of the floats alone
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
+        plans = record_plans(monkeypatch, train_mod)
+        cloud = data_mod.gen_annulus2d(1, 0)
+
+        def sweep():
+            return cli_mod.run_bottleneck_sweep(cloud, [1], 2000, 0, 0.05, 2, 32, 0.99)
+
+        _, peak = traced_peak(sweep)
+        assert len(plans) == 1
+        assert peak <= plans[0]
+
     def test_stack_past_the_limit_exits_2_before_training(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        # 2 seeds x (200 points x (20 units + 21) + 64 batch rows x (2 * 20 + 4)
-        # + 4 x 120 parameters) for the widest net, once per process
-        monkeypatch.setattr(train_mod, "MAX_STACK_ENTRIES", 2 * 22992 - 1)
+        # 2 seeds x (8 x (200 points x (20 units + 21) + 64 batch rows x (2 * 20 + 4)
+        # + 4 x 120 parameters) + 1 KB for each of 5 widths + 96 bytes for each of
+        # 2 epochs) for the widest net, once per process
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 2 * 194560 - 1)
         train_many = train_mod.train_many
         monkeypatch.setattr(train_mod, "train_many", None)  # a call would be a TypeError
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 2)
@@ -473,12 +562,12 @@ class TestSweep:
                 "--epochs", 2, "-o", out]
         assert run(argv) == 2
         assert capsys.readouterr().err == (
-            "error: 45984 floats to hold (2 nets x (200 points x 41 + 64 batch rows x 44 "
-            "+ 4 x 120 parameters), 4 layers, the widest 8, in each of 2 processes): "
-            "more than MAX_STACK_ENTRIES = 45983\n"
+            "error: training 2 nets x (8 x (200 points x 41 + 64 batch rows x 44 + 4 x 120 "
+            "parameters) + 5312) in each of 2 processes needs 389120 bytes, "
+            "more than MEMORY_BUDGET = 389119\n"
         )
         assert not out.exists()
-        # one process holds one stack: 22992 floats fit
+        # one process holds one stack: 194560 bytes fit
         monkeypatch.setattr(train_mod, "train_many", train_many)
         monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 1)
         assert run(argv) == 0
@@ -828,6 +917,19 @@ class TestUrysohn:
         assert run(["urysohn", workspace["data"], "--grid-size", 1, "--out-dir", out]) == 0
         assert (out / "field.csv").read_text().splitlines()[1].startswith("-2.5,-2.5,")
 
+    @pytest.mark.parametrize(
+        "classes, per_class, size",
+        [(2, 100, 101), (16, 1, 101), (200, 1, 51), (50, 100, 11)],
+        ids=["text", "text and field", "field", "class table"],
+    )
+    def test_plan_bounds_the_traced_peak(self, tmp_path, monkeypatch, classes, per_class, size):
+        data = ring_classes(tmp_path / "ring.json", classes, per_class)
+        plans = record_plans(monkeypatch, cli_mod)
+        argv = ["urysohn", data, "--grid-size", size, "--out-dir", tmp_path / "u"]
+        code, peak = traced_peak(lambda: run(argv))
+        assert code == 0 and len(plans) == 1
+        assert peak <= plans[0]
+
 
 class TestCsvFiles:
     def test_every_csv_is_the_standard_writers_bytes_for_its_rows(self, workspace, tmp_path):
@@ -1171,7 +1273,6 @@ class TestExitCodes:
         [
             ["--grid-size", 0],
             ["--grid-size", -3],
-            ["--grid-size", MAX_GRID_SIZE + 1],
             ["--grid-extent", "nan"],
             ["--grid-extent", "inf"],
             ["--grid-extent", "1e308"],
@@ -1338,32 +1439,70 @@ class TestExitCodes:
         assert not (tmp_path / "u").exists()
 
     @staticmethod
-    def _refuse_dense_isomap(monkeypatch, limit):
-        def never(points):
-            raise AssertionError("pairwise distances allocated past MAX_ISOMAP_POINTS")
+    def _refuse(monkeypatch, budget, module, allocating):
+        """Set the budget, and make ``module.allocating`` fail if it is called."""
 
-        monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", limit)
-        monkeypatch.setattr(isomap_mod, "pairwise_distances", never)
+        def never(*args):
+            raise AssertionError(f"{allocating} called past MEMORY_BUDGET")
 
-    def test_isomap_past_the_point_limit_exits_2_before_allocating(
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr(module, allocating, never)
+
+    # dense Isomap of the 200 points plans 8 float64 arrays of 200 x 200
+    ISOMAP_REFUSED = (
+        "error: dense Isomap of 200 points needs 2560000 bytes, more than MEMORY_BUDGET = 2559999\n"
+    )
+
+    def test_isomap_past_the_budget_exits_2_before_allocating(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", 200)  # the 200 points pass
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 2560000)  # the 200 points pass
         assert run(["isomap", workspace["data"], "--out-dir", tmp_path / "at"]) == 0
-        self._refuse_dense_isomap(monkeypatch, 199)
+        capsys.readouterr()
+        self._refuse(monkeypatch, 2559999, isomap_mod, "pairwise_distances")
         assert run(["isomap", workspace["data"], "--out-dir", tmp_path / "past"]) == 2
-        assert "more than MAX_ISOMAP_POINTS = 199" in capsys.readouterr().err
+        assert capsys.readouterr().err == self.ISOMAP_REFUSED
         assert not (tmp_path / "past").exists()
 
-    def test_trace_past_the_point_limit_exits_2_before_allocating(
+    def test_trace_past_the_budget_exits_2_before_allocating(
         self, workspace, tmp_path, monkeypatch, capsys
     ):
         # the paper net's 5-wide stages are projected by Isomap
-        self._refuse_dense_isomap(monkeypatch, 199)
+        self._refuse(monkeypatch, 2559999, isomap_mod, "pairwise_distances")
         argv = ["trace", workspace["model"], workspace["data"], "--out-dir", tmp_path / "t"]
         assert run(argv) == 2
-        assert "more than MAX_ISOMAP_POINTS = 199" in capsys.readouterr().err
+        assert capsys.readouterr().err == self.ISOMAP_REFUSED
         assert not (tmp_path / "t").exists()
+
+    def test_urysohn_past_the_budget_exits_2_before_the_field(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # the default 101 x 101 grid: its text, 420 bytes a node, outweighs its
+        # field, 24 bytes x (2 classes + 2) a node and class point
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 420 * 101**2)
+        assert run(["urysohn", workspace["data"], "--out-dir", tmp_path / "at"]) == 0
+        capsys.readouterr()
+        self._refuse(monkeypatch, 420 * 101**2 - 1, topo_mod, "urysohn_grid")
+        assert run(["urysohn", workspace["data"], "--out-dir", tmp_path / "past"]) == 2
+        assert capsys.readouterr().err == (
+            "error: urysohn on a 101 x 101 grid, 2 classes of 200 points needs 4284420 bytes, "
+            "more than MEMORY_BUDGET = 4284419\n"
+        )
+        assert not (tmp_path / "past").exists()
+
+    def test_urysohn_of_200_classes_exits_2_before_the_field(self, tmp_path, monkeypatch, capsys):
+        # 200 single-point classes: the field holds 3 float64 per node and class
+        # (distances, products, weights), 5 GB on a 1024 x 1024 grid
+        data = ring_classes(tmp_path / "ring.json", 200, 1)
+        self._refuse(monkeypatch, numerics_mod.MEMORY_BUDGET, topo_mod, "urysohn_grid")
+        out = tmp_path / "u"
+        assert run(["urysohn", data, "--grid-size", 1024, "--out-dir", out]) == 2
+        planned = 24 * 202 * (1024**2 + 200)
+        assert capsys.readouterr().err == (
+            f"error: urysohn on a 1024 x 1024 grid, 200 classes of 200 points needs {planned} "
+            f"bytes, more than MEMORY_BUDGET = {numerics_mod.MEMORY_BUDGET}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "error",
@@ -1574,12 +1713,59 @@ def test_every_stated_default_is_the_default_in_use():
     history, _ = stated.pop(("train", "--history"))
     args = cli_mod.build_parser().parse_args(["gen", "--shells", "--n", "1", "-o", "s.json"])
     ((_, text),), _, _ = cli_mod.cmd_gen(args)
-    assert json.loads(text)["dim"] == int(dim)
+    assert json.loads(text)["dim"] == int(dim) == data_mod.ANNULUS_DIM
     assert cli_mod._parse_bands(bands) == list(data_mod.ANNULUS_BANDS)
     assert history == "<out>_history.csv"
     assert len(stated) == 5  # --n, --knn, --seeds, --grid-extent, --grid-size
     for (command, flag), (text, default) in stated.items():
         assert text == str(default), (command, flag)
+
+
+class Planned(Exception):
+    """Raised in place of ``require_budget``: the plan, with nothing allocated yet."""
+
+
+def plan_of(monkeypatch, module, call):
+    """The bytes ``call()`` plans through ``module.require_budget``, stopped there."""
+
+    def stop(what, planned):
+        raise Planned(planned)
+
+    monkeypatch.setattr(module, "require_budget", stop)
+    with pytest.raises(Planned) as info:
+        call()
+    return info.value.args[0]
+
+
+def test_the_old_limits_largest_inputs_pass_their_plans(workspace, monkeypatch):
+    # before one budget: 10^7 coordinates, --grid-size 1024, 4096 Isomap
+    # points and --seeds 100, each its own limit
+    parse = cli_mod.build_parser().parse_args
+
+    def gen(*flags):
+        return lambda: cli_mod.cmd_gen(parse(["gen", *map(str, flags), "-o", "g.json"]))
+
+    plans = [
+        plan_of(monkeypatch, cli_mod, gen(*flags))
+        for flags in (
+            ["--shells", "--dim", 1, "--n", 5 * 10**6],
+            ["--annulus", "--n", 25 * 10**5],
+            ["--shells", "--dim", 5 * 10**6, "--n", 1],
+        )
+    ]
+    urysohn = parse(["urysohn", str(workspace["data"]), "--grid-size", "1024", "--out-dir", "u"])
+    plans.append(plan_of(monkeypatch, cli_mod, lambda: cli_mod.cmd_urysohn(urysohn)))
+    plans.append(plan_of(monkeypatch, isomap_mod, lambda: knn_graph(np.zeros((4096, 2)), 10)))
+    # the README sweep's widths, five processes on 1000 points
+    dims = cli_mod._sweep_dims(2, 5, 2)
+    plans.append(train_mod.check_stack_size(100, dims, 1000, train_mod.TrainConfig(), 5))
+    assert max(plans) <= numerics_mod.MEMORY_BUDGET, plans
+
+
+def test_the_readme_states_the_budget_in_use():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (exponent,) = re.findall(r"`numerics\.MEMORY_BUDGET` =\s+2\^(\d+) bytes", readme)
+    assert 2 ** int(exponent) == numerics_mod.MEMORY_BUDGET
 
 
 def test_each_subcommand_has_exactly_its_option_set():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from topoclass import cli
+from topoclass import numerics as numerics_mod
 from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells, save_cloud
 from topoclass.errors import DisconnectedError, NumericalError, SpecError
 from topoclass.isomap import (
@@ -474,9 +475,10 @@ class TestIsomapComposition:
     @pytest.mark.parametrize(
         "entry", ["isomap", "cmd_isomap", "cmd_isomap_largest_component", "project_stage"]
     )
-    def test_every_entry_point_peaks_within_five_point_one_n_by_n_arrays(self, entry, tmp_path):
-        # isomap.MAX_ISOMAP_POINTS rests on dense Isomap holding about four
-        # n x n float64 arrays that tracemalloc sees: knn_graph alone 3.2,
+    def test_every_entry_point_peaks_within_the_plan_less_eigh(self, entry, tmp_path):
+        # knn_graph's plan rests on dense Isomap holding at most
+        # TRACED_ARRAYS = 5 n x n float64 arrays that tracemalloc sees (LAPACK
+        # eigh's EIGH_ARRAYS it cannot see): knn_graph alone 3.2,
         # geodesics 2.0 beside the graph, MDS 3.8 beside the geodesics once
         # the graph is freed.  Measured on this 5-D lift of a 200-per-class
         # annulus (n = 400): isomap() 4.83, cmd_isomap 4.85, _project_stage
@@ -508,7 +510,7 @@ class TestIsomapComposition:
             tracemalloc.stop()
         if flags:
             assert out[1][0].startswith("embedded 268 points")
-        assert peak < 5.1 * n * n * 8
+        assert peak <= 8 * isomap_mod.TRACED_ARRAYS * n * n
 
     def test_deterministic(self):
         pts = make_rng(12).standard_normal((30, 4))
@@ -561,19 +563,23 @@ def test_largest_component_cut_then_isomap_matches_the_subgraph_oracle(cloud, k,
     assert got["stress"] == expected.stress
 
 
-def test_knn_graph_past_the_point_limit_raises_before_allocating(monkeypatch):
+def test_knn_graph_past_the_budget_raises_before_allocating(monkeypatch):
+    # 12 points plan 8 float64 arrays of 12 x 12, 9216 bytes
     pts = make_rng(13).standard_normal((12, 3))
-    monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", 12)  # the 12 points pass
+    monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 9216)  # the 12 points pass
     assert knn_graph(pts, 3).node_count == 12
 
     def never(points):
-        raise AssertionError("pairwise distances allocated past MAX_ISOMAP_POINTS")
+        raise AssertionError("pairwise distances allocated past MEMORY_BUDGET")
 
-    monkeypatch.setattr(isomap_mod, "MAX_ISOMAP_POINTS", 11)
+    monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 9215)
     monkeypatch.setattr(isomap_mod, "pairwise_distances", never)
     for call in (knn_graph, component_count, isomap):
-        with pytest.raises(SpecError, match="12 points: more than MAX_ISOMAP_POINTS = 11"):
+        with pytest.raises(SpecError) as info:
             call(pts, 3)
+        assert str(info.value) == (
+            "dense Isomap of 12 points needs 9216 bytes, more than MEMORY_BUDGET = 9215"
+        )
 
 
 def test_embedding_json_round_trip(tmp_path):

@@ -7,10 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_class_axis_oracle import per_net
 
-from topoclass import training as train_mod
+from topoclass import numerics as numerics_mod
 from topoclass.data import LabeledPointCloud, gen_annulus2d, gen_nested_shells, write_files
 from topoclass.errors import NumericalError, SpecError
-from topoclass.network import LayerSpec, Mlp, build_paper_net, build_relu_net, forward
+from topoclass.network import (
+    PAPER_NET_DIMS,
+    LayerSpec,
+    Mlp,
+    build_paper_net,
+    build_relu_net,
+    forward,
+)
 from topoclass.numerics import make_rng
 from topoclass.training import (
     TrainConfig,
@@ -318,8 +325,7 @@ class TestStackBudget:
         cloud = gen_nested_shells(dims[0], self.BANDS[:classes], n // classes, 0)
         stack = [build_relu_net(dims, make_rng(seed)) for seed in range(nets)]
         cfg = TrainConfig(epochs=1, target_accuracy=None)
-        entries = check_stack_size(nets, dims, n, cfg.batch_size)
-        assert traced_peak(stack, cloud, cfg) <= 8 * entries
+        assert traced_peak(stack, cloud, cfg) <= check_stack_size(nets, dims, n, cfg)
 
     def test_count_bounds_the_traced_peak_when_nets_leave(self):
         # nets 0 and 2 reach the target after the first epoch, and the
@@ -329,26 +335,43 @@ class TestStackBudget:
         cfg = TrainConfig(epochs=3, target_accuracy=0.999)
         epochs = [history.epochs_run() for _, history in train_many(nets, cloud, cfg)]
         assert 1 < len(set(epochs)) and min(epochs) < 3, epochs
-        entries = check_stack_size(len(nets), dims, len(cloud), cfg.batch_size)
-        assert traced_peak(nets, cloud, cfg) <= 8 * entries
+        assert traced_peak(nets, cloud, cfg) <= check_stack_size(len(nets), dims, len(cloud), cfg)
 
-    def test_past_the_limit_is_refused(self, monkeypatch):
-        # the paper net on 200 points: 18 units + 21 per point, 64 batch
-        # rows of 2 * 18 + 4, and 4 x 75 parameters
-        assert check_stack_size(1, (2, 5, 5, 2, 2, 2, 2), 200, 32) == 10660
-        monkeypatch.setattr(train_mod, "MAX_STACK_ENTRIES", 10659)
+    def test_plan_bounds_the_objects_of_many_small_nets(self):
+        # 2,000 paper nets on 2 points for 50 epochs: each net's objects (the
+        # built and the returned net, its generator, its history) outweigh its
+        # floats, and the history grows by an epoch's loss and accuracy
+        cloud, cfg = gen_annulus2d(1, 0), TrainConfig(epochs=50, target_accuracy=None)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            nets = [build_paper_net(make_rng(seed)) for seed in range(2000)]
+            train_many(nets, cloud, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= check_stack_size(2000, PAPER_NET_DIMS, len(cloud), cfg)
+
+    def test_past_the_budget_is_refused(self, monkeypatch):
+        # the paper net on 200 points: 18 units + 21 per point, 64 batch rows
+        # of 2 * 18 + 4, and 4 x 75 parameters, in float64; and its objects,
+        # 1 KB for each of its 7 widths and 96 bytes for each of 500 epochs
+        cfg = TrainConfig()
+        assert check_stack_size(1, PAPER_NET_DIMS, 200, cfg) == 8 * 10660 + 7 * 1024 + 96 * 500
+        monkeypatch.setattr(numerics_mod, "MEMORY_BUDGET", 140448)
         text = (
-            "21320 floats to hold (1 net x (200 points x 39 + 64 batch rows x 40 "
-            "+ 4 x 75 parameters), 6 layers, the widest 5, in each of 2 processes): "
-            "more than MAX_STACK_ENTRIES = 10659"
+            "training 1 net x (8 x (200 points x 39 + 64 batch rows x 40 + 4 x 75 parameters) "
+            "+ 55168) in each of 2 processes needs 280896 bytes, more than MEMORY_BUDGET = 140448"
         )
         with pytest.raises(SpecError) as info:
-            check_stack_size(1, (2, 5, 5, 2, 2, 2, 2), 200, 32, processes=2)
+            check_stack_size(1, PAPER_NET_DIMS, 200, cfg, processes=2)
         assert str(info.value) == text
 
     def test_batch_rows_are_at_most_the_points(self):
         # one batch of all 10 points: 10 rows of 2 * 3 + 4, not 64
-        assert check_stack_size(1, (2, 1, 2), 10, 32) == 10 * 24 + 10 * 10 + 4 * 7
+        cfg = TrainConfig(epochs=1)
+        planned = 8 * (10 * 24 + 10 * 10 + 4 * 7) + 3 * 1024 + 96
+        assert check_stack_size(1, (2, 1, 2), 10, cfg) == planned
 
 
 class TestDivergence:
